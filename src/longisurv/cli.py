@@ -8,6 +8,7 @@ converted to grid steps internally. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, LongisurvError, NumericalError
 from .losses import LossConfig
-from .metrics import write_report, write_samples
+from .metrics import visits_seen, write_report, write_samples
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .reports import (SPECIAL_SOURCES, attention_analysis, compare_sources,
                       evaluate_source, source_from_token, write_attention,
@@ -50,6 +51,14 @@ def _read_json(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {ex}")
 
 
+def _known_keys(cls, section: str, values: dict) -> dict:
+    """The overrides for one config class, rejecting any key it does not have."""
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {section} config key(s): {', '.join(unknown)}")
+    return values
+
+
 def _years_list(text: str) -> tuple:
     try:
         return tuple(float(v) for v in text.split(","))
@@ -75,7 +84,7 @@ def cmd_simulate(args) -> int:
     if args.patients is not None:
         overrides["n_patients"] = args.patients
     overrides["seed"] = args.seed
-    cfg = CohortConfig(**overrides)
+    cfg = CohortConfig(**_known_keys(CohortConfig, "cohort", overrides))
     eyes = generate_cohort(cfg)
     save_dataset(args.out, eyes, cfg)
     stats = summary_stats(eyes, cfg.grid)
@@ -102,7 +111,7 @@ def cmd_train(args) -> int:
                   "image_channels": cohort_cfg.image_channels,
                   "dtype": args.dtype}
     model_over.update(file_cfg.get("model", {}))
-    model_cfg = ModelConfig.from_dict(model_over)
+    model_cfg = ModelConfig.from_dict(_known_keys(ModelConfig, "model", model_over))
 
     train_over = {"seed": args.seed}
     train_over.update(file_cfg.get("train", {}))
@@ -110,8 +119,8 @@ def cmd_train(args) -> int:
         train_over["max_epochs"] = args.max_epochs
     if args.lr is not None:
         train_over["lr"] = args.lr
-    train_cfg = TrainConfig(**train_over)
-    loss_cfg = LossConfig(**file_cfg.get("loss", {}))
+    train_cfg = TrainConfig(**_known_keys(TrainConfig, "train", train_over))
+    loss_cfg = LossConfig(**_known_keys(LossConfig, "loss", file_cfg.get("loss", {})))
 
     warm = None
     if args.init_from:
@@ -255,19 +264,18 @@ def cmd_plot(args) -> int:
         missing = [w for w in wanted if w not in by_id]
         if missing:
             raise DataError(f"eye ids not in dataset: {missing}")
-        t_months = cohort_cfg.grid.time_to_step(args.at_years) * cohort_cfg.step_months
+        chosen = [by_id[w] for w in wanted]
+        seen = visits_seen(chosen, cohort_cfg.grid,
+                           cohort_cfg.grid.time_to_step(args.at_years))[None, :]
+        unseen = [w for w, c in zip(wanted, seen[0]) if c == 0]
+        if unseen:
+            raise DataError(f"no visit by year {args.at_years:g} for eyes {unseen}")
         curves = {}
         for token in args.ckpt:
             source = source_from_token(token, seed=args.seed)
-            for eye_id in wanted:
-                eye = by_id[eye_id]
-                if source.scorer is None:
-                    raise ConfigError("random source has no survival curves")
-                visible = int(np.sum(eye.visit_months <= t_months))
-                if visible == 0:
-                    raise DataError(f"{eye_id} has no visit by year {args.at_years:g}")
-                s = source.scorer.curves([eye], cohort_cfg.grid.time_to_step(
-                    args.at_years))[0]
+            if source.scorer is None:
+                raise ConfigError("random source has no survival curves")
+            for eye_id, s in zip(wanted, source.scorer.curves(chosen, seen)[0]):
                 curves[f"{source.name}: {eye_id}"] = s
         svg = survival_curves_figure(curves,
                                      step_years=cohort_cfg.step_months / 12.0)

@@ -87,11 +87,6 @@ def as_node(x) -> Node:
     return x if isinstance(x, Node) else constant(x)
 
 
-def detach(x: Node) -> Node:
-    """Constant copy of a node's value; gradients do not flow through."""
-    return Node(x.value, "detach", needs_grad=False)
-
-
 def _unbroadcast(adj: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum an adjoint down to `shape` after numpy broadcasting."""
     if adj.shape == shape:

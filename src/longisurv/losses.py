@@ -65,7 +65,6 @@ UNIT_FLOOR = 1e-12
 @dataclass(frozen=True)
 class LossConfig:
     beta: float = 0.15
-    supervise_all_subsequences: bool = True
     variant: str = "weighted"
 
     def __post_init__(self):
@@ -184,10 +183,7 @@ def sequence_loss(fp: ForwardPass, outcomes: list, cfg: LossConfig,
     valid = fp.valid[:, :fp.l_trim]
     b, lt = valid.shape
     j_max = fp.node_hazards.value.shape[-1]
-    if cfg.supervise_all_subsequences:
-        flat_idx = np.flatnonzero(valid.reshape(-1))
-    else:
-        flat_idx = (np.arange(b) * lt + valid.sum(axis=1) - 1).astype(np.intp)
+    flat_idx = np.flatnonzero(valid.reshape(-1))
     rows = dg.gather_rows(dg.reshape(fp.node_hazards, (b * lt, j_max)), flat_idx)
     eye_of_row = flat_idx // lt
     steps = np.array([outcomes[i].event_step for i in eye_of_row])

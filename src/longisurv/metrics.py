@@ -21,14 +21,15 @@ from .errors import ConfigError, DataError, EmptyCellError
 from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images)
 from .encoders import standardize
-from .survival import TimeGrid, hazard_to_survival, survival_at
-from .synthcohort import EyeRecord, pad_and_batch
+from .survival import TimeGrid, hazard_to_survival, risk_window
+from .synthcohort import EyeRecord, prepare_batch
 
 log = logging.getLogger(__name__)
 
 DEFAULT_T_YEARS = (1.0, 2.0, 3.0, 5.0, 8.0)
 DEFAULT_DT_YEARS = (1.0, 2.0, 5.0, 8.0)
 BONFERRONI_M = 40        # family size the correction assumes: two 20-cell grids
+CHUNK_EYES = 64          # eyes per forward pass when scoring
 
 STAR_LEVELS = ((1e-4, "****"), (1e-3, "***"), (1e-2, "**"), (5e-2, "*"))
 
@@ -76,22 +77,18 @@ def comparable_pairs(event_steps: np.ndarray, censored: np.ndarray,
 
 
 def brier_td(risks: np.ndarray, event_steps: np.ndarray, censored: np.ndarray,
-             horizon_step: int, normalization: str = "mean") -> float:
-    """Squared error between window risks and uncensored in-window indicators.
+             horizon_step: int) -> float:
+    """Mean squared error between window risks and uncensored in-window indicators.
 
-    Computed over the risk set (the rows given); the default mean
-    normalization keeps values comparable across risk-set sizes, ``sum``
-    reproduces a plain sum.
+    Computed over the risk set (the rows given); the mean keeps values
+    comparable across risk-set sizes.
     """
-    if normalization not in ("mean", "sum"):
-        raise ConfigError(f"unknown normalization {normalization!r}")
     risks = np.asarray(risks, dtype=float)
     if risks.size == 0:
         raise EmptyCellError("empty risk set")
     ind = ((np.asarray(event_steps) < horizon_step)
            & ~np.asarray(censored, dtype=bool)).astype(float)
-    sq = (ind - risks) ** 2
-    return float(sq.mean() if normalization == "mean" else sq.sum())
+    return float(((ind - risks) ** 2).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -201,78 +198,71 @@ def risk_set(eyes: list[EyeRecord], grid: TimeGrid, t_step: int) -> list[int]:
             if e.outcome.event_step > t_step and e.visit_months[0] <= t_months]
 
 
+def visits_seen(eyes: list[EyeRecord], grid: TimeGrid, t_step: int) -> np.ndarray:
+    """Each eye's count of visits at or before step t_step."""
+    t_months = t_step * grid.step_months
+    return np.array([np.sum(e.visit_months <= t_months) for e in eyes], dtype=int)
+
+
 def window_risks(curves: np.ndarray, grid: TimeGrid, t_step: int,
                  dt_steps: int) -> np.ndarray:
-    """Window risks from survival curves, clamping the window end to the grid."""
+    """Window risks from stacked survival curves, clamping the window end to the grid."""
     end = min(t_step + dt_steps, grid.j_max)
     if end <= t_step:
         raise ConfigError(f"risk window collapsed: t_step {t_step} >= grid end")
-    out = np.empty(len(curves))
-    for i, s in enumerate(curves):
-        s_t = survival_at(s, t_step)
-        out[i] = (s_t - survival_at(s, end)) / s_t
-    return out
+    return risk_window(curves, t_step, end - t_step)
 
 
-class CurveScorer:
-    """Survival curves per eye at a prediction time, from one risk source."""
-
-    name = "scorer"
-
-    def curves(self, eyes: list[EyeRecord], t_step: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class OracleScorer(CurveScorer):
+class OracleScorer:
     """Ground-truth hazard curves from the simulator sidecar."""
 
     name = "oracle"
 
-    def curves(self, eyes, t_step):
-        return np.stack([hazard_to_survival(e.true_hazard) for e in eyes])
+    def curves(self, eyes, seen):
+        s = hazard_to_survival(np.stack([e.true_hazard for e in eyes]))
+        return np.broadcast_to(s, seen.shape + s.shape[1:])
 
 
-class ModelScorer(CurveScorer):
-    """Curves from a trained checkpoint, using visits up to the prediction time."""
+class ModelScorer:
+    """Curves from a trained checkpoint, each from the visits seen by its time."""
 
-    def __init__(self, params: dict, record: dict, chunk_size: int = 64):
+    def __init__(self, params: dict, record: dict):
         self.params = params
         self.cfg = ModelConfig.from_dict(record["model"])
         self.pixel_mean = record["pixel_mean"]
         self.pixel_std = record["pixel_std"]
         self.name = self.cfg.kind
-        self.chunk_size = chunk_size
 
-    def _visible(self, eye: EyeRecord, t_months: int) -> int:
-        n = int(np.sum(eye.visit_months <= t_months))
-        if n == 0:
-            raise DataError(f"eye {eye.eye_id} has no visit by month {t_months}")
-        return n
+    def curves(self, eyes, seen):
+        """Survival curves (times, eyes, j_max) for a grid of prediction times.
 
-    def curves(self, eyes, t_step):
-        t_months = t_step * self.cfg.step_months
-        out = np.empty((len(eyes), self.cfg.j_max))
-        for start in range(0, len(eyes), self.chunk_size):
-            part = eyes[start:start + self.chunk_size]
-            counts = [self._visible(e, t_months) for e in part]
+        ``seen[k, i]`` counts eye i's visits by the k-th time, 0 outside that
+        time's risk set (whose curves are NaN). The curve comes from position
+        seen[k, i] - 1 of one causal pass, or for the baseline from that visit.
+        """
+        out = np.full(seen.shape + (self.cfg.j_max,), np.nan)
+        at_risk = np.flatnonzero(seen.any(axis=0))
+        for start in range(0, len(at_risk), CHUNK_EYES):
+            cols = at_risk[start:start + CHUNK_EYES]
+            part = [eyes[i] for i in cols]
+            counts = seen[:, cols]
+            k, j = np.nonzero(counts)
             if self.cfg.kind == KIND_LONGITUDINAL:
-                trunc = [EyeRecord(patient_id=e.patient_id, eye_id=e.eye_id,
-                                   visit_months=e.visit_months[:c],
-                                   images=e.images[:c], outcome=e.outcome)
-                         for e, c in zip(part, counts)]
-                batch = pad_and_batch(trunc, max(counts))
-                batch.images = standardize(
-                    batch.images.reshape(-1, *batch.images.shape[2:]),
-                    self.pixel_mean, self.pixel_std).reshape(batch.images.shape)
+                batch = prepare_batch(part, max(e.n_visits for e in part),
+                                      self.pixel_mean, self.pixel_std,
+                                      self.cfg.np_dtype)
+                # later visits cannot change an earlier position's output
+                # under the causal mask, so they are left out of the pass
+                batch.valid &= (np.arange(batch.valid.shape[1])[None, :]
+                                < counts.max(axis=0)[:, None])
                 fp = forward_sequences(self.params, self.cfg, batch)
-                for i, c in enumerate(counts):
-                    out[start + i] = hazard_to_survival(fp.hazards[i, c - 1])
+                hazards = fp.hazards[j, counts[k, j] - 1]
             else:
-                imgs = np.stack([e.images[c - 1] for e, c in zip(part, counts)])
+                imgs = np.stack([part[jj].images[counts[kk, jj] - 1]
+                                 for kk, jj in zip(k, j)])
                 imgs = standardize(imgs, self.pixel_mean, self.pixel_std)
-                fp = forward_single_images(self.params, self.cfg, imgs)
-                for i in range(len(part)):
-                    out[start + i] = hazard_to_survival(fp.hazards[i])
+                hazards = forward_single_images(self.params, self.cfg, imgs).hazards
+            out[k, cols[j]] = hazard_to_survival(hazards)
         return out
 
 
@@ -301,35 +291,40 @@ class RiskCell:
         return concordance_td(self.risks[sel], self.event_steps[sel],
                               self.censored[sel], self.horizon_step)
 
-    def brier(self, idx=None, normalization: str = "mean") -> float:
+    def brier(self, idx=None) -> float:
         sel = slice(None) if idx is None else idx
         return brier_td(self.risks[sel], self.event_steps[sel],
-                        self.censored[sel], self.horizon_step, normalization)
+                        self.censored[sel], self.horizon_step)
 
 
-def build_risk_cells(scorer: CurveScorer, eyes: list[EyeRecord], grid: TimeGrid,
+def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
                      t_years=DEFAULT_T_YEARS, dt_years=DEFAULT_DT_YEARS,
                      rng_anti: bool = False,
                      random_seed: int | None = None) -> dict:
-    """Window risks for every grid cell; one forward pass per prediction time.
+    """Window risks for every grid cell, from one scorer call for the whole grid.
 
-    ``rng_anti`` negates risks (an anti-oracle); ``random_seed`` replaces
-    risks with seeded uniform noise.
+    Each prediction time's risk set and each eye's visits seen by then go to
+    the scorer together, so a model scores every time from one causal pass
+    per eye. ``rng_anti`` negates risks (an anti-oracle); ``random_seed``
+    replaces risks with seeded uniform noise.
     """
+    t_steps = [grid.time_to_step(t) for t in t_years]
+    seen = np.zeros((len(t_steps), len(eyes)), dtype=int)
+    for k, t_step in enumerate(t_steps):
+        idx = risk_set(eyes, grid, t_step)
+        seen[k, idx] = visits_seen([eyes[i] for i in idx], grid, t_step)
+    curves = None
+    if random_seed is None and seen.any():
+        curves = scorer.curves(eyes, seen)
     cells = {}
-    for t in t_years:
-        t_step = grid.time_to_step(t)
-        idx = np.array(risk_set(eyes, grid, t_step), dtype=int)
+    for k, (t, t_step) in enumerate(zip(t_years, t_steps)):
+        idx = np.flatnonzero(seen[k])
         if len(idx) == 0:
             for dt in dt_years:
                 cells[(t, dt)] = None
             continue
-        subset = [eyes[i] for i in idx]
-        curves = None
-        if random_seed is None:
-            curves = scorer.curves(subset, t_step)
-        steps = np.array([e.outcome.event_step for e in subset])
-        cens = np.array([e.outcome.censored for e in subset])
+        steps = np.array([eyes[i].outcome.event_step for i in idx])
+        cens = np.array([eyes[i].outcome.censored for i in idx])
         for dt in dt_years:
             dt_steps = grid.time_to_step(dt)
             if random_seed is not None:
@@ -337,7 +332,7 @@ def build_risk_cells(scorer: CurveScorer, eyes: list[EyeRecord], grid: TimeGrid,
                     entropy=random_seed,
                     spawn_key=(int(t * 12), int(dt * 12)))).random(len(idx))
             else:
-                risks = window_risks(curves, grid, t_step, dt_steps)
+                risks = window_risks(curves[k, idx], grid, t_step, dt_steps)
                 if rng_anti:
                     risks = -risks
             cells[(t, dt)] = RiskCell(

@@ -27,13 +27,6 @@ from .errors import ConfigError, DataError
 KIND_LONGITUDINAL = "longitudinal"
 KIND_BASELINE = "baseline"
 
-# Full-scale architecture preset (fundus-photo resolution, wide embeddings);
-# kept for reference only, desk-scale defaults below train in minutes on a CPU.
-FULL_SCALE = {
-    "embed_dim": 512, "n_layers": 4, "n_heads": 8,
-    "image_size": 224, "image_channels": 3, "j_max": 27, "step_months": 6,
-}
-
 
 @dataclass(frozen=True)
 class ModelConfig:

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyCellError
-from .metrics import (BONFERRONI_M, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
+from .metrics import (BONFERRONI_M, CHUNK_EYES, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
                       ModelScorer, OracleScorer, ReportRow, bonferroni,
                       bootstrap_ci, build_risk_cells, comparable_pairs, stars,
                       welch_one_sided)
 from .model import extract_attention, forward_sequences, load_checkpoint, ModelConfig
-from .encoders import standardize
 from .survival import TimeGrid
-from .synthcohort import EyeRecord, pad_and_batch
+from .synthcohort import EyeRecord, prepare_batch
 
 log = logging.getLogger(__name__)
 
@@ -155,8 +154,8 @@ class AttentionReport:
     pearson_r: float | None
 
 
-def attention_analysis(params: dict, record: dict, eyes: list[EyeRecord],
-                       chunk_size: int = 64) -> AttentionReport:
+def attention_analysis(params: dict, record: dict,
+                       eyes: list[EyeRecord]) -> AttentionReport:
     """Normalized attention scores per visit plus the recency summary.
 
     Scores come from the final layer at each eye's last visit, head-averaged
@@ -170,12 +169,10 @@ def attention_analysis(params: dict, record: dict, eyes: list[EyeRecord],
         raise ConfigError("attention analysis needs a longitudinal checkpoint")
     rows = []
     n_last_max = 0
-    for start in range(0, len(eyes), chunk_size):
-        part = eyes[start:start + chunk_size]
-        batch = pad_and_batch(part, max(e.n_visits for e in part))
-        batch.images = standardize(
-            batch.images.reshape(-1, *batch.images.shape[2:]),
-            record["pixel_mean"], record["pixel_std"]).reshape(batch.images.shape)
+    for start in range(0, len(eyes), CHUNK_EYES):
+        part = eyes[start:start + CHUNK_EYES]
+        batch = prepare_batch(part, max(e.n_visits for e in part), record["pixel_mean"],
+                              record["pixel_std"], cfg.np_dtype)
         fp = forward_sequences(params, cfg, batch)
         for i, eye in enumerate(part):
             scores = extract_attention(fp, i)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
+from .encoders import augment_images, standardize
 from .errors import ConfigError, DataError
 from .model import SequenceBatch
 from .survival import EventOutcome, TimeGrid
@@ -318,6 +319,22 @@ def pad_and_batch(eyes: list[EyeRecord], l: int) -> SequenceBatch:
         valid[i, :j] = True
     return SequenceBatch(images=images, visit_months=months, valid=valid,
                          outcomes=[e.outcome for e in eyes])
+
+
+def prepare_batch(eyes: list[EyeRecord], l: int, pixel_mean, pixel_std, dtype,
+                  rng: np.random.Generator | None = None) -> SequenceBatch:
+    """Model-ready batch: pad to length l, augment when ``rng`` is given, standardize.
+
+    Padding comes first, so augmentation draws for every padded slot too and
+    a batch's draws depend only on its eye count and l.
+    """
+    batch = pad_and_batch(eyes, l)
+    flat = batch.images.reshape(-1, *batch.images.shape[2:])
+    if rng is not None:
+        flat = augment_images(flat, rng)
+    flat = standardize(flat, pixel_mean, pixel_std)
+    batch.images = flat.reshape(batch.images.shape).astype(dtype, copy=False)
+    return batch
 
 
 def summary_stats(eyes: list[EyeRecord], grid: TimeGrid) -> dict:

@@ -26,7 +26,7 @@ from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images, init_params)
 from . import diffgraph as dg
 from .survival import TimeGrid
-from .synthcohort import EyeRecord, pad_and_batch
+from .synthcohort import EyeRecord, prepare_batch
 
 log = logging.getLogger(__name__)
 
@@ -172,8 +172,7 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
     record = {
         "model": model_cfg.to_dict(),
         "train": train_cfg.to_dict(),
-        "loss": {"beta": loss_cfg.beta, "variant": loss_cfg.variant,
-                 "supervise_all_subsequences": loss_cfg.supervise_all_subsequences},
+        "loss": {"beta": loss_cfg.beta, "variant": loss_cfg.variant},
         "pixel_mean": px_mean,
         "pixel_std": px_std,
         "l_max": l_max,
@@ -205,11 +204,7 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
                 entropy=train_cfg.seed, spawn_key=(epoch, bi, 0)))
             fwd_seed = _derive_seed(train_cfg.seed, epoch, bi, 1)
             if is_sequence:
-                batch = pad_and_batch(part, l_max)
-                flat = batch.images.reshape(-1, *batch.images.shape[2:])
-                flat = augment_images(flat, aug_rng)
-                flat = standardize(flat, px_mean, px_std)
-                batch.images = flat.reshape(batch.images.shape).astype(dt)
+                batch = prepare_batch(part, l_max, px_mean, px_std, dt, aug_rng)
                 fp = forward_sequences(params, model_cfg, batch, train=True,
                                        seed=fwd_seed)
                 loss_node, parts = sequence_loss(fp, batch.outcomes, loss_cfg)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from longisurv.cli import main
+from longisurv.model import load_checkpoint, save_checkpoint
 
 
 SMOKE_COHORT = {"n_patients": 40, "target_censoring": 0.6,
@@ -57,6 +58,29 @@ class TestExitCodes:
         code = main(["simulate", "--seed", "1", "--out", str(tmp_path / "d"),
                      "--config", str(bad)])
         assert code == 2
+
+    def test_unknown_config_key_is_config_error(self, workspace, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json",
+                         {"loss": {"supervise_all_subsequences": True}})
+        code = main(["train", "--seed", "1", "--out", str(tmp_path / "x"),
+                     "--dataset", workspace["dataset"], "--config", cfg])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "loss" in err and "supervise_all_subsequences" in err
+        assert "Traceback" not in err
+
+    def test_saturated_hazard_is_numerical_failure(self, workspace, tmp_path, capsys):
+        # a float32 hazard of exactly 1.0 gives S(t) = 0 inside every window
+        params, record = load_checkpoint(workspace["ckpt"])
+        params["head.surv.b"][:] = 40.0
+        ckpt = str(tmp_path / "saturated")
+        save_checkpoint(ckpt, params, record)
+        code = main(["evaluate", "--seed", "1", "--ckpt", ckpt,
+                     "--dataset", workspace["dataset"], "--out", str(tmp_path / "ev"),
+                     "--bootstrap", "2"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "S(t) = 0" in err and "Traceback" not in err
 
     def test_unsatisfiable_target_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path / "c.json",

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from longisurv import metrics
+from longisurv.encoders import standardize
 from longisurv.errors import DataError, EmptyCellError
-from longisurv.metrics import (concordance_td, brier_td, bootstrap_ci,
-                               welch_one_sided, bonferroni, stars, risk_set,
-                               window_risks, build_risk_cells, OracleScorer,
-                               ModelScorer, mean_grid_concordance, ReportRow,
-                               write_report)
-from longisurv.model import ModelConfig, init_params
+from longisurv.metrics import (DEFAULT_T_YEARS, concordance_td, brier_td,
+                               bootstrap_ci, welch_one_sided, bonferroni, stars,
+                               risk_set, visits_seen, window_risks,
+                               build_risk_cells, OracleScorer, ModelScorer,
+                               mean_grid_concordance, ReportRow, write_report)
+from longisurv.model import (ModelConfig, forward_sequences,
+                             forward_single_images, init_params)
 from longisurv.survival import hazard_to_survival
-from longisurv.synthcohort import CohortConfig, generate_cohort
+from longisurv.synthcohort import (CohortConfig, EyeRecord, generate_cohort,
+                                   pad_and_batch)
 
 
 def naive_concordance(risks, steps, cens, horizon):
@@ -110,12 +114,6 @@ class TestBrier:
             risks, steps, cens, horizon = random_instance(rng, 10)
             assert brier_td(risks, steps, cens, horizon) == pytest.approx(
                 naive_brier(risks, steps, cens, horizon), abs=1e-14)
-
-    def test_sum_flag(self):
-        risks = np.array([0.2, 0.7])
-        steps, cens = np.array([2, 9]), np.array([False, True])
-        assert brier_td(risks, steps, cens, 5, "sum") == pytest.approx(
-            2 * brier_td(risks, steps, cens, 5, "mean"))
 
     def test_event_fraction_predictor_beats_complement(self):
         rng = np.random.default_rng(7)
@@ -280,20 +278,70 @@ class TestRiskCells:
         mean_a, _ = mean_grid_concordance(anti)
         assert mean_o > 0.65 > 0.5 > mean_a
 
-    def test_untrained_model_scorer_runs(self, cohort):
-        cfg_model = ModelConfig(kind="longitudinal", embed_dim=16, n_layers=1,
-                                n_heads=2, j_max=27, step_months=6,
-                                image_size=32, conv_widths=(4, 8, 8))
-        params = init_params(cfg_model, seed=0)
-        cohort_cfg = CohortConfig(n_patients=8, seed=5)
+    def test_untrained_model_scorer_runs(self, monkeypatch):
+        """One causal pass per chunk of eyes scores every prediction time.
+
+        Reference: copies of each eye cut at its visits by t, scored with
+        one forward pass per t.
+        """
+        cohort_cfg = CohortConfig(n_patients=40, seed=5)
         eyes = generate_cohort(cohort_cfg)
-        record = {"model": cfg_model.to_dict(), "pixel_mean": [0.2], "pixel_std": [0.2]}
-        scorer = ModelScorer(params, record)
-        cells = build_risk_cells(scorer, eyes, cohort_cfg.grid,
-                                 t_years=(1.0,), dt_years=(2.0,))
-        cell = cells[(1.0, 2.0)]
-        assert cell is not None
-        assert np.all((cell.risks > 0) & (cell.risks < 1))
+        grid = cohort_cfg.grid
+        t_steps = [grid.time_to_step(t) for t in DEFAULT_T_YEARS]
+        seen = np.zeros((len(t_steps), len(eyes)), dtype=int)
+        for k, t_step in enumerate(t_steps):
+            idx = risk_set(eyes, grid, t_step)
+            seen[k, idx] = visits_seen([eyes[i] for i in idx], grid, t_step)
+        n_at_risk = int(seen.any(axis=0).sum())
+        assert n_at_risk > metrics.CHUNK_EYES
+        px_mean, px_std = [0.2], [0.2]
+        for kind, dtype, tol in (("longitudinal", "float64", 1e-12),
+                                 ("longitudinal", "float32", 1e-5),
+                                 ("baseline", "float64", 1e-12),
+                                 ("baseline", "float32", 1e-5)):
+            cfg_model = ModelConfig(kind=kind, embed_dim=16, n_layers=1,
+                                    n_heads=2, j_max=27, step_months=6,
+                                    image_size=32, conv_widths=(4, 8, 8),
+                                    dtype=dtype)
+            params = init_params(cfg_model, seed=0)
+            record = {"model": cfg_model.to_dict(), "pixel_mean": px_mean,
+                      "pixel_std": px_std}
+            scorer = ModelScorer(params, record)
+            curves = scorer.curves(eyes, seen)
+            assert np.all(np.isnan(curves[seen == 0]))
+            for k in range(len(t_steps)):
+                idx = np.flatnonzero(seen[k])
+                cut = [EyeRecord(patient_id=eyes[i].patient_id, eye_id=eyes[i].eye_id,
+                                 visit_months=eyes[i].visit_months[:seen[k, i]],
+                                 images=eyes[i].images[:seen[k, i]],
+                                 outcome=eyes[i].outcome) for i in idx]
+                if kind == "longitudinal":
+                    batch = pad_and_batch(cut, max(e.n_visits for e in cut))
+                    batch.images = standardize(
+                        batch.images.reshape(-1, *batch.images.shape[2:]),
+                        px_mean, px_std).reshape(batch.images.shape)
+                    fp = forward_sequences(params, cfg_model, batch)
+                    hz = fp.hazards[np.arange(len(cut)), batch.lengths - 1]
+                else:
+                    imgs = standardize(np.stack([e.images[-1] for e in cut]),
+                                       px_mean, px_std)
+                    hz = forward_single_images(params, cfg_model, imgs).hazards
+                ref = np.stack([hazard_to_survival(h) for h in hz])
+                assert np.max(np.abs(curves[k, idx] - ref)) <= tol, (kind, dtype, k)
+
+            # the whole grid takes one forward pass per chunk of at-risk eyes
+            name = ("forward_sequences" if kind == "longitudinal"
+                    else "forward_single_images")
+            calls = []
+            original = getattr(metrics, name)
+            monkeypatch.setattr(metrics, name,
+                                lambda *a, **kw: calls.append(1) or original(*a, **kw))
+            cells = build_risk_cells(scorer, eyes, grid)
+            monkeypatch.undo()
+            assert len(calls) == math.ceil(n_at_risk / metrics.CHUNK_EYES)
+            for cell in cells.values():
+                assert cell is not None
+                assert np.all((cell.risks > 0) & (cell.risks < 1))
 
 
 def test_report_round_trip(tmp_path):
