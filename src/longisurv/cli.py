@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -51,11 +52,21 @@ def _read_json(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {ex}")
 
 
+_JSON_TYPES = {int: int, float: (int, float), str: str, tuple: (list, tuple),
+               type(None): type(None)}
+
+
 def _known_keys(cls, section: str, values: dict) -> dict:
-    """The overrides for one config class, rejecting any key it does not have."""
+    """The overrides for one config class, rejecting unknown keys and values
+    of a JSON type (``_JSON_TYPES``) the field's annotation does not take."""
     unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {section} config key(s): {', '.join(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        types = tuple(_JSON_TYPES[t] for t in typing.get_args(hints[key]) or (hints[key],))
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{section}.{key} has the wrong type: {value!r}")
     return values
 
 
@@ -104,6 +115,9 @@ def cmd_train(args) -> int:
     eyes, cohort_cfg = load_dataset(args.dataset)
     train_eyes, val_eyes, _ = split_patients(eyes, seed=cohort_cfg.seed)
     file_cfg = _read_json(args.config) if args.config else {}
+    unknown = sorted(set(file_cfg) - {"model", "train", "loss"})
+    if unknown:
+        raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
 
     model_over = {"kind": args.kind, "j_max": cohort_cfg.j_max,
                   "step_months": cohort_cfg.step_months,

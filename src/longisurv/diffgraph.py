@@ -7,7 +7,10 @@ gather/scatter, reshape/transpose and scalar reductions. Values are numpy arrays
 by default; float32 permitted for training). A Node records its forward
 value plus vector-Jacobian closures into its parents; ``backward`` walks
 nodes in reverse creation order, which is always a valid reverse
-topological order because primitives only consume existing nodes.
+topological order because primitives only consume existing nodes. Image
+arrays are NCHW-shaped, channels-last in memory where ``conv2d`` and
+``avg_pool2`` made them; no value depends on layout. An adjoint keeps the
+dtype its vjp yields and is never written in place, so it may be a view.
 
 No broadcasting beyond what the model needs, no higher-order derivatives.
 """
@@ -147,7 +150,7 @@ def matmul(a: Node, b: Node) -> Node:
 
 def relu(x: Node) -> Node:
     pos = x.value > 0
-    return Node(np.where(pos, x.value, 0.0), "relu", x.needs_grad,
+    return Node(np.maximum(x.value, 0), "relu", x.needs_grad,
                 [(x, lambda g: g * pos)])
 
 
@@ -287,15 +290,15 @@ def dropout(x: Node, rate: float, rng: np.random.Generator, train: bool) -> Node
 
 def _im2col(x: np.ndarray, kh: int, kw: int, pad: int):
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    oh, ow = windows.shape[2], windows.shape[3]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), oh, ow
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    oh, ow = windows.shape[1], windows.shape[2]
+    return windows.reshape(n * oh * ow, c * kh * kw), oh, ow
 
 
 def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
-    """Stride-1 2-D convolution, NCHW layout, weight (F, C, kh, kw)."""
+    """Stride-1 2-D convolution, weight (F, C, kh, kw). The output is an NCHW
+    view of channels-last GEMM rows; adjoints take the GEMMs' dtype."""
     n, c, h, ww = x.value.shape
     f, cw, kh, kw = w.value.shape
     if cw != c:
@@ -309,16 +312,14 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
     def vjp_x(g):
         # full correlation with spatially flipped, channel-swapped weights
         wflip = w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        gcols, gh, gw = _im2col(np.ascontiguousarray(g), kh, kw, kh - 1 - pad)
-        dx = (gcols @ wflip.reshape(c, -1).T).reshape(n, gh, gw, c).transpose(0, 3, 1, 2)
-        return dx
+        gcols, gh, gw = _im2col(g, kh, kw, kh - 1 - pad)
+        return (gcols @ wflip.reshape(c, -1).T).reshape(n, gh, gw, c).transpose(0, 3, 1, 2)
 
     def vjp_w(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)
         return (cols.T @ gmat).T.reshape(f, c, kh, kw)
 
-    return Node(np.ascontiguousarray(out), "conv2d",
-                x.needs_grad or w.needs_grad or b.needs_grad, [
+    return Node(out, "conv2d", x.needs_grad or w.needs_grad or b.needs_grad, [
         (x, vjp_x),
         (w, vjp_w),
         (b, lambda g: g.sum(axis=(0, 2, 3))),
@@ -326,14 +327,18 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
 
 
 def avg_pool2(x: Node) -> Node:
-    """2x2 average pooling with stride 2; spatial dims must be even."""
+    """2x2 average pooling, stride 2, even spatial dims: ((x00 + x01) + (x10 +
+    x11)) / 4 in x's layout; the input adjoint is channels-last, in g's dtype."""
     n, c, h, w = x.value.shape
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2: spatial dims must be even, got {(h, w)}")
-    out = x.value.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    out = ((x.value[:, :, ::2, ::2] + x.value[:, :, ::2, 1::2])
+           + (x.value[:, :, 1::2, ::2] + x.value[:, :, 1::2, 1::2])) * 0.25
 
     def vjp(g):
-        return np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
+        q = (g * 0.25).transpose(0, 2, 3, 1)[:, :, None, :, None]
+        dx = np.broadcast_to(q, (n, h // 2, 2, w // 2, 2, c)).reshape(n, h, w, c)
+        return dx.transpose(0, 3, 1, 2)
 
     return Node(out, "avg_pool2", x.needs_grad, [(x, vjp)])
 
@@ -359,10 +364,7 @@ def backward(loss: Node) -> None:
             if not parent.needs_grad:
                 continue
             contrib = vjp(node.adjoint)
-            if parent.adjoint is None:
-                parent.adjoint = np.array(contrib, copy=True)
-            else:
-                parent.adjoint += contrib
+            parent.adjoint = contrib if parent.adjoint is None else parent.adjoint + contrib
 
 
 def grad_check(f, params: dict, seed: int = 0, n_coords: int = 30,

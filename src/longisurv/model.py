@@ -321,21 +321,25 @@ def save_checkpoint(path: str, params: dict, record: dict) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict]:
+    """Read a checkpoint directory; a malformed file is a DataError naming it."""
     manifest = os.path.join(path, MANIFEST_NAME)
     if not os.path.isfile(manifest):
         raise DataError(f"not a checkpoint directory: {path}")
-    with open(manifest) as fh:
-        rows = [line.rstrip("\n").split("\t") for line in fh][1:]
-    with open(os.path.join(path, BLOB_NAME), "rb") as fh:
-        blob = fh.read()
+    try:
+        with (open(manifest) as fh, open(os.path.join(path, BLOB_NAME), "rb") as bfh,
+              open(os.path.join(path, RECORD_NAME)) as rfh):
+            rows = [line.rstrip("\n").split("\t") for line in fh][1:]
+            blob, record = bfh.read(), json.load(rfh)
+    except (OSError, ValueError) as ex:
+        raise DataError(f"unreadable checkpoint {path}: {ex}")
     params = {}
-    for name, shape_s, dtype_name, offset_s in rows:
-        shape = tuple(int(s) for s in shape_s.split(",")) if shape_s else ()
-        tag = _DTYPE_TAGS[dtype_name]
-        count = int(np.prod(shape)) if shape else 1
-        start = int(offset_s)
-        arr = np.frombuffer(blob, dtype=tag, count=count, offset=start)
-        params[name] = arr.astype(dtype_name).reshape(shape).copy()
-    with open(os.path.join(path, RECORD_NAME)) as fh:
-        record = json.load(fh)
+    for line_no, row in enumerate(rows, start=2):
+        try:
+            name, shape_s, dtype_name, offset_s = row
+            shape = tuple(int(s) for s in shape_s.split(",")) if shape_s else ()
+            arr = np.frombuffer(blob, dtype=_DTYPE_TAGS[dtype_name], offset=int(offset_s),
+                                count=int(np.prod(shape)) if shape else 1)
+            params[name] = arr.astype(dtype_name).reshape(shape).copy()
+        except (ValueError, KeyError) as ex:
+            raise DataError(f"{manifest} line {line_no}: no tensor in {BLOB_NAME}: {ex!r}")
     return params, record

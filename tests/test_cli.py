@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -68,6 +69,62 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "loss" in err and "supervise_all_subsequences" in err
         assert "Traceback" not in err
+
+    def test_unknown_config_section_is_config_error(self, workspace, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json",
+                         {"modle": {"embed_dim": 8}, "train": {"max_epochs": 1}})
+        code = main(["train", "--seed", "1", "--out", str(tmp_path / "x"),
+                     "--dataset", workspace["dataset"], "--config", cfg])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "modle" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x")
+
+    def test_wrong_typed_config_value_is_config_error(self, workspace, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {"train": {"max_epochs": "1"}})
+        code = main(["train", "--seed", "1", "--out", str(tmp_path / "x"),
+                     "--dataset", workspace["dataset"], "--config", cfg])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "train.max_epochs" in err and "Traceback" not in err
+
+    def _evaluate_broken_checkpoint(self, workspace, tmp_path, capsys, damage):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace["ckpt"], ckpt)
+        damage(ckpt)
+        code = main(["evaluate", "--seed", "1", "--ckpt", str(ckpt),
+                     "--dataset", workspace["dataset"], "--out", str(tmp_path / "ev"),
+                     "--bootstrap", "2"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_truncated_params_is_data_error(self, workspace, tmp_path, capsys):
+        def truncate(ckpt):
+            blob = (ckpt / "params.bin").read_bytes()
+            (ckpt / "params.bin").write_bytes(blob[:-4])
+
+        code, err = self._evaluate_broken_checkpoint(workspace, tmp_path, capsys, truncate)
+        assert code == 3 and "params.bin" in err
+
+    @pytest.mark.parametrize("row_edit", [
+        lambda fields: fields[:3],                             # a field missing
+        lambda fields: fields[:2] + ["float16"] + fields[3:],  # unknown dtype
+    ], ids=["field_count", "dtype"])
+    def test_malformed_manifest_row_is_data_error(self, workspace, tmp_path, capsys,
+                                                  row_edit):
+        def edit(ckpt):
+            lines = (ckpt / "manifest.tsv").read_text().splitlines()
+            lines[1] = "\t".join(row_edit(lines[1].split("\t")))
+            (ckpt / "manifest.tsv").write_text("\n".join(lines) + "\n")
+
+        code, err = self._evaluate_broken_checkpoint(workspace, tmp_path, capsys, edit)
+        assert code == 3 and "manifest.tsv line 2" in err
+
+    def test_missing_record_is_data_error(self, workspace, tmp_path, capsys):
+        code, err = self._evaluate_broken_checkpoint(
+            workspace, tmp_path, capsys, lambda ckpt: os.remove(ckpt / "config.json"))
+        assert code == 3 and "config.json" in err
 
     def test_saturated_hazard_is_numerical_failure(self, workspace, tmp_path, capsys):
         # a float32 hazard of exactly 1.0 gives S(t) = 0 inside every window

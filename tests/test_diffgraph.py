@@ -86,6 +86,23 @@ class TestBackwardBasics:
         dg.backward(y)
         assert x.adjoint == pytest.approx(7.0)
 
+    @pytest.mark.parametrize("view", ["reshape", "transpose"])
+    def test_first_adjoint_may_alias_and_is_never_written(self, view):
+        # x's first contribution is a view of y's adjoint; its second must
+        # not be added into that shared memory
+        x = dg.param(np.arange(6.0).reshape(2, 3), "x")
+        c2 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        c1 = np.array([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
+        a = dg.mul(x, dg.constant(c2))
+        if view == "reshape":
+            y, c1_as_x = dg.reshape(x, (3, 2)), c1.reshape(2, 3)
+        else:
+            y, c1_as_x = dg.transpose(x, (1, 0)), c1.T
+        b = dg.mul(y, dg.constant(c1))
+        dg.backward(dg.add(dg.sum_all(b), dg.sum_all(a)))
+        np.testing.assert_array_equal(y.adjoint, c1)
+        np.testing.assert_array_equal(x.adjoint, c1_as_x + c2)
+
     def test_masked_softmax_adjoint_exactly_zero_at_masked(self):
         x = dg.param(RNG.normal(size=(2, 4)), "x")
         mask = np.array([[0.0, 0.0, dg.MASK_VALUE, 0.0],
@@ -230,3 +247,117 @@ class TestL2Normalize:
         x = dg.param(np.array([[1e-14, -2e-14]]), "x")
         dg.backward(dg.sum_all(dg.l2_normalize(x, 1e-12)))
         np.testing.assert_array_equal(x.adjoint, [[1e12, 1e12]])
+
+
+# ---------------------------------------------------------------------------
+# channels-last image primitives against the NCHW forms they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_im2col(x, kh, kw, pad):
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    oh, ow = windows.shape[2], windows.shape[3]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+    return np.ascontiguousarray(cols), oh, ow
+
+
+def _ref_conv2d(x, w, b, g, pad=1):
+    """NCHW im2col conv: forward value and the adjoints of x, w and b."""
+    n, c = x.shape[:2]
+    f, _, kh, kw = w.shape
+    cols, oh, ow = _ref_im2col(x, kh, kw, pad)
+    out = np.ascontiguousarray(
+        (cols @ w.reshape(f, -1).T + b).reshape(n, oh, ow, f).transpose(0, 3, 1, 2))
+    g = np.ascontiguousarray(g)
+    wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    gcols, gh, gw = _ref_im2col(g, kh, kw, kh - 1 - pad)
+    dx = (gcols @ wflip.reshape(c, -1).T).reshape(n, gh, gw, c).transpose(0, 3, 1, 2)
+    dw = (cols.T @ g.transpose(0, 2, 3, 1).reshape(-1, f)).T.reshape(f, c, kh, kw)
+    return out, dx, dw, g.sum(axis=(0, 2, 3))
+
+
+def _ref_avg_pool2(x, g):
+    n, c, h, w = x.shape
+    # NCHW memory: on a channels-last view the reshape is a view too, and
+    # mean then sums in another order
+    out = np.ascontiguousarray(x).reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    return out, np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
+
+
+def _channels_last(a):
+    """The same values as ``a``, in NHWC memory viewed as NCHW."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+LAYOUTS = {"nchw": np.ascontiguousarray, "channels_last": _channels_last}
+
+
+class TestChannelsLastIsByteIdentical:
+    """conv2d, avg_pool2 and relu give the NCHW forms' bytes in any layout.
+
+    Adjoints are float64 on float32 values, as in training. The bias
+    adjoint sums in memory order, so channels-last memory rounds it
+    differently; it is pinned at 1e-13 of the summed magnitudes, near
+    float64 resolution and far below float32's, which the optimizer keeps.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 8, 16])
+    @pytest.mark.parametrize("x_layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("g_layout", sorted(LAYOUTS))
+    def test_conv2d(self, dtype, c, x_layout, g_layout):
+        rng = np.random.default_rng(c)
+        f = 8
+        xv = rng.normal(size=(5, c, 12, 10)).astype(dtype)
+        wv = rng.normal(size=(f, c, 3, 3)).astype(dtype)
+        bv = rng.normal(size=f).astype(dtype)
+        gv = rng.normal(size=(5, f, 12, 10))
+        want = _ref_conv2d(xv, wv, bv, gv)
+        x, w, b = (dg.param(LAYOUTS[x_layout](xv), "x"), dg.param(wv, "w"),
+                   dg.param(bv, "b"))
+        out = dg.conv2d(x, w, b)
+        _same_bytes(out.value, want[0])
+        dg.backward(dg.sum_all(dg.mul(out, dg.constant(LAYOUTS[g_layout](gv)))))
+        _same_bytes(x.adjoint, want[1])
+        _same_bytes(w.adjoint, want[2])
+        assert b.adjoint.dtype == want[3].dtype
+        assert np.all(np.abs(b.adjoint - want[3])
+                      <= 1e-13 * np.abs(gv).sum(axis=(0, 2, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 8, 16])
+    @pytest.mark.parametrize("x_layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("g_layout", sorted(LAYOUTS))
+    def test_avg_pool2(self, dtype, c, x_layout, g_layout):
+        rng = np.random.default_rng(c)
+        # magnitudes over six decades, so any other summation order shows
+        xv = (rng.normal(size=(7, c, 16, 12))
+              * 10.0 ** rng.uniform(-3, 3, size=(7, c, 16, 12))).astype(dtype)
+        gv = rng.normal(size=(7, c, 8, 6))
+        want_out, want_dx = _ref_avg_pool2(xv, gv)
+        x = dg.param(LAYOUTS[x_layout](xv), "x")
+        out = dg.avg_pool2(x)
+        _same_bytes(out.value, want_out)
+        dg.backward(dg.sum_all(dg.mul(out, dg.constant(LAYOUTS[g_layout](gv)))))
+        _same_bytes(x.adjoint, want_dx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_layout", sorted(LAYOUTS))
+    def test_relu(self, dtype, x_layout):
+        xv = np.random.default_rng(3).normal(size=(4, 8, 6, 6)).astype(dtype)
+        _same_bytes(dg.relu(dg.constant(LAYOUTS[x_layout](xv))).value,
+                    np.where(xv > 0, xv, 0.0))
+
+    def test_encoder_stack_keeps_channels_last_memory(self):
+        rng = np.random.default_rng(5)
+        x = dg.constant(rng.normal(size=(3, 1, 8, 8)).astype(np.float32))
+        w = dg.param(rng.normal(size=(8, 1, 3, 3)).astype(np.float32), "w")
+        b = dg.param(np.zeros(8, np.float32), "b")
+        pooled = dg.avg_pool2(dg.relu(dg.conv2d(x, w, b)))
+        assert pooled.value.transpose(0, 2, 3, 1).flags.c_contiguous
