@@ -200,17 +200,10 @@ def cmd_compare(args) -> int:
     write_report(os.path.join(args.out, "compare.tsv"), rows)
     write_samples(os.path.join(args.out, "samples.tsv"), rows)
     print(f"comparison written to {args.out}/compare.tsv")
-    by_cell = {}
-    for r in rows:
-        by_cell.setdefault((r.t_years, r.dt_years), []).append(r)
-    for (t, dt), cell_rows in by_cell.items():
-        ra = cell_rows[0]
-        parts = []
-        for r in cell_rows:
-            est = "empty" if r.estimate is None else f"{r.estimate:.4f}"
-            parts.append(f"{r.model}={est}")
-        sig = ra.significance if ra.p_adjusted is not None else "NA"
-        print(f"  C(t={t:g}, dt={dt:g}): {'  '.join(parts)}  [{sig}]")
+    for ra, rb in zip(rows[::2], rows[1::2]):
+        est_a, est_b = ("empty" if r.estimate is None else f"{r.estimate:.4f}" for r in (ra, rb))
+        print(f"  C(t={ra.t_years:g}, dt={ra.dt_years:g}): {ra.model}={est_a}  "
+              f"{rb.model}={est_b}  [{ra.significance}]")
     return 0
 
 
@@ -233,14 +226,28 @@ def cmd_attention(args) -> int:
 
 
 def _read_table(path: str) -> list[dict]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    """Data rows as dicts, the year and value columns as floats; a missing
+    file, a row whose width differs from the header's or a number that will
+    not parse is a DataError naming the file."""
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n").split("\t") for ln in fh if ln.strip()]
+    except OSError as ex:
+        raise DataError(f"cannot read table {path}: {ex}")
     if len(lines) < 2:
         raise ConfigError(
             f"report {path} has no data rows; run `longisurv evaluate` or "
             f"`longisurv compare` first")
-    header = lines[0].split("\t")
-    return [dict(zip(header, ln.split("\t"))) for ln in lines[1:]]
+    header, rows = lines[0], []
+    for fields in lines[1:]:
+        try:
+            if len(fields) != len(header):
+                raise ValueError(f"a row has {len(fields)} fields, the header {len(header)}")
+            rows.append({k: float(v) if k in ("t_years", "dt_years", "value") else v
+                         for k, v in zip(header, fields)})
+        except ValueError as ex:
+            raise DataError(f"malformed table {path}: {ex}")
+    return rows
 
 
 def cmd_plot(args) -> int:
@@ -254,8 +261,8 @@ def cmd_plot(args) -> int:
         for r in sample_rows:
             if r["metric"] != args.metric:
                 continue
-            key = (r["model"], (float(r["t_years"]), float(r["dt_years"])))
-            groups.setdefault(key, []).append(float(r["value"]))
+            key = (r["model"], (r["t_years"], r["dt_years"]))
+            groups.setdefault(key, []).append(r["value"])
         if not groups:
             raise ConfigError(f"no {args.metric} samples in {args.samples}")
         groups = {k: np.array(v) for k, v in groups.items()}
@@ -265,7 +272,7 @@ def cmd_plot(args) -> int:
         for r in rows:
             if (r["metric"] == args.metric and r["p_adjusted"] != "NA"
                     and r["significance"] != "NA"):
-                significance[(float(r["t_years"]), float(r["dt_years"]))] = \
+                significance[(r["t_years"], r["dt_years"])] = \
                     r["significance"]
         svg = grid_box_figure(groups, cells, models, significance,
                               ylabel=f"time-dependent {args.metric}")

@@ -48,13 +48,10 @@ def concordance_td(risks: np.ndarray, event_steps: np.ndarray,
     comparable pair exists (distinct from a concordance of 0).
     """
     risks = np.asarray(risks, dtype=float)
-    event_steps = np.asarray(event_steps)
-    anchors = anchor_indices(event_steps, censored, horizon_step)
+    anchors, comparable = comparable_mask(event_steps, censored, horizon_step)
     if len(anchors) == 0:
         raise EmptyCellError("no uncensored event inside the horizon")
-    tau_a = event_steps[anchors][:, None]
     r_a = risks[anchors][:, None]
-    comparable = event_steps[None, :] > tau_a
     n_comp = int(comparable.sum())
     if n_comp == 0:
         raise EmptyCellError("no comparable pairs")
@@ -63,17 +60,13 @@ def concordance_td(risks: np.ndarray, event_steps: np.ndarray,
     return (wins + 0.5 * ties) / n_comp
 
 
-def anchor_indices(event_steps: np.ndarray, censored: np.ndarray,
-                   horizon_step: int) -> np.ndarray:
-    """Rows that anchor concordance: uncensored events strictly inside the horizon."""
-    censored = np.asarray(censored, dtype=bool)
-    return np.flatnonzero(~censored & (np.asarray(event_steps) < horizon_step))
-
-
-def comparable_pairs(event_steps: np.ndarray, censored: np.ndarray,
-                     horizon_step: int) -> int:
-    anchors = anchor_indices(event_steps, censored, horizon_step)
-    return int((event_steps[None, :] > event_steps[anchors][:, None]).sum())
+def comparable_mask(event_steps: np.ndarray, censored: np.ndarray,
+                    horizon_step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor rows (uncensored events strictly inside the horizon) and the
+    (anchors, eyes) mask of comparable pairs: eyes that outlive the anchor."""
+    event_steps = np.asarray(event_steps)
+    anchors = np.flatnonzero(~np.asarray(censored, dtype=bool) & (event_steps < horizon_step))
+    return anchors, event_steps[None, :] > event_steps[anchors][:, None]
 
 
 def brier_td(risks: np.ndarray, event_steps: np.ndarray, censored: np.ndarray,
@@ -97,9 +90,9 @@ def brier_td(risks: np.ndarray, event_steps: np.ndarray, censored: np.ndarray,
 
 @dataclass
 class BootstrapResult:
-    mean: float
-    lo95: float
-    hi95: float
+    mean: float | tuple
+    lo95: float | tuple
+    hi95: float | tuple
     samples: np.ndarray
     n_redraws: int = 0
 
@@ -115,21 +108,22 @@ def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000, seed: int = 0,
 
     The statistic receives an index array of length ``n_units`` drawn with
     replacement from a counter-based stream keyed by (seed, sample, attempt),
-    so resamples are order-independent and shareable across callers with the
-    same seed. Resamples on which the statistic raises EmptyCellError are
-    redrawn up to ``max_redraws`` times, with the tally logged.
+    so resamples are order-independent and reproducible from the seed. A
+    statistic of k values scores all k on each draw; mean, lo95 and hi95 are
+    then k-tuples and samples is (n_samples, k). Resamples on which it raises
+    EmptyCellError are redrawn up to ``max_redraws`` times, the tally logged.
     """
     if n_samples < 2:
         raise ConfigError("bootstrap needs at least 2 samples")
     if n_units < 1:
         raise EmptyCellError("no units to resample")
-    samples = np.empty(n_samples)
+    draws = []
     redraws = 0
     for k in range(n_samples):
         for attempt in range(max_redraws):
             idx = _resample_stream(seed, k, attempt).integers(0, n_units, size=n_units)
             try:
-                samples[k] = statistic(idx)
+                draws.append(statistic(idx))
                 break
             except EmptyCellError:
                 redraws += 1
@@ -138,11 +132,14 @@ def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000, seed: int = 0,
                 f"statistic undefined on {max_redraws} consecutive redraws")
     if redraws:
         log.info("bootstrap redrew %d resamples with undefined statistic", redraws)
-    # order-statistic percentiles: exact on constant samples, no interpolation
-    lo = np.percentile(samples, 2.5, method="lower")
-    hi = np.percentile(samples, 97.5, method="higher")
-    return BootstrapResult(mean=float(samples.mean()), lo95=float(lo),
-                           hi95=float(hi), samples=samples, n_redraws=redraws)
+    rows = np.ascontiguousarray(np.array(draws, dtype=float).T)
+    # a contiguous row per value sums its mean as a scalar statistic's would;
+    # order-statistic percentiles are exact on constant samples
+    stats = [(float(r.mean()), float(np.percentile(r, 2.5, method="lower")),
+              float(np.percentile(r, 97.5, method="higher"))) for r in np.atleast_2d(rows)]
+    if rows.ndim == 1:
+        return BootstrapResult(*stats[0], samples=rows, n_redraws=redraws)
+    return BootstrapResult(*zip(*stats), samples=rows.T, n_redraws=redraws)
 
 
 def _student_t_sf(t: float, df: float) -> float:
@@ -276,7 +273,6 @@ class RiskCell:
     event_steps: np.ndarray
     censored: np.ndarray
     horizon_step: int
-    eye_indices: np.ndarray
 
     @property
     def n_risk_set(self) -> int:
@@ -284,7 +280,11 @@ class RiskCell:
 
     @property
     def n_anchors(self) -> int:
-        return len(anchor_indices(self.event_steps, self.censored, self.horizon_step))
+        return len(comparable_mask(self.event_steps, self.censored, self.horizon_step)[0])
+
+    @property
+    def n_pairs(self) -> int:
+        return int(comparable_mask(self.event_steps, self.censored, self.horizon_step)[1].sum())
 
     def concordance(self, idx=None) -> float:
         sel = slice(None) if idx is None else idx
@@ -337,7 +337,7 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
                     risks = -risks
             cells[(t, dt)] = RiskCell(
                 t_years=t, dt_years=dt, risks=risks, event_steps=steps,
-                censored=cens, horizon_step=t_step + dt_steps, eye_indices=idx)
+                censored=cens, horizon_step=t_step + dt_steps)
     return cells
 
 
@@ -369,14 +369,14 @@ class ReportRow:
     metric: str
     t_years: float
     dt_years: float
-    estimate: float | None
-    boot_mean: float | None
-    ci_lo: float | None
-    ci_hi: float | None
-    p_adjusted: float | None
-    significance: str
-    n_pairs: int
-    n_risk_set: int
+    estimate: float | None = None
+    boot_mean: float | None = None
+    ci_lo: float | None = None
+    ci_hi: float | None = None
+    p_adjusted: float | None = None
+    significance: str = "NA"
+    n_pairs: int = 0
+    n_risk_set: int = 0
     samples: np.ndarray | None = field(default=None, repr=False)
 
 

@@ -102,7 +102,6 @@ class ForwardPass:
     node_hazards: dg.Node = None        # (B, l_trim, J)
     node_step: dg.Node = None           # (B, l_trim, d)
     node_eimg: dg.Node = None           # (B, l_trim, d)
-    rel_gaps: np.ndarray = None         # (B, l_trim) months to next visit
     leaves: dict = field(default_factory=dict)
     l_trim: int = 0
     visit_steps: np.ndarray = None      # (B, l_trim) grid step of each visit
@@ -254,7 +253,7 @@ def forward_sequences(params: dict, cfg: ModelConfig, batch: SequenceBatch,
 
     return ForwardPass(hazards=hazards, step_ahead=step, attention=attention,
                        valid=batch.valid, node_hazards=hz, node_step=sp,
-                       node_eimg=e_img, rel_gaps=gaps, leaves=leaves, l_trim=lt,
+                       node_eimg=e_img, leaves=leaves, l_trim=lt,
                        visit_steps=(months // cfg.step_months).astype(int))
 
 

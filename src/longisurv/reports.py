@@ -1,7 +1,7 @@
 """Report assembly: evaluation grids, model comparisons, attention analysis.
 
-Comparison resamples are shared: both risk sources see the same bootstrap
-draws (same seed, same counter-based streams), so comparing a checkpoint
+Evaluation and comparison rows come from one row builder, and one set of
+bootstrap draws scores every source of a cell, so comparing a checkpoint
 against itself yields identical samples and a flat Welch P of 0.5 in every
 cell. Special source tokens "oracle", "anti-oracle" and "random" evaluate
 the simulator's hidden ground truth, its negation, and seeded uniform
@@ -17,8 +17,7 @@ import numpy as np
 from .errors import ConfigError, EmptyCellError
 from .metrics import (BONFERRONI_M, CHUNK_EYES, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
                       ModelScorer, OracleScorer, ReportRow, bonferroni,
-                      bootstrap_ci, build_risk_cells, comparable_pairs, stars,
-                      welch_one_sided)
+                      bootstrap_ci, build_risk_cells, stars, welch_one_sided)
 from .model import extract_attention, forward_sequences, load_checkpoint, ModelConfig
 from .survival import TimeGrid
 from .synthcohort import EyeRecord, prepare_batch
@@ -56,37 +55,46 @@ def source_from_token(token: str, seed: int = 0) -> RiskSource:
     return RiskSource(name=scorer.name, scorer=scorer)
 
 
+def _score_rows(sources: list[RiskSource], eyes, grid, t_years, dt_years,
+                n_bootstrap: int, seed: int, metrics: tuple) -> list[ReportRow]:
+    """Rows per (cell, metric, source), every source of a cell scored on one
+    set of bootstrap draws. Whether a statistic is defined on a draw depends
+    only on the outcomes the sources share, so each source's samples are
+    those of its own bootstrap. A bootstrap with no defined draw leaves no CI."""
+    per_source = [s.cells(eyes, grid, t_years, dt_years) for s in sources]
+    rows = []
+    for (t, dt) in per_source[0]:
+        cells = [c[(t, dt)] for c in per_source]
+        for metric in metrics:
+            group = [ReportRow(model=s.name, metric=metric, t_years=t, dt_years=dt,
+                               n_risk_set=0 if c is None else c.n_risk_set)
+                     for s, c in zip(sources, cells)]
+            rows.extend(group)
+            if cells[0] is None:
+                continue
+            stats = [getattr(c, metric) for c in cells]
+            try:
+                for row, stat, cell in zip(group, stats, cells):
+                    row.estimate = stat()
+                    row.n_pairs = cell.n_pairs
+                boot = bootstrap_ci(cells[0].n_risk_set,
+                                    lambda idx: [stat(idx) for stat in stats],
+                                    n_samples=n_bootstrap, seed=seed)
+            except EmptyCellError:
+                continue
+            for j, row in enumerate(group):
+                row.boot_mean, row.ci_lo, row.ci_hi = boot.mean[j], boot.lo95[j], boot.hi95[j]
+                row.samples = boot.samples[:, j]
+    return rows
+
+
 def evaluate_source(source: RiskSource, eyes: list[EyeRecord], grid: TimeGrid,
                     t_years=DEFAULT_T_YEARS, dt_years=DEFAULT_DT_YEARS,
                     n_bootstrap: int = 1000, seed: int = 0,
                     metrics: tuple = ("concordance", "brier")) -> list[ReportRow]:
     """Point estimates plus bootstrap CIs for every grid cell and metric."""
-    cells = source.cells(eyes, grid, t_years, dt_years)
-    rows = []
-    for (t, dt), cell in cells.items():
-        for metric in metrics:
-            row = ReportRow(model=source.name, metric=metric, t_years=t,
-                            dt_years=dt, estimate=None, boot_mean=None,
-                            ci_lo=None, ci_hi=None, p_adjusted=None,
-                            significance="NA", n_pairs=0,
-                            n_risk_set=0 if cell is None else cell.n_risk_set)
-            if cell is not None:
-                stat = cell.concordance if metric == "concordance" else cell.brier
-                try:
-                    row.estimate = stat()
-                except EmptyCellError:
-                    rows.append(row)
-                    continue
-                row.n_pairs = comparable_pairs(cell.event_steps, cell.censored,
-                                               cell.horizon_step)
-                boot = bootstrap_ci(cell.n_risk_set, lambda idx: stat(idx),
-                                    n_samples=n_bootstrap, seed=seed)
-                row.boot_mean = boot.mean
-                row.ci_lo = boot.lo95
-                row.ci_hi = boot.hi95
-                row.samples = boot.samples
-            rows.append(row)
-    return rows
+    return _score_rows([source], eyes, grid, t_years, dt_years, n_bootstrap,
+                       seed, metrics)
 
 
 def compare_sources(source_a: RiskSource, source_b: RiskSource,
@@ -94,46 +102,18 @@ def compare_sources(source_a: RiskSource, source_b: RiskSource,
                     t_years=DEFAULT_T_YEARS, dt_years=DEFAULT_DT_YEARS,
                     n_bootstrap: int = 1000, seed: int = 0,
                     m_comparisons: int = BONFERRONI_M) -> list[ReportRow]:
-    """Concordance rows for both sources; A's rows carry the adjusted P.
+    """Concordance rows, A then B per cell; A's rows carry the adjusted P.
 
-    Both sources are bootstrapped over the same resample streams so the
-    Welch test compares like with like; P tests the alternative that A's
-    mean bootstrapped concordance exceeds B's.
+    P tests the alternative that A's mean bootstrapped concordance exceeds
+    B's, over the draws both sources were scored on.
     """
-    cells_a = source_a.cells(eyes, grid, t_years, dt_years)
-    cells_b = source_b.cells(eyes, grid, t_years, dt_years)
-    rows = []
-    for (t, dt) in cells_a:
-        cell_a, cell_b = cells_a[(t, dt)], cells_b[(t, dt)]
-        pair_rows = {}
-        for name, cell in ((source_a.name, cell_a), (source_b.name, cell_b)):
-            row = ReportRow(model=name, metric="concordance", t_years=t,
-                            dt_years=dt, estimate=None, boot_mean=None,
-                            ci_lo=None, ci_hi=None, p_adjusted=None,
-                            significance="NA", n_pairs=0,
-                            n_risk_set=0 if cell is None else cell.n_risk_set)
-            if cell is not None:
-                try:
-                    row.estimate = cell.concordance()
-                    row.n_pairs = comparable_pairs(cell.event_steps, cell.censored,
-                                                   cell.horizon_step)
-                    boot = bootstrap_ci(cell.n_risk_set,
-                                        lambda idx: cell.concordance(idx),
-                                        n_samples=n_bootstrap, seed=seed)
-                    row.boot_mean = boot.mean
-                    row.ci_lo = boot.lo95
-                    row.ci_hi = boot.hi95
-                    row.samples = boot.samples
-                except EmptyCellError:
-                    pass
-            pair_rows[name] = row
-            rows.append(row)
-        ra, rb = pair_rows[source_a.name], pair_rows[source_b.name]
-        if ra.samples is not None and rb.samples is not None:
+    rows = _score_rows([source_a, source_b], eyes, grid, t_years, dt_years,
+                       n_bootstrap, seed, ("concordance",))
+    for ra, rb in zip(rows[::2], rows[1::2]):
+        if ra.samples is not None:
             p_adj = bonferroni(welch_one_sided(ra.samples, rb.samples),
                                m_comparisons)
-            ra.p_adjusted = p_adj
-            ra.significance = stars(p_adj)
+            ra.p_adjusted, ra.significance = p_adj, stars(p_adj)
     return rows
 
 

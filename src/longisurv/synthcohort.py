@@ -20,6 +20,7 @@ keyed by patient and eye index.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -370,7 +371,7 @@ def _write_image(path: str, img: np.ndarray) -> None:
 
 
 def _read_image(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
+    with _reading(path), open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16:
             raise DataError(f"truncated image header: {path}")
@@ -414,20 +415,30 @@ def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def _reading(path: str):
+    """Turn a missing or malformed file into a DataError naming it."""
+    try:
+        yield
+    except (OSError, ValueError) as ex:
+        raise DataError(f"cannot read dataset file {path}: {ex}")
+
+
 def load_dataset(path: str, load_images: bool = True) -> tuple[list[EyeRecord], CohortConfig]:
     man_path = os.path.join(path, MANIFEST_NAME)
     if not os.path.isfile(man_path):
         raise DataError(f"no dataset manifest under {path}")
-    with open(os.path.join(path, CONFIG_NAME)) as fh:
+    cfg_path, truth_path = os.path.join(path, CONFIG_NAME), os.path.join(path, TRUTH_NAME)
+    with _reading(cfg_path), open(cfg_path) as fh:
         cfg = CohortConfig.from_dict(json.load(fh))
     truth = {}
-    with open(os.path.join(path, TRUTH_NAME)) as fh:
+    with _reading(truth_path), open(truth_path) as fh:
         for line in list(fh)[1:]:
             pid, eid, drift, sev, hz = line.rstrip("\n").split("\t")
             truth[eid] = (float(drift), _parse_list(sev), _parse_list(hz))
 
     by_eye: dict[str, dict] = {}
-    with open(man_path) as fh:
+    with _reading(man_path), open(man_path) as fh:
         for line in list(fh)[1:]:
             pid, eid, month, rel, step, cens = line.rstrip("\n").split("\t")
             rec = by_eye.setdefault(eid, {
@@ -438,6 +449,8 @@ def load_dataset(path: str, load_images: bool = True) -> tuple[list[EyeRecord], 
 
     eyes = []
     for eid, rec in by_eye.items():
+        if eid not in truth:
+            raise DataError(f"{truth_path} has no row for eye {eid}")
         order = np.argsort(rec["months"])
         months = np.array(rec["months"])[order]
         images = None

@@ -126,6 +126,60 @@ class TestExitCodes:
             workspace, tmp_path, capsys, lambda ckpt: os.remove(ckpt / "config.json"))
         assert code == 3 and "config.json" in err
 
+    @staticmethod
+    def _edit_row(path, line_index, edit):
+        lines = path.read_text().splitlines()
+        if edit is None:
+            del lines[line_index]
+        else:
+            lines[line_index] = "\t".join(edit(lines[line_index].split("\t")))
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda d: os.remove(d / "truth.tsv"), "truth.tsv"),
+        (lambda d: os.remove(d / "cohort.json"), "cohort.json"),
+        (lambda d: TestExitCodes._edit_row(
+            d / "manifest.tsv", 1, lambda f: f[:2] + ["six"] + f[3:]), "manifest.tsv"),
+        (lambda d: TestExitCodes._edit_row(d / "manifest.tsv", 1, lambda f: f[:-1]),
+         "manifest.tsv"),
+        (lambda d: TestExitCodes._edit_row(d / "truth.tsv", 1, lambda f: f + ["0.5"]),
+         "truth.tsv"),
+        (lambda d: TestExitCodes._edit_row(d / "truth.tsv", 1, None), "truth.tsv"),
+        (lambda d: os.remove(d / "imgs" / sorted(os.listdir(d / "imgs"))[0]), "imgs/"),
+    ], ids=["missing_truth", "missing_cohort_config", "visit_month", "manifest_field_count",
+            "truth_field_count", "eye_without_truth", "missing_image"])
+    def test_malformed_dataset_is_data_error(self, workspace, tmp_path, capsys,
+                                             damage, named):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(workspace["dataset"], dataset)
+        damage(dataset)
+        code = main(["evaluate", "--seed", "1", "--ckpt", "oracle",
+                     "--dataset", str(dataset), "--out", str(tmp_path / "ev"),
+                     "--bootstrap", "2"])
+        err = capsys.readouterr().err
+        assert code == 3 and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda f: f[:-1] + ["abc"],                  # a value that will not parse
+        lambda f: f[:2],                             # a short row
+    ], ids=["value", "short_row"])
+    def test_malformed_samples_table_is_data_error(self, report_dir, tmp_path, capsys,
+                                                   edit):
+        samples = tmp_path / "samples.tsv"
+        shutil.copy(os.path.join(report_dir, "samples.tsv"), samples)
+        self._edit_row(samples, 1, edit)
+        code = main(["plot", "--report", os.path.join(report_dir, "compare.tsv"),
+                     "--samples", str(samples), "--out", str(tmp_path / "x.svg")])
+        err = capsys.readouterr().err
+        assert code == 3 and "samples.tsv" in err and "Traceback" not in err
+
+    def test_missing_report_table_is_data_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "compare.tsv")
+        code = main(["plot", "--report", missing, "--samples", missing,
+                     "--out", str(tmp_path / "x.svg")])
+        err = capsys.readouterr().err
+        assert code == 3 and "compare.tsv" in err and "Traceback" not in err
+
     def test_saturated_hazard_is_numerical_failure(self, workspace, tmp_path, capsys):
         # a float32 hazard of exactly 1.0 gives S(t) = 0 inside every window
         params, record = load_checkpoint(workspace["ckpt"])

@@ -161,6 +161,31 @@ class TestBootstrap:
         with pytest.raises(EmptyCellError):
             bootstrap_ci(10, statistic, n_samples=5, seed=3, max_redraws=4)
 
+    def test_values_share_draws_and_match_scalar_runs(self):
+        data = np.random.default_rng(4).normal(size=12)
+
+        def undefined_without_unit_0(idx):
+            if idx.min() > 0:
+                raise EmptyCellError("forced redraw")
+
+        def mean(idx):
+            undefined_without_unit_0(idx)
+            return float(data[idx].mean())
+
+        def spread(idx):
+            undefined_without_unit_0(idx)
+            return float(data[idx].std())
+
+        both = bootstrap_ci(12, lambda idx: [mean(idx), spread(idx)],
+                            n_samples=400, seed=6)
+        assert both.n_redraws > 0 and len(both.samples) == 400
+        for j, stat in enumerate((mean, spread)):
+            alone = bootstrap_ci(12, stat, n_samples=400, seed=6)
+            assert both.n_redraws == alone.n_redraws
+            assert both.samples[:, j].tobytes() == alone.samples.tobytes()
+            assert (both.mean[j], both.lo95[j], both.hi95[j]) == \
+                   (alone.mean, alone.lo95, alone.hi95)
+
     def test_coverage_on_gaussian_mean(self):
         # percentile CI should cover the true mean ~95% of the time
         hits = 0
@@ -269,6 +294,19 @@ class TestRiskCells:
         risks = window_risks(curves, cfg.grid, t_step, dt_steps)
         end_clamped = window_risks(curves, cfg.grid, t_step, cfg.j_max - t_step)
         np.testing.assert_allclose(risks, end_clamped)
+
+    def test_n_pairs_counts_every_comparable_pair(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            risks, steps, cens, horizon = random_instance(rng, int(rng.integers(1, 40)))
+            cell = metrics.RiskCell(t_years=1.0, dt_years=1.0, risks=risks,
+                                    event_steps=steps, censored=cens,
+                                    horizon_step=horizon)
+            # ties in event step are common at this size; a tie is not a pair
+            naive = sum(steps[j] > steps[i]
+                        for i in range(len(steps)) if not cens[i] and steps[i] < horizon
+                        for j in range(len(steps)))
+            assert cell.n_pairs == naive
 
     def test_oracle_beats_anti_oracle(self, cohort):
         eyes, cfg = cohort

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from longisurv.errors import ConfigError
+from longisurv import reports
+from longisurv.errors import ConfigError, EmptyCellError
 from longisurv.model import ModelConfig, init_params
 from longisurv.reports import (RiskSource, attention_analysis, compare_sources,
                                evaluate_source, source_from_token,
@@ -48,6 +49,43 @@ class TestSources:
         b = [r for r in rows if r.model == "anti-oracle"][0]
         assert a.p_adjusted is not None and a.p_adjusted <= 0.05
         assert b.p_adjusted is None
+
+    def test_compare_rows_equal_evaluate_rows(self, cohort, caplog):
+        eyes, cfg = cohort
+        pairs = [("oracle", "anti-oracle"), ("random", "oracle")]
+        for token_a, token_b in pairs:
+            sources = [source_from_token(token_a, seed=5),
+                       source_from_token(token_b, seed=5)]
+            with caplog.at_level("INFO", logger="longisurv.metrics"):
+                caplog.clear()
+                rows = compare_sources(*sources, eyes, cfg.grid, n_bootstrap=40, seed=7)
+            assert "redrew" in caplog.text        # some cells redraw
+            alone = {s.name: evaluate_source(s, eyes, cfg.grid, n_bootstrap=40, seed=7,
+                                             metrics=("concordance",))
+                     for s in sources}
+            assert len(rows) == 2 * len(alone[sources[0].name])
+            for k, row in enumerate(rows):
+                ref = alone[row.model][k // 2]
+                assert (row.t_years, row.dt_years) == (ref.t_years, ref.dt_years)
+                assert (row.estimate, row.boot_mean, row.ci_lo, row.ci_hi, row.n_pairs) == \
+                       (ref.estimate, ref.boot_mean, ref.ci_lo, ref.ci_hi, ref.n_pairs)
+                if ref.samples is None:
+                    assert row.samples is None
+                else:
+                    assert row.samples.tobytes() == ref.samples.tobytes()
+
+    def test_evaluate_keeps_a_row_whose_bootstrap_fails(self, cohort, monkeypatch):
+        def no_defined_draw(*args, **kwargs):
+            raise EmptyCellError("statistic undefined on 100 consecutive redraws")
+
+        monkeypatch.setattr(reports, "bootstrap_ci", no_defined_draw)
+        eyes, cfg = cohort
+        rows = evaluate_source(source_from_token("oracle"), eyes, cfg.grid,
+                               t_years=(1.0,), dt_years=(8.0,), n_bootstrap=10)
+        assert [r.metric for r in rows] == ["concordance", "brier"]
+        for r in rows:
+            assert r.estimate is not None and r.n_pairs > 0
+            assert r.ci_lo is None and r.samples is None
 
     def test_random_source_near_half(self, cohort):
         eyes, cfg = cohort
