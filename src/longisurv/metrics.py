@@ -5,14 +5,15 @@ Concordance C(t, dt) ranks pairs of eyes by predicted risk over the window
 inside the horizon, the other eye must survive strictly longer (censored or
 not), and risk ties count half. The Brier score B(t, dt) is a mean squared
 error between window risks and uncensored event indicators over the risk
-set at t. Confidence intervals come from eye-level bootstrap resampling
-with counter-based streams, comparisons from a one-sided Welch t-test with
-Bonferroni correction over the full grid of comparisons.
+set at t. Confidence intervals come from an eye-level bootstrap on
+counter-based streams, one set of draws per prediction time for all of its
+cells; comparisons from a one-sided Welch t-test, Bonferroni-corrected.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import betainc
@@ -47,26 +48,43 @@ def concordance_td(risks: np.ndarray, event_steps: np.ndarray,
     anchor. Ties in risk contribute 0.5. Raises EmptyCellError when no
     comparable pair exists (distinct from a concordance of 0).
     """
-    risks = np.asarray(risks, dtype=float)
-    anchors, comparable = comparable_mask(event_steps, censored, horizon_step)
+    anchors, table = pair_table(risks, event_steps, censored, horizon_step)
     if len(anchors) == 0:
         raise EmptyCellError("no uncensored event inside the horizon")
-    r_a = risks[anchors][:, None]
-    n_comp = int(comparable.sum())
-    if n_comp == 0:
+    c = pair_concordance([(anchors, table)])(np.ones(table.shape[-1]))[0]
+    if np.isnan(c):
         raise EmptyCellError("no comparable pairs")
-    wins = int(((r_a > risks[None, :]) & comparable).sum())
-    ties = int(((r_a == risks[None, :]) & comparable).sum())
-    return (wins + 0.5 * ties) / n_comp
+    return float(c)
 
 
-def comparable_mask(event_steps: np.ndarray, censored: np.ndarray,
-                    horizon_step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor rows (uncensored events strictly inside the horizon) and the
-    (anchors, eyes) mask of comparable pairs: eyes that outlive the anchor."""
-    event_steps = np.asarray(event_steps)
+def pair_table(risks: np.ndarray, event_steps: np.ndarray, censored: np.ndarray,
+               horizon_step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor rows (uncensored events inside the horizon) and a (2, anchors,
+    eyes) table: comparable pairs (the eye outlives the anchor), then pair
+    scores, 1 if the anchor's risk is higher, 0.5 on a tie, else 0."""
+    risks, event_steps = np.asarray(risks, dtype=float), np.asarray(event_steps)
     anchors = np.flatnonzero(~np.asarray(censored, dtype=bool) & (event_steps < horizon_step))
-    return anchors, event_steps[None, :] > event_steps[anchors][:, None]
+    comparable = event_steps > event_steps[anchors][:, None]
+    r_a = risks[anchors][:, None]
+    return anchors, np.stack([comparable, comparable * ((r_a > risks) + 0.5 * (r_a == risks))])
+
+
+def pair_concordance(tables: list):
+    """The concordance of each ``pair_table`` (with an anchor) on a draw, as a
+    function of the draw's unit multiplicities ``m``; NaN where no drawn pair
+    is comparable. Pair counts and scores sum ``m[a] * m[b]`` exactly, so each
+    value is the double that scoring the resampled rows gives."""
+    if not tables:
+        return lambda m: np.empty(0)
+    anchors = np.concatenate([a for a, _ in tables])
+    stack = np.concatenate([tab for _, tab in tables], axis=1)
+    starts = np.cumsum([0] + [len(a) for a, _ in tables[:-1]])
+
+    def at(m: np.ndarray) -> np.ndarray:
+        n_comp, score = np.add.reduceat((stack @ m) * m[anchors], starts, axis=1)
+        with np.errstate(invalid="ignore"):
+            return score / n_comp
+    return at
 
 
 def brier_td(risks: np.ndarray, event_steps: np.ndarray, censored: np.ndarray,
@@ -97,11 +115,6 @@ class BootstrapResult:
     n_redraws: int = 0
 
 
-def _resample_stream(seed: int, sample_index: int, attempt: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(sample_index, attempt)))
-
-
 def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000, seed: int = 0,
                  max_redraws: int = 100) -> BootstrapResult:
     """Percentile bootstrap of ``statistic`` over resampled unit indices.
@@ -110,29 +123,39 @@ def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000, seed: int = 0,
     replacement from a counter-based stream keyed by (seed, sample, attempt),
     so resamples are order-independent and reproducible from the seed. A
     statistic of k values scores all k on each draw; mean, lo95 and hi95 are
-    then k-tuples and samples is (n_samples, k). Resamples on which it raises
-    EmptyCellError are redrawn up to ``max_redraws`` times, the tally logged.
+    then k-tuples and samples is (n_samples, k). A NaN value is undefined on
+    that draw alone, and raising EmptyCellError leaves every value undefined.
+    Each value's sample k comes from its first defined attempt of up to
+    ``max_redraws``, as in a scalar run of it; a value with none gets NaN
+    mean, bounds and samples, and EmptyCellError once all have none.
+    ``n_redraws`` counts the extra draws, the tally logged.
     """
     if n_samples < 2:
         raise ConfigError("bootstrap needs at least 2 samples")
     if n_units < 1:
         raise EmptyCellError("no units to resample")
-    draws = []
-    redraws = 0
+    draws, dead, redraws = [], np.False_, 0
     for k in range(n_samples):
+        row = np.nan
         for attempt in range(max_redraws):
-            idx = _resample_stream(seed, k, attempt).integers(0, n_units, size=n_units)
+            redraws += attempt > 0
+            stream = np.random.SeedSequence(entropy=seed, spawn_key=(k, attempt))
+            idx = np.random.default_rng(stream).integers(0, n_units, size=n_units)
             try:
-                draws.append(statistic(idx))
-                break
+                values = np.asarray(statistic(idx), dtype=float)
             except EmptyCellError:
-                redraws += 1
-        else:
-            raise EmptyCellError(
-                f"statistic undefined on {max_redraws} consecutive redraws")
+                values = np.nan
+            row = np.where(np.isnan(row), values, row)
+            if not (np.isnan(row) & ~dead).any():
+                break
+        dead = dead | np.isnan(row)
+        if np.all(dead):
+            raise EmptyCellError(f"statistic undefined on {max_redraws} consecutive redraws")
+        draws.append(row)
     if redraws:
         log.info("bootstrap redrew %d resamples with undefined statistic", redraws)
-    rows = np.ascontiguousarray(np.array(draws, dtype=float).T)
+    rows = np.ascontiguousarray(np.array(draws).T)
+    rows[dead] = np.nan
     # a contiguous row per value sums its mean as a scalar statistic's would;
     # order-statistic percentiles are exact on constant samples
     stats = [(float(r.mean()), float(np.percentile(r, 2.5, method="lower")),
@@ -278,23 +301,24 @@ class RiskCell:
     def n_risk_set(self) -> int:
         return len(self.risks)
 
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return pair_table(self.risks, self.event_steps, self.censored, self.horizon_step)
+
     @property
     def n_anchors(self) -> int:
-        return len(comparable_mask(self.event_steps, self.censored, self.horizon_step)[0])
+        return len(self.pairs[0])
 
     @property
     def n_pairs(self) -> int:
-        return int(comparable_mask(self.event_steps, self.censored, self.horizon_step)[1].sum())
+        return int(self.pairs[1][0].sum())
 
-    def concordance(self, idx=None) -> float:
-        sel = slice(None) if idx is None else idx
-        return concordance_td(self.risks[sel], self.event_steps[sel],
-                              self.censored[sel], self.horizon_step)
+    def concordance(self) -> float:
+        return concordance_td(self.risks, self.event_steps, self.censored, self.horizon_step)
 
-    def brier(self, idx=None) -> float:
-        sel = slice(None) if idx is None else idx
-        return brier_td(self.risks[sel], self.event_steps[sel],
-                        self.censored[sel], self.horizon_step)
+    def brier(self, idx=slice(None)) -> float:
+        return brier_td(self.risks[idx], self.event_steps[idx], self.censored[idx],
+                        self.horizon_step)
 
 
 def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,

@@ -331,6 +331,10 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
             blob, record = bfh.read(), json.load(rfh)
     except (OSError, ValueError) as ex:
         raise DataError(f"unreadable checkpoint {path}: {ex}")
+    try:
+        ModelConfig.from_dict(record["model"])
+    except (KeyError, TypeError, ConfigError) as ex:
+        raise DataError(f"{os.path.join(path, RECORD_NAME)}: bad model config: {ex!r}")
     params = {}
     for line_no, row in enumerate(rows, start=2):
         try:

@@ -1,11 +1,11 @@
 """Report assembly: evaluation grids, model comparisons, attention analysis.
 
-Evaluation and comparison rows come from one row builder, and one set of
-bootstrap draws scores every source of a cell, so comparing a checkpoint
-against itself yields identical samples and a flat Welch P of 0.5 in every
-cell. Special source tokens "oracle", "anti-oracle" and "random" evaluate
-the simulator's hidden ground truth, its negation, and seeded uniform
-noise through the same pipeline as model checkpoints.
+Evaluation and comparison rows come from one row builder. One set of
+bootstrap draws per prediction time scores every cell, metric and source
+of it, so a checkpoint compared with itself gets identical samples and a
+flat Welch P of 0.5 in every cell. The tokens "oracle", "anti-oracle" and
+"random" score the simulator's hidden ground truth, its negation and seeded
+uniform noise through the same pipeline as model checkpoints.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, EmptyCellError
 from .metrics import (BONFERRONI_M, CHUNK_EYES, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
-                      ModelScorer, OracleScorer, ReportRow, bonferroni,
-                      bootstrap_ci, build_risk_cells, stars, welch_one_sided)
+                      ModelScorer, OracleScorer, ReportRow, bonferroni, bootstrap_ci,
+                      build_risk_cells, pair_concordance, stars, welch_one_sided)
 from .model import extract_attention, forward_sequences, load_checkpoint, ModelConfig
 from .survival import TimeGrid
 from .synthcohort import EyeRecord, prepare_batch
@@ -57,32 +57,44 @@ def source_from_token(token: str, seed: int = 0) -> RiskSource:
 
 def _score_rows(sources: list[RiskSource], eyes, grid, t_years, dt_years,
                 n_bootstrap: int, seed: int, metrics: tuple) -> list[ReportRow]:
-    """Rows per (cell, metric, source), every source of a cell scored on one
-    set of bootstrap draws. Whether a statistic is defined on a draw depends
-    only on the outcomes the sources share, so each source's samples are
-    those of its own bootstrap. A bootstrap with no defined draw leaves no CI."""
+    """Rows per (cell, metric, source). The cells of a prediction time share
+    its risk set, so one set of draws per time scores all of its rows. A
+    value undefined on a draw is redrawn alone, so each row's samples are
+    those of its own bootstrap; a row with no defined draw has no CI."""
     per_source = [s.cells(eyes, grid, t_years, dt_years) for s in sources]
     rows = []
-    for (t, dt) in per_source[0]:
-        cells = [c[(t, dt)] for c in per_source]
-        for metric in metrics:
-            group = [ReportRow(model=s.name, metric=metric, t_years=t, dt_years=dt,
-                               n_risk_set=0 if c is None else c.n_risk_set)
-                     for s, c in zip(sources, cells)]
-            rows.extend(group)
-            if cells[0] is None:
-                continue
-            stats = [getattr(c, metric) for c in cells]
-            try:
-                for row, stat, cell in zip(group, stats, cells):
-                    row.estimate = stat()
-                    row.n_pairs = cell.n_pairs
-                boot = bootstrap_ci(cells[0].n_risk_set,
-                                    lambda idx: [stat(idx) for stat in stats],
-                                    n_samples=n_bootstrap, seed=seed)
-            except EmptyCellError:
-                continue
-            for j, row in enumerate(group):
+    for t in t_years:
+        scored = []                      # (row, cell) of every defined estimate
+        for dt in dt_years:
+            cells = [c[(t, dt)] for c in per_source]
+            for metric in metrics:
+                group = [ReportRow(model=s.name, metric=metric, t_years=t, dt_years=dt,
+                                   n_risk_set=0 if c is None else c.n_risk_set)
+                         for s, c in zip(sources, cells)]
+                rows.extend(group)
+                if cells[0] is None:
+                    continue
+                try:
+                    for row, cell in zip(group, cells):
+                        row.estimate, row.n_pairs = getattr(cell, metric)(), cell.n_pairs
+                except EmptyCellError:
+                    continue
+                scored.extend(zip(group, cells))
+        if not scored:
+            continue
+        at = pair_concordance([c.pairs for r, c in scored if r.metric == "concordance"])
+
+        def statistic(idx):
+            conc = iter(at(np.bincount(idx, minlength=len(idx))))
+            return [next(conc) if row.metric == "concordance" else cell.brier(idx)
+                    for row, cell in scored]
+        try:
+            boot = bootstrap_ci(scored[0][1].n_risk_set, statistic,
+                                n_samples=n_bootstrap, seed=seed)
+        except EmptyCellError:
+            continue
+        for j, (row, _) in enumerate(scored):
+            if not np.isnan(boot.mean[j]):
                 row.boot_mean, row.ci_lo, row.ci_hi = boot.mean[j], boot.lo95[j], boot.hi95[j]
                 row.samples = boot.samples[:, j]
     return rows

@@ -417,10 +417,10 @@ def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
 
 @contextlib.contextmanager
 def _reading(path: str):
-    """Turn a missing or malformed file into a DataError naming it."""
+    """Turn a missing or malformed file (a config included) into a DataError naming it."""
     try:
         yield
-    except (OSError, ValueError) as ex:
+    except (OSError, ValueError, TypeError, ConfigError) as ex:
         raise DataError(f"cannot read dataset file {path}: {ex}")
 
 

@@ -180,6 +180,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3 and "compare.tsv" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg.update(n_patinets=cfg.pop("n_patients")),   # unknown key
+        lambda cfg: cfg.update(n_patients=str(cfg["n_patients"])),  # wrong type
+    ], ids=["unknown_key", "wrong_type"])
+    def test_misfit_cohort_config_is_data_error(self, workspace, tmp_path, capsys, edit):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(workspace["dataset"], dataset)
+        cfg = json.loads((dataset / "cohort.json").read_text())
+        edit(cfg)
+        write_json(dataset / "cohort.json", cfg)
+        code = main(["evaluate", "--seed", "1", "--ckpt", "oracle",
+                     "--dataset", str(dataset), "--out", str(tmp_path / "ev"),
+                     "--bootstrap", "2"])
+        err = capsys.readouterr().err
+        assert code == 3 and "cohort.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda model: model.update(embed_dmi=model.pop("embed_dim")),  # unknown key
+        lambda model: model.update(embed_dim=str(model["embed_dim"])),  # wrong type
+    ], ids=["unknown_key", "wrong_type"])
+    def test_misfit_model_config_is_data_error(self, workspace, tmp_path, capsys, edit):
+        def damage(ckpt):
+            record = json.loads((ckpt / "config.json").read_text())
+            edit(record["model"])
+            write_json(ckpt / "config.json", record)
+
+        code, err = self._evaluate_broken_checkpoint(workspace, tmp_path, capsys, damage)
+        assert code == 3 and "config.json" in err
+
     def test_saturated_hazard_is_numerical_failure(self, workspace, tmp_path, capsys):
         # a float32 hazard of exactly 1.0 gives S(t) = 0 inside every window
         params, record = load_checkpoint(workspace["ckpt"])

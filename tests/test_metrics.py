@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from longisurv import metrics
@@ -101,6 +102,44 @@ class TestConcordance:
         assert a + b == pytest.approx(1.0, abs=1e-12)
 
 
+@st.composite
+def drawn_cells(draw):
+    """A cell with risk ties, event-step ties and censoring, a few horizons,
+    and one resample of its rows."""
+    n = draw(st.integers(1, 12))
+    risks = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                   min_size=n, max_size=n)))
+    steps = np.array(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)))
+    cens = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    horizons = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    return risks, steps, cens, horizons, idx
+
+
+class TestPairCounts:
+    @settings(max_examples=400, deadline=None)
+    @given(drawn_cells())
+    def test_multiplicities_give_the_resampled_concordance(self, case):
+        risks, steps, cens, horizons, idx = case
+        tables = [metrics.pair_table(risks, steps, cens, h) for h in horizons]
+        with_anchor = [(h, t) for h, t in zip(horizons, tables) if len(t[0])]
+        for h, (anchors, _) in zip(horizons, tables):
+            if len(anchors) == 0:
+                with pytest.raises(EmptyCellError):
+                    concordance_td(risks, steps, cens, h)
+        if not with_anchor:
+            return
+        counted = metrics.pair_concordance([t for _, t in with_anchor])(
+            np.bincount(idx, minlength=len(risks)))
+        for (h, _), c in zip(with_anchor, counted):
+            try:
+                expected = concordance_td(risks[idx], steps[idx], cens[idx], h)
+            except EmptyCellError:
+                assert np.isnan(c)
+                continue
+            assert np.float64(c).tobytes() == np.float64(expected).tobytes()
+
+
 class TestBrier:
     def test_perfect_prediction(self):
         assert brier_td(np.array([1.0]), np.array([3]), np.array([False]), 5) == 0.0
@@ -185,6 +224,52 @@ class TestBootstrap:
             assert both.samples[:, j].tobytes() == alone.samples.tobytes()
             assert (both.mean[j], both.lo95[j], both.hi95[j]) == \
                    (alone.mean, alone.lo95, alone.hi95)
+
+    def test_a_nan_value_is_redrawn_alone(self):
+        data = np.random.default_rng(5).normal(size=9)
+
+        def needs_unit_0(idx):
+            if idx.min() > 0:
+                raise EmptyCellError("unit 0 not drawn")
+            return float(data[idx].mean())
+
+        def spread(idx):
+            return float(data[idx].std())
+
+        def both(idx):
+            return [np.nan if idx.min() > 0 else needs_unit_0(idx), spread(idx)]
+
+        joint = bootstrap_ci(9, both, n_samples=300, seed=11)
+        assert joint.n_redraws > 0
+        for j, stat in enumerate((needs_unit_0, spread)):
+            alone = bootstrap_ci(9, stat, n_samples=300, seed=11)
+            assert joint.samples[:, j].tobytes() == alone.samples.tobytes()
+            assert (joint.mean[j], joint.lo95[j], joint.hi95[j]) == \
+                   (alone.mean, alone.lo95, alone.hi95)
+        assert bootstrap_ci(9, spread, n_samples=300, seed=11).n_redraws == 0
+
+    def test_a_value_never_defined_is_nan_and_the_rest_still_match(self):
+        data = np.random.default_rng(6).normal(size=40)
+
+        def needs_unit_0(idx):
+            if idx.min() > 0:
+                raise EmptyCellError("unit 0 not drawn")
+            return float(data[idx].mean())
+
+        def both(idx):
+            return [np.nan if idx.min() > 0 else needs_unit_0(idx), float(data[idx].std())]
+
+        # unit 0 is missing from a draw of 40 with probability ~0.36, so
+        # some sample finds it in none of 2 attempts
+        joint = bootstrap_ci(40, both, n_samples=200, seed=3, max_redraws=2)
+        with pytest.raises(EmptyCellError):
+            bootstrap_ci(40, needs_unit_0, n_samples=200, seed=3, max_redraws=2)
+        assert np.isnan([joint.mean[0], joint.lo95[0], joint.hi95[0]]).all()
+        assert np.isnan(joint.samples[:, 0]).all()
+        alone = bootstrap_ci(40, lambda idx: float(data[idx].std()), n_samples=200, seed=3)
+        assert joint.samples[:, 1].tobytes() == alone.samples.tobytes()
+        assert (joint.mean[1], joint.lo95[1], joint.hi95[1]) == \
+               (alone.mean, alone.lo95, alone.hi95)
 
     def test_coverage_on_gaussian_mean(self):
         # percentile CI should cover the true mean ~95% of the time

@@ -3,6 +3,8 @@ import pytest
 
 from longisurv import reports
 from longisurv.errors import ConfigError, EmptyCellError
+from longisurv.metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, bootstrap_ci,
+                               brier_td, concordance_td)
 from longisurv.model import ModelConfig, init_params
 from longisurv.reports import (RiskSource, attention_analysis, compare_sources,
                                evaluate_source, source_from_token,
@@ -73,6 +75,60 @@ class TestSources:
                     assert row.samples is None
                 else:
                     assert row.samples.tobytes() == ref.samples.tobytes()
+
+    def test_rows_equal_one_bootstrap_per_cell(self, cohort, caplog):
+        eyes, cfg = cohort
+        stats = {"concordance": concordance_td, "brier": brier_td}
+
+        def reference(cell, metric):
+            """(estimate, bootstrap) of one cell and metric, scored on its own."""
+            stat = stats[metric]
+            args = (cell.event_steps, cell.censored)
+            try:
+                estimate = stat(cell.risks, *args, cell.horizon_step)
+            except EmptyCellError:
+                return None, None
+            try:
+                return estimate, bootstrap_ci(
+                    cell.n_risk_set,
+                    lambda idx: stat(cell.risks[idx], *(a[idx] for a in args),
+                                     cell.horizon_step),
+                    n_samples=40, seed=7)
+            except EmptyCellError:
+                return estimate, None
+
+        def check(rows, cells_of):
+            """Count of rows without a CI, after checking every row."""
+            undefined = 0
+            for row in rows:
+                cell = cells_of[row.model][(row.t_years, row.dt_years)]
+                estimate, boot = (None, None) if cell is None else reference(cell, row.metric)
+                assert row.estimate == estimate
+                if boot is None:
+                    undefined += 1
+                    assert row.samples is None and row.ci_lo is None and row.boot_mean is None
+                    continue
+                assert (row.boot_mean, row.ci_lo, row.ci_hi) == \
+                       (boot.mean, boot.lo95, boot.hi95)
+                assert row.samples.tobytes() == boot.samples.tobytes()
+            return undefined
+
+        sources = {t: source_from_token(t, seed=5) for t in ("oracle", "anti-oracle", "random")}
+        cells_of = {s.name: s.cells(eyes, cfg.grid, DEFAULT_T_YEARS, DEFAULT_DT_YEARS)
+                    for s in sources.values()}
+        for token_a, token_b in [("oracle", "anti-oracle"), ("random", "oracle")]:
+            with caplog.at_level("INFO", logger="longisurv.metrics"):
+                caplog.clear()
+                rows = compare_sources(sources[token_a], sources[token_b], eyes, cfg.grid,
+                                       n_bootstrap=40, seed=7)
+            assert "redrew" in caplog.text        # some cells redraw
+            assert 0 < check(rows, cells_of) < len(rows)
+        for source in sources.values():
+            rows = evaluate_source(source, eyes, cfg.grid, n_bootstrap=40, seed=7)
+            assert {r.metric for r in rows} == {"concordance", "brier"}
+            assert 0 < check(rows, cells_of) < len(rows)
+            check(evaluate_source(source, eyes, cfg.grid, n_bootstrap=40, seed=7,
+                                  metrics=("brier",)), cells_of)
 
     def test_evaluate_keeps_a_row_whose_bootstrap_fails(self, cohort, monkeypatch):
         def no_defined_draw(*args, **kwargs):
