@@ -1,19 +1,18 @@
 """Command-line surface: simulate, train, evaluate, compare, attention, plot.
 
 Every subcommand is reproducible from its inputs and --seed alone and
-writes deterministic bytes. Times on the command line are years; they are
-converted to grid steps internally. Exit codes: 0 success, 2 config error,
-3 data error, 4 numerical failure.
+writes deterministic bytes. Times on the command line are years, in grid
+steps internally. Presets and `--config` sections go through the config
+classes' ``from_dict``, as saved configs do. Exit codes: 0 success, 2 config
+error, 3 data error, 4 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
 import sys
-import typing
 
 import numpy as np
 
@@ -52,24 +51,6 @@ def _read_json(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {ex}")
 
 
-_JSON_TYPES = {int: int, float: (int, float), str: str, tuple: (list, tuple),
-               type(None): type(None)}
-
-
-def _known_keys(cls, section: str, values: dict) -> dict:
-    """The overrides for one config class, rejecting unknown keys and values
-    of a JSON type (``_JSON_TYPES``) the field's annotation does not take."""
-    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {section} config key(s): {', '.join(unknown)}")
-    hints = typing.get_type_hints(cls)
-    for key, value in values.items():
-        types = tuple(_JSON_TYPES[t] for t in typing.get_args(hints[key]) or (hints[key],))
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ConfigError(f"{section}.{key} has the wrong type: {value!r}")
-    return values
-
-
 def _years_list(text: str) -> tuple:
     try:
         return tuple(float(v) for v in text.split(","))
@@ -95,7 +76,7 @@ def cmd_simulate(args) -> int:
     if args.patients is not None:
         overrides["n_patients"] = args.patients
     overrides["seed"] = args.seed
-    cfg = CohortConfig(**_known_keys(CohortConfig, "cohort", overrides))
+    cfg = CohortConfig.from_dict(overrides, "cohort")
     eyes = generate_cohort(cfg)
     save_dataset(args.out, eyes, cfg)
     stats = summary_stats(eyes, cfg.grid)
@@ -125,7 +106,7 @@ def cmd_train(args) -> int:
                   "image_channels": cohort_cfg.image_channels,
                   "dtype": args.dtype}
     model_over.update(file_cfg.get("model", {}))
-    model_cfg = ModelConfig.from_dict(_known_keys(ModelConfig, "model", model_over))
+    model_cfg = ModelConfig.from_dict(model_over, "model")
 
     train_over = {"seed": args.seed}
     train_over.update(file_cfg.get("train", {}))
@@ -133,13 +114,13 @@ def cmd_train(args) -> int:
         train_over["max_epochs"] = args.max_epochs
     if args.lr is not None:
         train_over["lr"] = args.lr
-    train_cfg = TrainConfig(**_known_keys(TrainConfig, "train", train_over))
-    loss_cfg = LossConfig(**_known_keys(LossConfig, "loss", file_cfg.get("loss", {})))
+    train_cfg = TrainConfig.from_dict(train_over, "train")
+    loss_cfg = LossConfig.from_dict(file_cfg.get("loss", {}), "loss")
 
     warm = None
     if args.init_from:
         warm, warm_record = load_checkpoint(args.init_from)
-        if warm_record["model"] != model_cfg.to_dict():
+        if ModelConfig.from_dict(warm_record["model"], "model") != model_cfg:
             raise ConfigError("--init-from checkpoint has a different architecture")
 
     result = train(train_eyes, val_eyes, model_cfg, train_cfg, loss_cfg,
@@ -211,7 +192,10 @@ def cmd_attention(args) -> int:
     eyes, cohort_cfg = load_dataset(args.dataset)
     subset = _split_eyes(eyes, cohort_cfg, args.split)
     params, record = load_checkpoint(args.ckpt)
-    report = attention_analysis(params, record, subset)
+    try:
+        report = attention_analysis(params, record, subset)
+    except DataError as ex:
+        raise DataError(f"checkpoint {args.ckpt}: {ex}")
     os.makedirs(args.out, exist_ok=True)
     write_attention(os.path.join(args.out, "attention.tsv"), report)
     write_attention_summary(os.path.join(args.out, "attention_summary.tsv"), report)

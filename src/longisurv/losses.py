@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffgraph as dg
+from .config import JsonConfig
 from .errors import ConfigError, DataError
 from .model import ForwardPass
 from .survival import EventOutcome
@@ -63,7 +64,7 @@ UNIT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class LossConfig:
+class LossConfig(JsonConfig):
     beta: float = 0.15
     variant: str = "weighted"
 

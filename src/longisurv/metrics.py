@@ -244,13 +244,17 @@ class OracleScorer:
 
 
 class ModelScorer:
-    """Curves from a trained checkpoint, each from the visits seen by its time."""
+    """Curves from a checkpoint record (the one reader of its model config and
+    pixel statistics), each from the visits seen by its time."""
 
     def __init__(self, params: dict, record: dict):
         self.params = params
-        self.cfg = ModelConfig.from_dict(record["model"])
-        self.pixel_mean = record["pixel_mean"]
-        self.pixel_std = record["pixel_std"]
+        self.cfg = ModelConfig.from_dict(record["model"], "model")
+        self.pixel_mean, self.pixel_std = record.get("pixel_mean"), record.get("pixel_std")
+        for key, values in (("pixel_mean", self.pixel_mean), ("pixel_std", self.pixel_std)):
+            if not (isinstance(values, list) and len(values) == self.cfg.image_channels
+                    and all(type(v) in (int, float) for v in values)):
+                raise DataError(f"{key} needs one number per image channel, got {values!r}")
         self.name = self.cfg.kind
 
     def curves(self, eyes, seen):

@@ -8,18 +8,19 @@ shares the image encoder and survival head but sees a single image and no
 temporal machinery.
 
 Checkpoints are a directory of three files: a plain-text tensor manifest,
-one little-endian binary blob, and a JSON config record. Round trips are
-bit-exact.
+one little-endian binary blob, and a JSON record whose "model" section is
+read by ``ModelConfig.from_dict``. Round trips are bit-exact.
 """
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diffgraph as dg
+from .config import JsonConfig
 from .encoders import (conv_encoder_param_shapes, encode_images,
                        temporal_encode, relative_encode)
 from .errors import ConfigError, DataError
@@ -29,7 +30,7 @@ KIND_BASELINE = "baseline"
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonConfig):
     kind: str = KIND_LONGITUDINAL
     embed_dim: int = 64
     n_layers: int = 2
@@ -46,6 +47,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in (KIND_LONGITUDINAL, KIND_BASELINE):
             raise ConfigError(f"unknown model kind {self.kind!r}")
+        if self.n_heads < 1 or not self.conv_widths:
+            raise ConfigError("a model needs at least one head and one conv width")
         if self.embed_dim % (2 * self.n_heads) != 0:
             raise ConfigError("embed_dim must be divisible by 2 * n_heads")
         if self.dtype not in ("float64", "float32"):
@@ -55,16 +58,6 @@ class ModelConfig:
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["conv_widths"] = list(self.conv_widths)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["conv_widths"] = tuple(d.get("conv_widths", (8, 16, 32)))
-        return ModelConfig(**d)
 
 
 @dataclass
@@ -332,7 +325,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
     except (OSError, ValueError) as ex:
         raise DataError(f"unreadable checkpoint {path}: {ex}")
     try:
-        ModelConfig.from_dict(record["model"])
+        ModelConfig.from_dict(record["model"], "model")
     except (KeyError, TypeError, ConfigError) as ex:
         raise DataError(f"{os.path.join(path, RECORD_NAME)}: bad model config: {ex!r}")
     params = {}

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyCellError
+from .errors import ConfigError, DataError, EmptyCellError
 from .metrics import (BONFERRONI_M, CHUNK_EYES, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
                       ModelScorer, OracleScorer, ReportRow, bonferroni, bootstrap_ci,
                       build_risk_cells, pair_concordance, stars, welch_one_sided)
-from .model import extract_attention, forward_sequences, load_checkpoint, ModelConfig
+from .model import extract_attention, forward_sequences, load_checkpoint
 from .survival import TimeGrid
 from .synthcohort import EyeRecord, prepare_batch
 
@@ -51,7 +51,10 @@ def source_from_token(token: str, seed: int = 0) -> RiskSource:
     if token == "random":
         return RiskSource(name="random", random_seed=seed)
     params, record = load_checkpoint(token)
-    scorer = ModelScorer(params, record)
+    try:
+        scorer = ModelScorer(params, record)
+    except DataError as ex:
+        raise DataError(f"checkpoint {token}: {ex}")
     return RiskSource(name=scorer.name, scorer=scorer)
 
 
@@ -156,16 +159,16 @@ def attention_analysis(params: dict, record: dict,
     correlation is computed between offsets 0..9 and their median scores,
     using multi-visit eyes only.
     """
-    cfg = ModelConfig.from_dict(record["model"])
-    if cfg.kind != "longitudinal":
+    scorer = ModelScorer(params, record)
+    if scorer.cfg.kind != "longitudinal":
         raise ConfigError("attention analysis needs a longitudinal checkpoint")
     rows = []
     n_last_max = 0
     for start in range(0, len(eyes), CHUNK_EYES):
         part = eyes[start:start + CHUNK_EYES]
-        batch = prepare_batch(part, max(e.n_visits for e in part), record["pixel_mean"],
-                              record["pixel_std"], cfg.np_dtype)
-        fp = forward_sequences(params, cfg, batch)
+        batch = prepare_batch(part, max(e.n_visits for e in part), scorer.pixel_mean,
+                              scorer.pixel_std, scorer.cfg.np_dtype)
+        fp = forward_sequences(params, scorer.cfg, batch)
         for i, eye in enumerate(part):
             scores = extract_attention(fp, i)
             j_i = len(scores)

@@ -24,10 +24,11 @@ import contextlib
 import json
 import os
 import struct
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import JsonConfig
 from .encoders import augment_images, standardize
 from .errors import ConfigError, DataError
 from .model import SequenceBatch
@@ -42,7 +43,7 @@ IMAGE_DIR = "imgs"
 
 
 @dataclass(frozen=True)
-class CohortConfig:
+class CohortConfig(JsonConfig):
     n_patients: int = 1000
     eyes_per_patient: int = 2
     step_months: int = 6
@@ -87,15 +88,6 @@ class CohortConfig:
     def grid(self) -> TimeGrid:
         return TimeGrid(step_months=self.step_months, j_max=self.j_max)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "CohortConfig":
-        d = dict(d)
-        if "gain_range" in d:
-            d["gain_range"] = tuple(d["gain_range"])
-        return CohortConfig(**d)
 
 
 @dataclass
@@ -430,7 +422,7 @@ def load_dataset(path: str, load_images: bool = True) -> tuple[list[EyeRecord], 
         raise DataError(f"no dataset manifest under {path}")
     cfg_path, truth_path = os.path.join(path, CONFIG_NAME), os.path.join(path, TRUTH_NAME)
     with _reading(cfg_path), open(cfg_path) as fh:
-        cfg = CohortConfig.from_dict(json.load(fh))
+        cfg = CohortConfig.from_dict(json.load(fh), "cohort")
     truth = {}
     with _reading(truth_path), open(truth_path) as fh:
         for line in list(fh)[1:]:

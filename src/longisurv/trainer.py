@@ -13,10 +13,11 @@ from __future__ import annotations
 import copy
 import logging
 import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import JsonConfig
 from .encoders import augment_images, pixel_stats, standardize
 from .errors import ConfigError, EmptyCellError, NumericalError
 from .losses import LossConfig, sequence_loss, baseline_loss
@@ -32,7 +33,7 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     max_epochs: int = 50
     patience: int = 10
     lr: float = 1e-4
@@ -49,12 +50,6 @@ class TrainConfig:
             raise ConfigError("epochs, patience and batch size must be positive")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["val_t_years"] = list(self.val_t_years)
-        d["val_dt_years"] = list(self.val_dt_years)
-        return d
 
 
 @dataclass
@@ -172,7 +167,7 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
     record = {
         "model": model_cfg.to_dict(),
         "train": train_cfg.to_dict(),
-        "loss": {"beta": loss_cfg.beta, "variant": loss_cfg.variant},
+        "loss": loss_cfg.to_dict(),
         "pixel_mean": px_mean,
         "pixel_std": px_std,
         "l_max": l_max,

@@ -4,8 +4,10 @@ import shutil
 
 import pytest
 
+from longisurv import cli
 from longisurv.cli import main
 from longisurv.model import load_checkpoint, save_checkpoint
+from longisurv.synthcohort import load_dataset, save_dataset
 
 
 SMOKE_COHORT = {"n_patients": 40, "target_censoring": 0.6,
@@ -183,7 +185,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit", [
         lambda cfg: cfg.update(n_patinets=cfg.pop("n_patients")),   # unknown key
         lambda cfg: cfg.update(n_patients=str(cfg["n_patients"])),  # wrong type
-    ], ids=["unknown_key", "wrong_type"])
+        lambda cfg: cfg.update(j_max=float(cfg["j_max"])),          # float for an int
+    ], ids=["unknown_key", "wrong_type", "float_j_max"])
     def test_misfit_cohort_config_is_data_error(self, workspace, tmp_path, capsys, edit):
         dataset = tmp_path / "dataset"
         shutil.copytree(workspace["dataset"], dataset)
@@ -199,7 +202,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit", [
         lambda model: model.update(embed_dmi=model.pop("embed_dim")),  # unknown key
         lambda model: model.update(embed_dim=str(model["embed_dim"])),  # wrong type
-    ], ids=["unknown_key", "wrong_type"])
+        lambda model: model.update(n_layers=float(model["n_layers"])),  # float for an int
+        lambda model: model.update(n_heads=0),
+        lambda model: model.update(conv_widths=[]),
+    ], ids=["unknown_key", "wrong_type", "float_n_layers", "no_heads", "no_conv_widths"])
     def test_misfit_model_config_is_data_error(self, workspace, tmp_path, capsys, edit):
         def damage(ckpt):
             record = json.loads((ckpt / "config.json").read_text())
@@ -208,6 +214,38 @@ class TestExitCodes:
 
         code, err = self._evaluate_broken_checkpoint(workspace, tmp_path, capsys, damage)
         assert code == 3 and "config.json" in err
+
+    @pytest.mark.parametrize("model", [{"n_heads": 0}, {"conv_widths": []}],
+                             ids=["no_heads", "no_conv_widths"])
+    def test_unbuildable_model_config_is_config_error(self, workspace, tmp_path, capsys,
+                                                      model):
+        cfg = write_json(tmp_path / "c.json", {"model": model})
+        code = main(["train", "--seed", "1", "--out", str(tmp_path / "x"),
+                     "--dataset", workspace["dataset"], "--config", cfg])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "attention"])
+    @pytest.mark.parametrize("edit", [
+        lambda record: record.pop("pixel_mean"),
+        lambda record: record.update(pixel_mean="x"),
+        lambda record: record.update(pixel_mean=[0.2, 0.3]),   # a 1-channel model
+    ], ids=["missing", "not_a_list", "two_channels"])
+    def test_misfit_pixel_stats_are_data_error(self, workspace, tmp_path, capsys,
+                                               command, edit):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace["ckpt"], ckpt)
+        record = json.loads((ckpt / "config.json").read_text())
+        edit(record)
+        write_json(ckpt / "config.json", record)
+        args = ["--ckpt", str(ckpt), "--dataset", workspace["dataset"],
+                "--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            args += ["--seed", "1", "--bootstrap", "2"]
+        code = main([command] + args)
+        err = capsys.readouterr().err
+        assert code == 3 and str(ckpt) in err and "pixel_mean" in err
+        assert "Traceback" not in err
 
     def test_saturated_hazard_is_numerical_failure(self, workspace, tmp_path, capsys):
         # a float32 hazard of exactly 1.0 gives S(t) = 0 inside every window
@@ -257,6 +295,23 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "(0 events)" in out
         assert "100.0%" in out
+
+    def test_config_tuple_equals_the_saved_one(self, tmp_path, monkeypatch):
+        built = []
+
+        def save(path, eyes, cfg):
+            built.append(cfg)
+            save_dataset(path, eyes, cfg)
+
+        monkeypatch.setattr(cli, "save_dataset", save)
+        cfg = write_json(tmp_path / "c.json", {"n_patients": 8, "target_censoring": 0.7,
+                                                  "hazard_intercept": -11.0,
+                                                  "gain_range": [0.5, 1.5]})
+        assert main(["simulate", "--seed", "5", "--out", str(tmp_path / "d"),
+                     "--config", cfg]) == 0
+        _, loaded = load_dataset(str(tmp_path / "d"))
+        assert built == [loaded] and loaded.gain_range == (0.5, 1.5)
+        assert hash(built[0]) == hash(loaded)
 
     def test_summary_fields_printed(self, workspace, capsys, tmp_path):
         cfg = write_json(tmp_path / "c.json", SMOKE_COHORT)
