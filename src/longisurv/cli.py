@@ -1,10 +1,9 @@
 """Command-line surface: simulate, train, evaluate, compare, attention, plot.
 
 Every subcommand is reproducible from its inputs and --seed alone and
-writes deterministic bytes. Times on the command line are years, in grid
-steps internally. Presets and `--config` sections go through the config
-classes' ``from_dict``, as saved configs do. Exit codes: 0 success, 2 config
-error, 3 data error, 4 numerical failure.
+writes deterministic bytes; times on the command line are years. Presets and
+`--config` sections are read by the config classes' ``from_dict``, as saved
+configs are. Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
 from __future__ import annotations
 

@@ -244,8 +244,7 @@ class OracleScorer:
 
 
 class ModelScorer:
-    """Curves from a checkpoint record (the one reader of its model config and
-    pixel statistics), each from the visits seen by its time."""
+    """Curves from a checkpoint record, each from the visits seen by its time."""
 
     def __init__(self, params: dict, record: dict):
         self.params = params

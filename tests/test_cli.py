@@ -205,7 +205,10 @@ class TestExitCodes:
         lambda model: model.update(n_layers=float(model["n_layers"])),  # float for an int
         lambda model: model.update(n_heads=0),
         lambda model: model.update(conv_widths=[]),
-    ], ids=["unknown_key", "wrong_type", "float_n_layers", "no_heads", "no_conv_widths"])
+        lambda model: model.update(dropout=True),                       # bool for a float
+        lambda model: model.update(conv_widths=8),                      # scalar for a tuple
+    ], ids=["unknown_key", "wrong_type", "float_n_layers", "no_heads", "no_conv_widths",
+            "bool", "scalar_for_tuple"])
     def test_misfit_model_config_is_data_error(self, workspace, tmp_path, capsys, edit):
         def damage(ckpt):
             record = json.loads((ckpt / "config.json").read_text())
