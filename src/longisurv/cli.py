@@ -43,11 +43,14 @@ COHORT_PRESETS = {
 def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            values = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as ex:
         raise ConfigError(f"config file {path} is not valid JSON: {ex}")
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {values!r}")
+    return values
 
 
 def _years_list(text: str) -> tuple:
@@ -95,9 +98,11 @@ def cmd_train(args) -> int:
     eyes, cohort_cfg = load_dataset(args.dataset)
     train_eyes, val_eyes, _ = split_patients(eyes, seed=cohort_cfg.seed)
     file_cfg = _read_json(args.config) if args.config else {}
-    unknown = sorted(set(file_cfg) - {"model", "train", "loss"})
-    if unknown:
-        raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
+    bad = sorted(k for k, v in file_cfg.items()
+                 if k not in ("model", "train", "loss") or not isinstance(v, dict))
+    if bad:
+        raise ConfigError(f"{args.config}: unknown or non-object config section(s): "
+                          f"{', '.join(bad)}")
 
     model_over = {"kind": args.kind, "j_max": cohort_cfg.j_max,
                   "step_months": cohort_cfg.step_months,

@@ -1,15 +1,23 @@
 """The one JSON form of every config dataclass: an object of its fields,
 tuples written as lists. `--config`, presets, `cohort.json` and a checkpoint's
 `config.json` are all read by ``from_dict``, which checks keys and JSON types
-before the class checks ranges."""
+(elements of tuple fields included) before the class checks ranges."""
 import dataclasses
 import typing
 
 from .errors import ConfigError
 
 # JSON types each field annotation takes; a bool is never a number here
-_JSON_TYPES = {int: int, float: (int, float), str: str, tuple: (list, tuple),
-               type(None): type(None)}
+_JSON_TYPES = {int: int, float: (int, float), str: str, type(None): type(None)}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation; ``tuple[T, ...]`` takes a list of T."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _fits(v, typing.get_args(hint)[0]) for v in value)
+    types = tuple(_JSON_TYPES[t] for t in typing.get_args(hint) or (hint,))
+    return not isinstance(value, bool) and isinstance(value, types)
 
 
 class JsonConfig:
@@ -26,8 +34,7 @@ class JsonConfig:
             raise ConfigError(f"unknown {where} config key(s): {', '.join(unknown)}")
         hints = typing.get_type_hints(cls)
         for key, value in values.items():
-            types = tuple(_JSON_TYPES[t] for t in typing.get_args(hints[key]) or (hints[key],))
-            if isinstance(value, bool) or not isinstance(value, types):
+            if not _fits(value, hints[key]):
                 raise ConfigError(f"{where}.{key} has the wrong type: {value!r}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 

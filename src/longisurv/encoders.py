@@ -9,6 +9,7 @@ boundary.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diffgraph as dg
 from .errors import ConfigError, DataError
@@ -88,19 +89,20 @@ def augment_images(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Training-time augmentation: additive pixel noise and small translations.
 
     Each is applied independently with probability 0.5 per image; outputs
-    are clipped back to [0, 1].
+    are clipped back to [0, 1]. A shifted image is rolled by (dy, dx) before
+    its noise is added, and the noise is one draw of shape (n_noise, C, H, W),
+    which equals per-image draws in image order.
     """
-    out = images.copy()
-    n = out.shape[0]
+    n, c, h, w = images.shape
     noise_on = rng.random(n) < 0.5
     shift_on = rng.random(n) < 0.5
-    shifts = rng.integers(-AUG_MAX_SHIFT, AUG_MAX_SHIFT + 1, size=(n, 2))
-    for k in range(n):
-        if shift_on[k]:
-            dy, dx = int(shifts[k, 0]), int(shifts[k, 1])
-            out[k] = np.roll(out[k], (dy, dx), axis=(-2, -1))
-        if noise_on[k]:
-            out[k] = out[k] + rng.normal(0.0, AUG_NOISE_SIGMA, size=out[k].shape)
+    shifts = rng.integers(-AUG_MAX_SHIFT, AUG_MAX_SHIFT + 1, size=(n, 2)) * shift_on[:, None]
+    # np.roll by (dy, dx) is the (h, w) window at (m - dy, m - dx) of a wrap-padded image
+    m = AUG_MAX_SHIFT
+    padded = np.pad(images, ((0, 0), (0, 0), (m, m), (m, m)), mode="wrap")
+    windows = sliding_window_view(padded, (h, w), axis=(2, 3))
+    out = windows[np.arange(n), :, m - shifts[:, 0], m - shifts[:, 1]]
+    out[noise_on] += rng.normal(0.0, AUG_NOISE_SIGMA, size=(noise_on.sum(), c, h, w))
     return np.clip(out, 0.0, 1.0)
 
 

@@ -41,7 +41,7 @@ class ModelConfig(JsonConfig):
     step_months: int = 6
     image_size: int = 32
     image_channels: int = 1
-    conv_widths: tuple = (8, 16, 32)
+    conv_widths: tuple[int, ...] = (8, 16, 32)
     dtype: str = "float64"
 
     def __post_init__(self):

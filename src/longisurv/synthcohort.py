@@ -14,9 +14,18 @@ progression rate regardless of it.
 
 Censoring combines an administrative end of follow-up with a random
 dropout whose per-step probability is tuned by bisection so the expected
-censoring rate hits a configurable target. Generation is deterministic
-from (config, seed): every random draw comes from a counter-based stream
-keyed by patient and eye index.
+censoring rate hits a configurable target.
+
+Generation is deterministic from (config, seed). Stream ``_stream(seed, *key)``
+draws, in order: key ``(0, p)`` the patient's drift factor; ``(1, p, e)`` the
+eye's drift factor, initial severity, ``j_max`` step noises and ``j_max`` event
+uniforms, then its administrative end; ``(2, p, e)`` the dropout step (when
+dropout is on), then visit gaps up to the outcome step; ``(3, p, e)`` blob
+centres, radii, gain and offset; ``(4, p, e)`` the observation noise, one
+(V, C, H, W) normal, which equals V per-visit draws. Streams are drawn eye by
+eye, and the arithmetic runs in one numpy pass per eye, or per grid step over
+all eyes, with a scalar loop's per-element float operations. Digests in
+``tests/test_synthcohort.py`` pin the bytes.
 """
 from __future__ import annotations
 
@@ -69,7 +78,7 @@ class CohortConfig(JsonConfig):
     hazard_intercept: float = -13.0
     # imaging: per-eye gain and activation offset confound any single frame
     obs_noise_sd: float = 0.15
-    gain_range: tuple = (0.6, 1.4)
+    gain_range: tuple[float, ...] = (0.6, 1.4)
     anatomy_offset_sd: float = 1.0
     max_blobs: int = 12
     seed: int = 0
@@ -87,7 +96,6 @@ class CohortConfig(JsonConfig):
     @property
     def grid(self) -> TimeGrid:
         return TimeGrid(step_months=self.step_months, j_max=self.j_max)
-
 
 
 @dataclass
@@ -111,44 +119,32 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _simulate_latents(cfg: CohortConfig):
     """Severity paths, hazards, candidate event steps and admin ends per eye."""
-    n_eyes = cfg.n_patients * cfg.eyes_per_patient
-    rho = cfg.patient_drift_corr
-    drifts = np.zeros(n_eyes)
-    severities = np.zeros((n_eyes, cfg.j_max + 1))
-    hazards = np.zeros((n_eyes, cfg.j_max))
-    event_candidate = np.full(n_eyes, -1, dtype=int)
-    admin_end = np.zeros(n_eyes, dtype=int)
-
+    draws = []                              # each eye's stream, in draw order
     for p in range(cfg.n_patients):
-        z_patient = float(_stream(cfg.seed, 0, p).standard_normal())
+        zp = float(_stream(cfg.seed, 0, p).standard_normal())
         for e in range(cfg.eyes_per_patient):
-            i = p * cfg.eyes_per_patient + e
             rng = _stream(cfg.seed, 1, p, e)
-            z_eye = rng.standard_normal()
-            drift = cfg.drift_mean + cfg.drift_sd * (
-                np.sqrt(rho) * z_patient + np.sqrt(1.0 - rho) * z_eye)
-            s = max(0.0, cfg.severity_init_mean
-                    + cfg.severity_init_sd * rng.standard_normal())
-            path = np.empty(cfg.j_max + 1)
-            path[0] = s
-            steps_noise = rng.normal(0.0, cfg.severity_noise_sd, size=cfg.j_max)
-            for j in range(1, cfg.j_max + 1):
-                s = max(0.0, s + drift + steps_noise[j - 1])
-                path[j] = s
-            h = _sigmoid(cfg.hazard_slope * path[1:] + cfg.hazard_intercept)
-            u = rng.random(cfg.j_max)
-            hits = np.flatnonzero(u < h)
-            drifts[i] = drift
-            severities[i] = path
-            hazards[i] = h
-            event_candidate[i] = hits[0] + 1 if len(hits) else -1
-            admin_end[i] = int(rng.integers(cfg.min_admin_steps, cfg.j_max + 1))
+            draws.append((zp, rng.standard_normal(), rng.standard_normal(),
+                          rng.normal(0.0, cfg.severity_noise_sd, size=cfg.j_max),
+                          rng.random(cfg.j_max),
+                          rng.integers(cfg.min_admin_steps, cfg.j_max + 1)))
+    z_patient, z_eye, z_init, steps_noise, u, admin_end = map(np.array, zip(*draws))
+
+    rho = cfg.patient_drift_corr
+    drifts = cfg.drift_mean + cfg.drift_sd * (
+        np.sqrt(rho) * z_patient + np.sqrt(1.0 - rho) * z_eye)
+    severities = np.zeros((len(draws), cfg.j_max + 1))
+    # np.where(s > 0, s, 0) is Python's max(0.0, s), signed zeros included
+    s = cfg.severity_init_mean + cfg.severity_init_sd * z_init
+    severities[:, 0] = s = np.where(s > 0.0, s, 0.0)
+    for j in range(1, cfg.j_max + 1):
+        s = s + drifts + steps_noise[:, j - 1]
+        severities[:, j] = s = np.where(s > 0.0, s, 0.0)
+    hazards = 1.0 / (1.0 + np.exp(-(cfg.hazard_slope * severities[:, 1:] + cfg.hazard_intercept)))
+    hits = u < hazards
+    event_candidate = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, -1)
     return drifts, severities, hazards, event_candidate, admin_end
 
 
@@ -188,32 +184,36 @@ class EyeAnatomy:
     """Per-eye rendering state: bump layout, intensity gain, activation offset."""
 
     def __init__(self, rng: np.random.Generator, cfg: CohortConfig):
-        size = cfg.image_size
-        yy, xx = np.mgrid[0:size, 0:size]
-        centers = rng.uniform(3, size - 3, size=(cfg.max_blobs, 2))
+        grid = np.arange(cfg.image_size)[None, :]
+        centers = rng.uniform(3, cfg.image_size - 3, size=(cfg.max_blobs, 2))
         radii = rng.uniform(1.5, 3.2, size=cfg.max_blobs)
-        self.basis = np.empty((cfg.max_blobs, size, size), dtype=np.float32)
-        for k in range(cfg.max_blobs):
-            d2 = (yy - centers[k, 0]) ** 2 + (xx - centers[k, 1]) ** 2
-            self.basis[k] = np.exp(-d2 / (2.0 * radii[k] ** 2))
+        d2 = (((grid - centers[:, :1]) ** 2)[:, :, None]
+              + ((grid - centers[:, 1:]) ** 2)[:, None, :])
+        # scalar powers: an array square can differ from pow(r, 2) in the last bit
+        two_r2 = 2.0 * np.array([r ** 2 for r in radii])
+        self.basis = np.exp(-d2 / two_r2[:, None, None]).astype(np.float32)
         self.gain = float(rng.uniform(*cfg.gain_range))
         self.offset = float(rng.normal(0.0, cfg.anatomy_offset_sd))
 
 
-def render_image(anatomy: EyeAnatomy, severity: float,
+def render_image(anatomy: EyeAnatomy, severity: float | np.ndarray,
                  cfg: CohortConfig) -> np.ndarray:
-    """Noise-free blob field for one severity level, channels first.
+    """Noise-free blob fields, channels first: (C, H, W) for one severity
+    level, (V, C, H, W) for a 1-D array of V levels.
 
     The eye's activation offset shifts which blobs light up at a given
     severity, so absolute severity is not identifiable from one frame.
     """
     k = np.arange(cfg.max_blobs)
     thresholds = 8.0 * k / cfg.max_blobs
-    apparent = severity - anatomy.offset
+    apparent = np.asarray(severity, dtype=float)[..., None] - anatomy.offset
     weights = np.clip(0.9 * (apparent - thresholds), 0.0, 1.0) * 0.6 * anatomy.gain
-    img = np.clip(0.08 + (weights[:, None, None] * anatomy.basis).sum(axis=0),
-                  0.0, 1.0)
-    return np.repeat(img[None, :, :], cfg.image_channels, axis=0).astype(np.float32)
+    # blob axis summed in order; weights fall with k, and the blobs past the
+    # last lit one would only add exact zeros
+    n = int((weights > 0.0).sum(axis=-1).max())
+    lit = weights[..., :n, None, None] * anatomy.basis[:n]
+    img = np.clip(0.08 + lit.sum(axis=-3), 0.0, 1.0)
+    return np.repeat(img[..., None, :, :], cfg.image_channels, axis=-3).astype(np.float32)
 
 
 def generate_cohort(cfg: CohortConfig, render_images: bool = True) -> list[EyeRecord]:
@@ -223,28 +223,20 @@ def generate_cohort(cfg: CohortConfig, render_images: bool = True) -> list[EyeRe
 
     eyes = []
     pad = len(str(cfg.n_patients))
+    gaps = (cfg.min_gap_steps, cfg.max_gap_steps + 1)
     for p in range(cfg.n_patients):
         for e in range(cfg.eyes_per_patient):
             i = p * cfg.eyes_per_patient + e
             rng = _stream(cfg.seed, 2, p, e)
-            if p_drop > 0.0:
-                dropout = int(rng.geometric(p_drop))
-            else:
-                dropout = cfg.j_max + 1
+            dropout = int(rng.geometric(p_drop)) if p_drop > 0.0 else cfg.j_max + 1
             end = min(int(admin_end[i]), dropout)
             tau_e = int(event_candidate[i])
-            if 0 < tau_e <= end:
-                outcome = EventOutcome(event_step=tau_e, censored=False)
-            else:
-                outcome = EventOutcome(event_step=min(end, cfg.j_max), censored=True)
+            event = 0 < tau_e <= end
+            outcome = EventOutcome(tau_e if event else min(end, cfg.j_max), not event)
 
             # visits strictly before the outcome step; enrollment at month 0
             steps = [0]
-            while True:
-                gap = int(rng.integers(cfg.min_gap_steps, cfg.max_gap_steps + 1))
-                nxt = steps[-1] + gap
-                if nxt >= outcome.event_step:
-                    break
+            while (nxt := steps[-1] + int(rng.integers(*gaps))) < outcome.event_step:
                 steps.append(nxt)
             visit_steps = np.array(steps, dtype=int)
             sev = severities[i][visit_steps]
@@ -252,24 +244,16 @@ def generate_cohort(cfg: CohortConfig, render_images: bool = True) -> list[EyeRe
             images = None
             if render_images:
                 anatomy = EyeAnatomy(_stream(cfg.seed, 3, p, e), cfg)
-                noise_rng = _stream(cfg.seed, 4, p, e)
-                images = np.empty((len(visit_steps), cfg.image_channels,
-                                   cfg.image_size, cfg.image_size), dtype=np.float32)
-                for v, s in enumerate(sev):
-                    img = render_image(anatomy, float(s), cfg)
-                    img = img + noise_rng.normal(0, cfg.obs_noise_sd, img.shape)
-                    images[v] = np.clip(img, 0.0, 1.0)
+                clean = render_image(anatomy, sev, cfg)
+                noisy = _stream(cfg.seed, 4, p, e).normal(0, cfg.obs_noise_sd, clean.shape)
+                noisy += clean
+                images = np.clip(noisy, 0.0, 1.0, out=noisy).astype(np.float32)
 
+            pid = f"p{p:0{pad}d}"
             eyes.append(EyeRecord(
-                patient_id=f"p{p:0{pad}d}",
-                eye_id=f"p{p:0{pad}d}_e{e}",
-                visit_months=visit_steps * cfg.step_months,
-                images=images,
-                outcome=outcome,
-                drift=float(drifts[i]),
-                severities=sev.astype(float),
-                true_hazard=hazards[i].astype(float),
-            ))
+                patient_id=pid, eye_id=f"{pid}_e{e}", visit_months=visit_steps * cfg.step_months,
+                images=images, outcome=outcome, drift=float(drifts[i]),
+                severities=sev.astype(float), true_hazard=hazards[i].astype(float)))
     return eyes
 
 

@@ -42,8 +42,8 @@ class TrainConfig(JsonConfig):
     batch_size_sequences: int = 32
     improvement_epsilon: float = 1e-6
     seed: int = 0
-    val_t_years: tuple = DEFAULT_T_YEARS
-    val_dt_years: tuple = DEFAULT_DT_YEARS
+    val_t_years: tuple[float, ...] = DEFAULT_T_YEARS
+    val_dt_years: tuple[float, ...] = DEFAULT_DT_YEARS
 
     def __post_init__(self):
         if self.max_epochs < 1 or self.patience < 1 or self.batch_size_sequences < 1:

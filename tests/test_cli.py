@@ -186,7 +186,8 @@ class TestExitCodes:
         lambda cfg: cfg.update(n_patinets=cfg.pop("n_patients")),   # unknown key
         lambda cfg: cfg.update(n_patients=str(cfg["n_patients"])),  # wrong type
         lambda cfg: cfg.update(j_max=float(cfg["j_max"])),          # float for an int
-    ], ids=["unknown_key", "wrong_type", "float_j_max"])
+        lambda cfg: cfg.update(gain_range=[True, 1.4]),             # bool in a tuple
+    ], ids=["unknown_key", "wrong_type", "float_j_max", "bool_in_tuple"])
     def test_misfit_cohort_config_is_data_error(self, workspace, tmp_path, capsys, edit):
         dataset = tmp_path / "dataset"
         shutil.copytree(workspace["dataset"], dataset)
@@ -207,8 +208,9 @@ class TestExitCodes:
         lambda model: model.update(conv_widths=[]),
         lambda model: model.update(dropout=True),                       # bool for a float
         lambda model: model.update(conv_widths=8),                      # scalar for a tuple
+        lambda model: model.update(conv_widths=[2.5, 4, 4]),            # float in an int tuple
     ], ids=["unknown_key", "wrong_type", "float_n_layers", "no_heads", "no_conv_widths",
-            "bool", "scalar_for_tuple"])
+            "bool", "scalar_for_tuple", "float_in_tuple"])
     def test_misfit_model_config_is_data_error(self, workspace, tmp_path, capsys, edit):
         def damage(ckpt):
             record = json.loads((ckpt / "config.json").read_text())
@@ -227,6 +229,20 @@ class TestExitCodes:
                      "--dataset", workspace["dataset"], "--config", cfg])
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload, named", [
+        ("simulate", [1], "c.json"),
+        ("train", {"model": [1]}, "non-object config section(s): model"),
+        ("train", {"model": {"conv_widths": [2.5, 4, 4]}}, "model.conv_widths"),
+    ], ids=["non_object_file", "non_object_section", "float_in_tuple"])
+    def test_misfit_config_file_is_config_error(self, workspace, tmp_path, capsys,
+                                                command, payload, named):
+        cfg = write_json(tmp_path / "c.json", payload)
+        args = ["--dataset", workspace["dataset"]] if command == "train" else []
+        code = main([command, "--seed", "1", "--out", str(tmp_path / "x"),
+                     "--config", cfg] + args)
+        err = capsys.readouterr().err
+        assert code == 2 and named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["evaluate", "attention"])
     @pytest.mark.parametrize("edit", [

@@ -13,7 +13,7 @@ from longisurv.trainer import TrainConfig
 
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
 TUPLES = st.lists(st.floats(0.1, 20.0), min_size=1, max_size=5).map(tuple)
-BY_TYPE = {int: st.integers(1, 40), float: FLOATS, tuple: TUPLES}
+BY_TYPE = {int: st.integers(1, 40), float: FLOATS, tuple[float, ...]: TUPLES}
 
 # fields whose class checks a range or a choice the type alone does not give
 CONSTRAINED = {

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from longisurv import diffgraph as dg
-from longisurv.encoders import (temporal_encode, relative_encode, encode_images,
+from longisurv.encoders import (AUG_MAX_SHIFT, AUG_NOISE_SIGMA, temporal_encode,
+                                relative_encode, encode_images,
                                 conv_encoder_param_shapes, augment_images,
                                 pixel_stats, standardize)
 from longisurv.errors import ConfigError, DataError
@@ -99,7 +100,36 @@ class TestImageEncoder:
             conv_encoder_param_shapes(1, 20, 64)
 
 
+def augment_images_per_image(images, rng):
+    """Reference augmentation: one image at a time, a roll then a noise draw each."""
+    out = images.copy()
+    n = out.shape[0]
+    noise_on = rng.random(n) < 0.5
+    shift_on = rng.random(n) < 0.5
+    shifts = rng.integers(-AUG_MAX_SHIFT, AUG_MAX_SHIFT + 1, size=(n, 2))
+    for k in range(n):
+        if shift_on[k]:
+            dy, dx = int(shifts[k, 0]), int(shifts[k, 1])
+            out[k] = np.roll(out[k], (dy, dx), axis=(-2, -1))
+        if noise_on[k]:
+            out[k] = out[k] + rng.normal(0.0, AUG_NOISE_SIGMA, size=out[k].shape)
+    return np.clip(out, 0.0, 1.0)
+
+
 class TestPixelPipeline:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("shape, dtype", [
+        ((96, 1, 32, 32), np.float32), ((24, 3, 16, 16), np.float32),
+        ((9, 2, 8, 12), np.float64), ((1, 1, 8, 8), np.float32),
+    ], ids=["desk", "three_channels", "float64_nonsquare", "one_image"])
+    def test_augment_equals_per_image_loop(self, seed, shape, dtype):
+        imgs = np.random.default_rng(100 + seed).uniform(0, 1, shape).astype(dtype)
+        imgs[1::3] = 0.0                        # padded slots, as prepare_batch leaves them
+        a = augment_images(imgs, np.random.default_rng(seed))
+        b = augment_images_per_image(imgs, np.random.default_rng(seed))
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
     def test_augment_stays_in_range_and_shape(self, rng):
         imgs = rng.uniform(0, 1, (10, 1, 16, 16)).astype(np.float32)
         out = augment_images(imgs, np.random.default_rng(5))

@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from longisurv.cli import COHORT_PRESETS
 from longisurv.errors import ConfigError, DataError
-from longisurv.synthcohort import (CohortConfig, generate_cohort, split_patients,
-                                   pad_and_batch, summary_stats, save_dataset,
-                                   load_dataset)
+from longisurv.synthcohort import (CohortConfig, EyeAnatomy, _stream, generate_cohort,
+                                   split_patients, pad_and_batch, render_image,
+                                   summary_stats, save_dataset, load_dataset)
 
 
 def small_cfg(**over):
@@ -73,6 +76,51 @@ class TestGeneration:
         lum = np.concatenate([e.images.mean(axis=(1, 2, 3)) for e in eyes])
         lo, hi = lum[sev < 1.0], lum[sev > 4.0]
         assert len(lo) and len(hi) and hi.mean() > lo.mean() + 0.05
+
+
+def cohort_digest(eyes) -> str:
+    """sha256 over every eye's id, outcome, drift and arrays (dtype, shape, bytes)."""
+    h = hashlib.sha256()
+    for e in eyes:
+        h.update(e.eye_id.encode())
+        h.update(repr((e.outcome.event_step, e.outcome.censored, e.drift)).encode())
+        for a in (e.visit_months, e.severities, e.true_hazard, e.images):
+            if a is not None:
+                h.update(a.dtype.str.encode())
+                h.update(repr(a.shape).encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenBytes:
+    """The simulator's output bytes, pinned by digests of the scalar-loop
+    simulator (numpy 2.4, x86-64). A change here changes every cohort, so it
+    has to say so and re-pin them."""
+
+    @pytest.mark.parametrize("over, render, digest", [
+        (dict(n_patients=40, seed=11), True,
+         "17b183afd56a663b0aa1c949618b16f82d3688fa4331040c697e158bd2362f85"),
+        (dict(COHORT_PRESETS["ohts_like"], n_patients=40, seed=5), True,
+         "23f2fcf45c73d8cebef218f374fd9af32295fb659cde31580c96a38e63936e20"),
+        (dict(n_patients=30, seed=3, image_channels=3, image_size=16), True,
+         "4220976b9444682a0e58c421a646445efc1cd6e54672fd000fd3e2270c2060a8"),
+        (dict(n_patients=60, seed=9), False,
+         "9a85af84c08e5ee159cffb15ccda4c6b7f71304cd29885e8a391239fc045edf3"),
+    ], ids=["areds_like", "ohts_like", "three_channels_16px", "no_images"])
+    def test_cohort_digest(self, over, render, digest):
+        assert cohort_digest(generate_cohort(CohortConfig(**over), render)) == digest
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_array_render_equals_stacked_scalar_renders(self, channels):
+        cfg = CohortConfig(image_channels=channels)
+        anatomy = EyeAnatomy(_stream(5, 3, 0, 0), cfg)
+        # from no lit blob through every blob lit
+        severities = np.array([0.0, 0.3, 1.7, 2.25, 4.0, 6.5, 9.0, 14.0]) + anatomy.offset
+        batch = render_image(anatomy, severities, cfg)
+        stacked = np.stack([render_image(anatomy, float(s), cfg) for s in severities])
+        assert batch.shape == (8, channels, 32, 32) and batch.dtype == np.float32
+        assert batch.tobytes() == stacked.tobytes()
+        assert render_image(anatomy, severities[:1], cfg).tobytes() == stacked[:1].tobytes()
 
 
 class TestSplit:
