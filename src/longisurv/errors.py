@@ -4,6 +4,7 @@ CLI exit codes map onto these: ConfigError -> 2, DataError -> 3,
 NumericalError -> 4. EmptyCellError is a flow-control signal for metric
 cells with no comparable pairs, not a failure.
 """
+import contextlib
 
 
 class LongisurvError(Exception):
@@ -32,3 +33,14 @@ class DegenerateConditioningError(NumericalError):
 
 class EmptyCellError(LongisurvError):
     """A (t, dt) metric cell has no comparable pairs / empty risk set."""
+
+
+@contextlib.contextmanager
+def reading(path: str):
+    """Turn a missing or malformed file (a config or a value check included)
+    into a DataError naming it."""
+    try:
+        yield
+    except (OSError, EOFError, ValueError, TypeError, KeyError, ConfigError,
+            DataError) as ex:
+        raise DataError(f"cannot read {path}: {ex}")

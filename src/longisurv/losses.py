@@ -20,11 +20,7 @@ for the eyes at highest risk, so late rows learn to under-rank the very
 eyes a late prediction must find. This is the dynamic-prediction
 likelihood of Dynamic-DeepHit (Lee et al., 2019), and both model kinds use
 it: the baseline's row is its eye's last visit. With v = 0 it is the plain
-likelihood from the first step. The default
-"weighted" variant keeps the two terms separate as written above;
-``variant="combined"`` additionally counts the uncensored log-likelihood
-inside the main term, which collapses to a coefficient of 1 on the
-uncensored term.
+likelihood from the first step.
 
 The auxiliary part is a scale-free step-ahead error. Each position predicts
 the next visit's image embedding; the target is that embedding,
@@ -58,7 +54,6 @@ from .errors import ConfigError, DataError
 from .model import ForwardPass
 from .survival import EventOutcome
 
-LOSS_VARIANTS = ("weighted", "combined")
 # Smallest vector length the step-ahead term divides by.
 UNIT_FLOOR = 1e-12
 
@@ -66,22 +61,14 @@ UNIT_FLOOR = 1e-12
 @dataclass(frozen=True)
 class LossConfig(JsonConfig):
     beta: float = 0.15
-    variant: str = "weighted"
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if self.variant not in LOSS_VARIANTS:
-            raise ConfigError(f"variant must be one of {LOSS_VARIANTS}")
-
-    @property
-    def uncensored_coef(self) -> float:
-        return 1.0 if self.variant == "combined" else self.beta
 
 
 def survival_loss(hazard: np.ndarray, outcome: EventOutcome,
-                  beta: float = 0.15, variant: str = "weighted",
-                  start_step: int = 0) -> float:
+                  beta: float = 0.15, start_step: int = 0) -> float:
     """Scalar survival loss for one hazard curve, conditioned on survival
     through ``start_step`` (reference implementation)."""
     h = np.asarray(hazard, dtype=float)
@@ -98,8 +85,7 @@ def survival_loss(hazard: np.ndarray, outcome: EventOutcome,
     c = 1.0 if outcome.censored else 0.0
     l_ce = -c * np.log(s_tau)
     l_unc = -(1.0 - c) * (np.log(s_prev) + np.log(max(float(h[tau - 1]), clamp)))
-    coef = 1.0 if variant == "combined" else beta
-    return float((1.0 - beta) * l_ce + coef * l_unc)
+    return float((1.0 - beta) * l_ce + beta * l_unc)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -145,7 +131,7 @@ def survival_loss_rows(hz: dg.Node, event_steps: np.ndarray, censored: np.ndarra
     l_ce = -dg.sum_all(log_1mh * dg.constant(sel_ce))
     l_unc = -(dg.sum_all(log_1mh * dg.constant(sel_s_unc))
               + dg.sum_all(dg.log(hz) * dg.constant(sel_h_unc)))
-    return dg.scale(l_ce, (1.0 - cfg.beta) / n) + dg.scale(l_unc, cfg.uncensored_coef / n)
+    return dg.scale(l_ce, (1.0 - cfg.beta) / n) + dg.scale(l_unc, cfg.beta / n)
 
 
 def shifted_targets(fp: ForwardPass) -> np.ndarray:

@@ -23,7 +23,7 @@ from . import diffgraph as dg
 from .config import JsonConfig
 from .encoders import (conv_encoder_param_shapes, encode_images,
                        temporal_encode, relative_encode)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 
 KIND_LONGITUDINAL = "longitudinal"
 KIND_BASELINE = "baseline"
@@ -313,21 +313,22 @@ def save_checkpoint(path: str, params: dict, record: dict) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict]:
-    """Read a checkpoint directory; a malformed file is a DataError naming it."""
-    manifest = os.path.join(path, MANIFEST_NAME)
+    """Read a checkpoint directory; a malformed file is a DataError naming it.
+
+    The tensors must have the names, shapes and dtypes that ``init_params``
+    gives the record's model config.
+    """
+    manifest, blob_path, record_path = (os.path.join(path, name)
+                                        for name in (MANIFEST_NAME, BLOB_NAME, RECORD_NAME))
     if not os.path.isfile(manifest):
         raise DataError(f"not a checkpoint directory: {path}")
-    try:
-        with (open(manifest) as fh, open(os.path.join(path, BLOB_NAME), "rb") as bfh,
-              open(os.path.join(path, RECORD_NAME)) as rfh):
-            rows = [line.rstrip("\n").split("\t") for line in fh][1:]
-            blob, record = bfh.read(), json.load(rfh)
-    except (OSError, ValueError) as ex:
-        raise DataError(f"unreadable checkpoint {path}: {ex}")
-    try:
-        ModelConfig.from_dict(record["model"], "model")
-    except (KeyError, TypeError, ConfigError) as ex:
-        raise DataError(f"{os.path.join(path, RECORD_NAME)}: bad model config: {ex!r}")
+    with reading(record_path), open(record_path) as fh:
+        record = json.load(fh)
+        cfg = ModelConfig.from_dict(record["model"], "model")
+    with reading(manifest), open(manifest) as fh:
+        rows = [line.rstrip("\n").split("\t") for line in fh][1:]
+    with reading(blob_path), open(blob_path, "rb") as fh:
+        blob = fh.read()
     params = {}
     for line_no, row in enumerate(rows, start=2):
         try:
@@ -337,5 +338,12 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
                                 count=int(np.prod(shape)) if shape else 1)
             params[name] = arr.astype(dtype_name).reshape(shape).copy()
         except (ValueError, KeyError) as ex:
-            raise DataError(f"{manifest} line {line_no}: no tensor in {BLOB_NAME}: {ex!r}")
+            raise DataError(f"{manifest} line {line_no}: no tensor in {blob_path}: {ex!r}")
+    layout = {name: (arr.shape, arr.dtype) for name, arr in init_params(cfg, 0).items()}
+    found = {name: (arr.shape, arr.dtype) for name, arr in params.items()}
+    if found != layout:
+        differ = sorted(name for name in layout.keys() | found.keys()
+                        if layout.get(name) != found.get(name))
+        raise DataError(f"{manifest}: tensors differ from the {cfg.kind} model's layout: "
+                        f"{', '.join(differ)}")
     return params, record

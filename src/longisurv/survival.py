@@ -42,10 +42,6 @@ class TimeGrid:
             )
         return step
 
-    def months_to_step(self, v_months: float) -> int:
-        """Convert months since enrollment to the nearest grid step."""
-        return self.time_to_step(v_months / 12.0)
-
     def step_to_years(self, step: int) -> float:
         return step * self.step_months / 12.0
 

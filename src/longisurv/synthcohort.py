@@ -26,29 +26,32 @@ centres, radii, gain and offset; ``(4, p, e)`` the observation noise, one
 eye, and the arithmetic runs in one numpy pass per eye, or per grid step over
 all eyes, with a scalar loop's per-element float operations. Digests in
 ``tests/test_synthcohort.py`` pin the bytes.
+
+On disk a dataset is a directory of four files. ``manifest.tsv`` has one row
+per visit (patient, eye, month, outcome step, censoring flag 0 or 1), each
+eye's rows consecutive and increasing in month. ``images.npy`` is one
+(rows, C, H, W) float32 array whose image k is row k's visit, so a loaded
+eye's images are a view of it. ``truth.tsv`` holds each eye's hidden drift,
+severities and hazards, and ``cohort.json`` the config.
 """
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import JsonConfig
 from .encoders import augment_images, standardize
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 from .model import SequenceBatch
 from .survival import EventOutcome, TimeGrid
-
-IMAGE_MAGIC = 0x4D49534C  # "LSIM" little-endian
 
 MANIFEST_NAME = "manifest.tsv"
 TRUTH_NAME = "truth.tsv"
 CONFIG_NAME = "cohort.json"
-IMAGE_DIR = "imgs"
+IMAGES_NAME = "images.npy"
 
 
 @dataclass(frozen=True)
@@ -339,27 +342,6 @@ def summary_stats(eyes: list[EyeRecord], grid: TimeGrid) -> dict:
 # on-disk dataset format
 # ---------------------------------------------------------------------------
 
-def _write_image(path: str, img: np.ndarray) -> None:
-    c, h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<IIII", IMAGE_MAGIC, h, w, c))
-        fh.write(np.ascontiguousarray(img, dtype="<f4").tobytes())
-
-
-def _read_image(path: str) -> np.ndarray:
-    with _reading(path), open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise DataError(f"truncated image header: {path}")
-        magic, h, w, c = struct.unpack("<IIII", header)
-        if magic != IMAGE_MAGIC:
-            raise DataError(f"bad image magic in {path}")
-        data = np.frombuffer(fh.read(4 * c * h * w), dtype="<f4")
-        if data.size != c * h * w:
-            raise DataError(f"truncated image data: {path}")
-    return data.reshape(c, h, w).astype(np.float32)
-
-
 def _fmt_list(values) -> str:
     return ";".join(repr(float(v)) for v in values)
 
@@ -369,17 +351,16 @@ def _parse_list(text: str) -> np.ndarray:
 
 
 def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
-    os.makedirs(os.path.join(path, IMAGE_DIR), exist_ok=True)
-    man = ["patient_id\teye_id\tvisit_month\timage_path\tevent_step\tcensored"]
+    if any(e.images is None for e in eyes):
+        raise DataError("cannot save a cohort generated without images")
+    os.makedirs(path, exist_ok=True)
+    np.save(os.path.join(path, IMAGES_NAME),
+            np.concatenate([e.images for e in eyes], dtype=np.float32))
+    man = ["patient_id\teye_id\tvisit_month\tevent_step\tcensored"]
     truth = ["patient_id\teye_id\tdrift\tseverities\ttrue_hazard"]
     for e in eyes:
-        if e.images is None:
-            raise DataError("cannot save a cohort generated without images")
-        for v, month in enumerate(e.visit_months):
-            rel = f"{IMAGE_DIR}/{e.eye_id}_m{int(month):04d}.img"
-            _write_image(os.path.join(path, rel), e.images[v])
-            man.append(f"{e.patient_id}\t{e.eye_id}\t{int(month)}\t{rel}"
-                       f"\t{e.outcome.event_step}\t{int(e.outcome.censored)}")
+        man.extend(f"{e.patient_id}\t{e.eye_id}\t{int(month)}\t{e.outcome.event_step}"
+                   f"\t{int(e.outcome.censored)}" for month in e.visit_months)
         truth.append(f"{e.patient_id}\t{e.eye_id}\t{e.drift!r}"
                      f"\t{_fmt_list(e.severities)}\t{_fmt_list(e.true_hazard)}")
     with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
@@ -391,51 +372,54 @@ def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
         fh.write("\n")
 
 
-@contextlib.contextmanager
-def _reading(path: str):
-    """Turn a missing or malformed file (a config included) into a DataError naming it."""
-    try:
-        yield
-    except (OSError, ValueError, TypeError, ConfigError) as ex:
-        raise DataError(f"cannot read dataset file {path}: {ex}")
-
-
-def load_dataset(path: str, load_images: bool = True) -> tuple[list[EyeRecord], CohortConfig]:
+def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
+    """Read a dataset directory; a missing or malformed file is a DataError naming it."""
     man_path = os.path.join(path, MANIFEST_NAME)
     if not os.path.isfile(man_path):
         raise DataError(f"no dataset manifest under {path}")
-    cfg_path, truth_path = os.path.join(path, CONFIG_NAME), os.path.join(path, TRUTH_NAME)
-    with _reading(cfg_path), open(cfg_path) as fh:
+    cfg_path, truth_path, img_path = (os.path.join(path, name)
+                                      for name in (CONFIG_NAME, TRUTH_NAME, IMAGES_NAME))
+    with reading(cfg_path), open(cfg_path) as fh:
         cfg = CohortConfig.from_dict(json.load(fh), "cohort")
     truth = {}
-    with _reading(truth_path), open(truth_path) as fh:
+    with reading(truth_path), open(truth_path) as fh:
         for line in list(fh)[1:]:
             pid, eid, drift, sev, hz = line.rstrip("\n").split("\t")
             truth[eid] = (float(drift), _parse_list(sev), _parse_list(hz))
 
-    by_eye: dict[str, dict] = {}
-    with _reading(man_path), open(man_path) as fh:
-        for line in list(fh)[1:]:
-            pid, eid, month, rel, step, cens = line.rstrip("\n").split("\t")
-            rec = by_eye.setdefault(eid, {
-                "patient_id": pid, "months": [], "paths": [],
-                "outcome": EventOutcome(int(step), bool(int(cens)))})
+    by_eye: dict[str, dict] = {}              # each eye's first row, months, outcome
+    with reading(man_path), open(man_path) as fh:
+        rows = list(fh)[1:]
+        for k, line in enumerate(rows):
+            pid, eid, month, step, cens = line.rstrip("\n").split("\t")
+            if cens not in ("0", "1"):
+                raise ValueError(f"row {k + 2}: censored flag {cens!r} is not 0 or 1")
+            rec = by_eye.setdefault(eid, {"patient_id": pid, "first": k, "months": [],
+                                          "outcome": EventOutcome(int(step), cens == "1")})
+            if (k != rec["first"] + len(rec["months"])
+                    or rec["months"] and int(month) <= rec["months"][-1]):
+                raise ValueError(f"row {k + 2}: eye {eid}'s visits are not consecutive "
+                                 f"rows in increasing month order")
             rec["months"].append(int(month))
-            rec["paths"].append(rel)
+        for rec in by_eye.values():
+            rec["outcome"].validate(cfg.grid)
+    with reading(img_path):
+        images = np.load(img_path, allow_pickle=False)
+        if not isinstance(images, np.ndarray):
+            raise ValueError("holds an .npz archive, not one .npy array")
+        want = (len(rows), cfg.image_channels, cfg.image_size, cfg.image_size)
+        if images.dtype != np.float32 or images.shape != want:
+            raise ValueError(f"holds {images.dtype} {images.shape}, not float32 {want}, "
+                             f"one image per row of {man_path}")
 
     eyes = []
     for eid, rec in by_eye.items():
         if eid not in truth:
             raise DataError(f"{truth_path} has no row for eye {eid}")
-        order = np.argsort(rec["months"])
-        months = np.array(rec["months"])[order]
-        images = None
-        if load_images:
-            images = np.stack([_read_image(os.path.join(path, rec["paths"][i]))
-                               for i in order])
+        first, n = rec["first"], len(rec["months"])
         drift, sev, hz = truth[eid]
         eyes.append(EyeRecord(patient_id=rec["patient_id"], eye_id=eid,
-                              visit_months=months, images=images,
-                              outcome=rec["outcome"], drift=drift,
-                              severities=sev, true_hazard=hz))
+                              visit_months=np.array(rec["months"]),
+                              images=images[first:first + n], outcome=rec["outcome"],
+                              drift=drift, severities=sev, true_hazard=hz))
     return eyes, cfg

@@ -1,8 +1,11 @@
 import json
 import os
 import shutil
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from longisurv import cli
 from longisurv.cli import main
@@ -128,6 +131,32 @@ class TestExitCodes:
             workspace, tmp_path, capsys, lambda ckpt: os.remove(ckpt / "config.json"))
         assert code == 3 and "config.json" in err
 
+    @pytest.mark.parametrize("line_index, edit", [
+        (-1, None),                                                   # last tensor gone
+        (1, lambda f: [f[0], ",".join(reversed(f[1].split(",")))] + f[2:]),
+    ], ids=["missing_tensor", "wrong_shape"])
+    def test_tensor_layout_mismatch_is_data_error(self, workspace, tmp_path, capsys,
+                                                  line_index, edit):
+        code, err = self._evaluate_broken_checkpoint(
+            workspace, tmp_path, capsys,
+            lambda ckpt: self._edit_row(ckpt / "manifest.tsv", line_index, edit))
+        assert code == 3 and "manifest.tsv" in err and "layout" in err
+
+    @staticmethod
+    def _to_npz(path):
+        images = np.load(path)
+        with open(path, "wb") as fh:
+            np.savez(fh, images=images)
+
+    @staticmethod
+    def _swap_rows(path, same_eye):
+        """Swap the first two adjacent visit rows of one eye, or of two eyes."""
+        lines = path.read_text().splitlines()
+        eyes = [line.split("\t")[1] for line in lines]
+        k = next(k for k in range(2, len(eyes)) if (eyes[k] == eyes[k - 1]) == same_eye)
+        lines[k - 1], lines[k] = lines[k], lines[k - 1]
+        path.write_text("\n".join(lines) + "\n")
+
     @staticmethod
     def _edit_row(path, line_index, edit):
         lines = path.read_text().splitlines()
@@ -147,9 +176,22 @@ class TestExitCodes:
         (lambda d: TestExitCodes._edit_row(d / "truth.tsv", 1, lambda f: f + ["0.5"]),
          "truth.tsv"),
         (lambda d: TestExitCodes._edit_row(d / "truth.tsv", 1, None), "truth.tsv"),
-        (lambda d: os.remove(d / "imgs" / sorted(os.listdir(d / "imgs"))[0]), "imgs/"),
+        (lambda d: os.remove(d / "images.npy"), "images.npy"),
+        (lambda d: (d / "images.npy").write_bytes(b""), "images.npy"),
+        (lambda d: (d / "images.npy").write_bytes((d / "images.npy").read_bytes()[:-100]),
+         "images.npy"),
+        (lambda d: np.save(d / "images.npy", np.load(d / "images.npy")[:-1]), "images.npy"),
+        (lambda d: TestExitCodes._to_npz(d / "images.npy"), "images.npy"),
+        (lambda d: TestExitCodes._swap_rows(d / "manifest.tsv", False), "manifest.tsv"),
+        (lambda d: TestExitCodes._swap_rows(d / "manifest.tsv", True), "manifest.tsv"),
+        (lambda d: TestExitCodes._edit_row(
+            d / "manifest.tsv", 1, lambda f: f[:3] + ["99"] + f[4:]), "manifest.tsv"),
+        (lambda d: TestExitCodes._edit_row(
+            d / "manifest.tsv", 1, lambda f: f[:-1] + ["2"]), "manifest.tsv"),
     ], ids=["missing_truth", "missing_cohort_config", "visit_month", "manifest_field_count",
-            "truth_field_count", "eye_without_truth", "missing_image"])
+            "truth_field_count", "eye_without_truth", "missing_image", "empty_images",
+            "truncated_images", "one_image_too_few", "npz_archive", "eye_rows_not_consecutive",
+            "months_out_of_order", "event_step_outside_grid", "censored_flag"])
     def test_malformed_dataset_is_data_error(self, workspace, tmp_path, capsys,
                                              damage, named):
         dataset = tmp_path / "dataset"
@@ -160,6 +202,40 @@ class TestExitCodes:
                      "--bootstrap", "2"])
         err = capsys.readouterr().err
         assert code == 3 and named in err and "Traceback" not in err
+
+    # (directory, file, damage): "cut" truncates inside the content, "rows"
+    # drops trailing table rows
+    CORRUPTIONS = [("dataset", "images.npy", "cut"), ("dataset", "cohort.json", "cut"),
+                   ("dataset", "manifest.tsv", "rows"), ("dataset", "truth.tsv", "rows"),
+                   ("ckpt", "params.bin", "cut"), ("ckpt", "config.json", "cut"),
+                   ("ckpt", "manifest.tsv", "rows")]
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(corruption=st.sampled_from(CORRUPTIONS), data=st.data())
+    def test_corrupted_file_is_data_error(self, workspace, capsys, corruption, data):
+        owner, name, damage = corruption
+        with tempfile.TemporaryDirectory() as tmp:
+            dirs = {"dataset": workspace["dataset"], "ckpt": workspace["ckpt"]}
+            dirs[owner] = shutil.copytree(dirs[owner], os.path.join(tmp, owner))
+            path = os.path.join(dirs[owner], name)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            if damage == "cut":
+                # a lost trailing newline is not damage
+                content = len(raw.rstrip(b"\n")) if name.endswith(".json") else len(raw)
+                raw = raw[:data.draw(st.integers(0, content - 1), label="kept bytes")]
+            else:
+                lines = raw.splitlines(keepends=True)
+                raw = b"".join(lines[:-data.draw(st.integers(1, len(lines) - 1),
+                                                 label="dropped rows")])
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            code = main(["evaluate", "--seed", "1", "--ckpt", dirs["ckpt"],
+                         "--dataset", dirs["dataset"], "--out", os.path.join(tmp, "ev"),
+                         "--bootstrap", "2"])
+        err = capsys.readouterr().err
+        assert code == 3 and path in err and "Traceback" not in err
 
     @pytest.mark.parametrize("edit", [
         lambda f: f[:-1] + ["abc"],                  # a value that will not parse
@@ -296,14 +372,11 @@ class TestSimulate:
         for name in ("a", "b"):
             assert main(["simulate", "--seed", "5", "--out",
                          str(tmp_path / name), "--config", cfg]) == 0
-        for rel in ("manifest.tsv", "truth.tsv", "cohort.json"):
+        files = ["cohort.json", "images.npy", "manifest.tsv", "truth.tsv"]
+        assert sorted(os.listdir(tmp_path / "a")) == files
+        for rel in files:
             assert (tmp_path / "a" / rel).read_bytes() == \
                    (tmp_path / "b" / rel).read_bytes()
-        imgs = sorted(os.listdir(tmp_path / "a" / "imgs"))
-        assert imgs == sorted(os.listdir(tmp_path / "b" / "imgs"))
-        for img in imgs[:5]:
-            assert (tmp_path / "a" / "imgs" / img).read_bytes() == \
-                   (tmp_path / "b" / "imgs" / img).read_bytes()
 
     def test_zero_hazard_prints_zero_events(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json",
@@ -505,8 +578,7 @@ class TestPlot:
         assert a.startswith(b"<svg")
 
     def test_curves_two_polylines_per_model(self, workspace, tmp_path):
-        from longisurv.synthcohort import load_dataset
-        eyes, _ = load_dataset(workspace["dataset"], load_images=False)
+        eyes, _ = load_dataset(workspace["dataset"])
         with_two = [e.eye_id for e in eyes if e.visit_months[-1] >= 24][:2]
         assert len(with_two) == 2
         out = str(tmp_path / "curves.svg")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from longisurv.errors import ConfigError
-from longisurv.losses import LOSS_VARIANTS, LossConfig
+from longisurv.losses import LossConfig
 from longisurv.model import ModelConfig
 from longisurv.synthcohort import CohortConfig
 from longisurv.trainer import TrainConfig
@@ -29,7 +29,7 @@ CONSTRAINED = {
                    "min_admin_steps": st.integers(1, 27),
                    "j_max": st.integers(27, 40)},
     TrainConfig: {"lr": st.floats(1e-6, 1.0)},
-    LossConfig: {"beta": st.floats(0.0, 1.0), "variant": st.sampled_from(LOSS_VARIANTS)},
+    LossConfig: {"beta": st.floats(0.0, 1.0)},
 }
 
 

@@ -80,13 +80,6 @@ class TestSurvivalLossScalar:
         with pytest.raises(DataError):
             survival_loss(h, EventOutcome(2, True), start_step=-1)
 
-    def test_combined_variant_weighs_uncensored_fully(self):
-        h = np.array([0.2, 0.3])
-        out = EventOutcome(2, False)
-        weighted = survival_loss(h, out, beta=0.15, variant="weighted")
-        combined = survival_loss(h, out, beta=0.15, variant="combined")
-        assert combined == pytest.approx(weighted / 0.15, rel=1e-12)
-
 
 class TestStepAheadScalar:
     def test_exact_prediction(self):
@@ -149,10 +142,6 @@ class TestLossConfig:
     def test_beta_bounds(self):
         with pytest.raises(ConfigError):
             LossConfig(beta=1.5)
-
-    def test_variant_names(self):
-        with pytest.raises(ConfigError):
-            LossConfig(variant="other")
 
 
 class TestGraphAgainstScalarReference:

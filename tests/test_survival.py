@@ -77,7 +77,6 @@ class TestTimeGrid:
         grid = TimeGrid(step_months=6, j_max=27)
         assert grid.time_to_step(1.0) == 2
         assert grid.time_to_step(8.0) == 16
-        assert grid.months_to_step(18) == 3
 
     def test_monotone(self):
         grid = TimeGrid(step_months=12, j_max=15)

@@ -32,8 +32,7 @@ class TestGeneration:
         for e in generate_cohort(small_cfg(), render_images=False):
             assert e.n_visits >= 1
             assert np.all(np.diff(e.visit_months) > 0)
-            grid = small_cfg().grid
-            last_step = grid.months_to_step(int(e.visit_months[-1]))
+            last_step = int(e.visit_months[-1]) // small_cfg().step_months
             assert last_step < e.outcome.event_step
 
     def test_zero_hazard_means_all_censored(self):
@@ -195,13 +194,15 @@ class TestDatasetIO:
         save_dataset(str(tmp_path / "ds"), eyes, cfg)
         loaded, cfg2 = load_dataset(str(tmp_path / "ds"))
         assert cfg2 == cfg
-        assert len(loaded) == len(eyes)
-        by_id = {e.eye_id: e for e in loaded}
-        for e in eyes:
-            le = by_id[e.eye_id]
+        assert [e.eye_id for e in loaded] == [e.eye_id for e in eyes]
+        stack = np.load(tmp_path / "ds" / "images.npy")
+        assert stack.shape == (sum(e.n_visits for e in eyes), 1, 32, 32)
+        for e, le in zip(eyes, loaded):
             assert le.outcome == e.outcome
             np.testing.assert_array_equal(le.visit_months, e.visit_months)
-            np.testing.assert_array_equal(le.images, e.images)
+            assert le.visit_months.dtype == e.visit_months.dtype
+            assert le.images.dtype == np.float32 and le.images.tobytes() == e.images.tobytes()
+            assert le.images.base is not None and le.images.base is loaded[0].images.base
             np.testing.assert_allclose(le.true_hazard, e.true_hazard, rtol=0)
             np.testing.assert_allclose(le.severities, e.severities, rtol=0)
             assert le.drift == e.drift
@@ -211,16 +212,10 @@ class TestDatasetIO:
         eyes = generate_cohort(cfg)
         save_dataset(str(tmp_path / "a"), eyes, cfg)
         save_dataset(str(tmp_path / "b"), eyes, cfg)
-        for name in ("manifest.tsv", "truth.tsv", "cohort.json"):
+        for name in ("manifest.tsv", "truth.tsv", "cohort.json", "images.npy"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(str(tmp_path))
-
-    def test_load_without_images(self, tmp_path):
-        cfg = small_cfg(n_patients=4)
-        save_dataset(str(tmp_path / "ds"), generate_cohort(cfg), cfg)
-        eyes, _ = load_dataset(str(tmp_path / "ds"), load_images=False)
-        assert all(e.images is None for e in eyes)
