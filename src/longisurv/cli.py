@@ -15,9 +15,11 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DataError, LongisurvError, NumericalError
+from .errors import (ConfigError, DataError, LongisurvError, NumericalError, read_table,
+                     reading)
 from .losses import LossConfig
-from .metrics import visits_seen, write_report, write_samples
+from .metrics import (REPORT_HEADER, SAMPLES_HEADER, visits_seen, write_report,
+                      write_samples)
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .reports import (SPECIAL_SOURCES, attention_analysis, compare_sources,
                       evaluate_source, source_from_token, write_attention,
@@ -213,55 +215,36 @@ def cmd_attention(args) -> int:
     return 0
 
 
-def _read_table(path: str) -> list[dict]:
-    """Data rows as dicts, the year and value columns as floats; a missing
-    file, a row whose width differs from the header's or a number that will
-    not parse is a DataError naming the file."""
-    try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n").split("\t") for ln in fh if ln.strip()]
-    except OSError as ex:
-        raise DataError(f"cannot read table {path}: {ex}")
-    if len(lines) < 2:
-        raise ConfigError(
-            f"report {path} has no data rows; run `longisurv evaluate` or "
-            f"`longisurv compare` first")
-    header, rows = lines[0], []
-    for fields in lines[1:]:
-        try:
-            if len(fields) != len(header):
-                raise ValueError(f"a row has {len(fields)} fields, the header {len(header)}")
-            rows.append({k: float(v) if k in ("t_years", "dt_years", "value") else v
-                         for k, v in zip(header, fields)})
-        except ValueError as ex:
-            raise DataError(f"malformed table {path}: {ex}")
-    return rows
-
-
 def cmd_plot(args) -> int:
     if args.report:
         if not args.samples:
             raise ConfigError("--samples is required with --report "
                               "(bootstrap distributions feed the boxes)")
-        rows = _read_table(args.report)
-        sample_rows = _read_table(args.samples)
-        groups: dict = {}
-        for r in sample_rows:
-            if r["metric"] != args.metric:
-                continue
-            key = (r["model"], (r["t_years"], r["dt_years"]))
-            groups.setdefault(key, []).append(r["value"])
+        tables = []
+        for path, header in ((args.report, REPORT_HEADER), (args.samples, SAMPLES_HEADER)):
+            tables.append(read_table(path, header))
+            if not tables[-1]:
+                raise ConfigError(f"report {path} has no data rows; run "
+                                  f"`longisurv evaluate` or `longisurv compare` first")
+        rows, sample_rows = tables
+        by_fields: dict = {}                  # sample values by the rest of their row, as written
+        for model, metric, t, dt, _, value in sample_rows:
+            by_fields.setdefault((model, metric, t, dt), []).append(value)
+        with reading(args.samples):           # every metric's numbers, not just the plotted one
+            parsed = [(model, metric, (float(t), float(dt)), np.array([float(v) for v in values]))
+                      for (model, metric, t, dt), values in by_fields.items()]
+        groups = {(model, cell): values for model, metric, cell, values in parsed
+                  if metric == args.metric}
         if not groups:
             raise ConfigError(f"no {args.metric} samples in {args.samples}")
-        groups = {k: np.array(v) for k, v in groups.items()}
         models = sorted({m for m, _ in groups})
         cells = sorted({c for _, c in groups})
         significance = {}
-        for r in rows:
-            if (r["metric"] == args.metric and r["p_adjusted"] != "NA"
-                    and r["significance"] != "NA"):
-                significance[(r["t_years"], r["dt_years"])] = \
-                    r["significance"]
+        with reading(args.report):
+            for _, metric, t, dt, *_, p_adjusted, stars, _, _ in rows:
+                cell = (float(t), float(dt))
+                if metric == args.metric and p_adjusted != "NA" and stars != "NA":
+                    significance[cell] = stars
         svg = grid_box_figure(groups, cells, models, significance,
                               ylabel=f"time-dependent {args.metric}")
     elif args.curves:

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import betainc
 
-from .errors import ConfigError, DataError, EmptyCellError
+from .errors import ConfigError, DataError, EmptyCellError, write_table
 from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images)
 from .encoders import standardize
@@ -407,34 +407,19 @@ class ReportRow:
     samples: np.ndarray | None = field(default=None, repr=False)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "NA"
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
+REPORT_HEADER = ("model", "metric", "t_years", "dt_years", "estimate", "boot_mean", "ci_lo",
+                 "ci_hi", "p_adjusted", "significance", "n_pairs", "n_risk_set")
+SAMPLES_HEADER = ("model", "metric", "t_years", "dt_years", "sample_index", "value")
 
 
 def write_report(path: str, rows: list[ReportRow]) -> None:
-    header = ("model\tmetric\tt_years\tdt_years\testimate\tboot_mean\tci_lo"
-              "\tci_hi\tp_adjusted\tsignificance\tn_pairs\tn_risk_set")
-    lines = [header]
-    for r in rows:
-        lines.append("\t".join([
-            r.model, r.metric, _fmt(r.t_years), _fmt(r.dt_years),
-            _fmt(r.estimate), _fmt(r.boot_mean), _fmt(r.ci_lo), _fmt(r.ci_hi),
-            _fmt(r.p_adjusted), r.significance, str(r.n_pairs), str(r.n_risk_set)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, REPORT_HEADER, (
+        (r.model, r.metric, r.t_years, r.dt_years, r.estimate, r.boot_mean, r.ci_lo,
+         r.ci_hi, r.p_adjusted, r.significance, r.n_pairs, r.n_risk_set) for r in rows))
 
 
 def write_samples(path: str, rows: list[ReportRow]) -> None:
-    lines = ["model\tmetric\tt_years\tdt_years\tsample_index\tvalue"]
-    for r in rows:
-        if r.samples is None:
-            continue
-        for k, v in enumerate(r.samples):
-            lines.append(f"{r.model}\t{r.metric}\t{_fmt(r.t_years)}"
-                         f"\t{_fmt(r.dt_years)}\t{k}\t{float(v)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, SAMPLES_HEADER, (
+        (r.model, r.metric, r.t_years, r.dt_years, k, v)
+        for r in rows if r.samples is not None
+        for k, v in enumerate(r.samples.tolist())))

@@ -23,7 +23,7 @@ from . import diffgraph as dg
 from .config import JsonConfig
 from .encoders import (conv_encoder_param_shapes, encode_images,
                        temporal_encode, relative_encode)
-from .errors import ConfigError, DataError, reading
+from .errors import ConfigError, DataError, read_table, reading, write_table
 
 KIND_LONGITUDINAL = "longitudinal"
 KIND_BASELINE = "baseline"
@@ -286,6 +286,7 @@ def extract_attention(fp: ForwardPass, eye_index: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.tsv"
+TENSOR_HEADER = ("name", "shape", "dtype", "offset")
 BLOB_NAME = "params.bin"
 RECORD_NAME = "config.json"
 
@@ -295,16 +296,14 @@ _DTYPE_TAGS = {"float64": "<f8", "float32": "<f4"}
 def save_checkpoint(path: str, params: dict, record: dict) -> None:
     os.makedirs(path, exist_ok=True)
     offset = 0
-    lines = ["name\tshape\tdtype\toffset"]
-    blobs = []
+    rows, blobs = [], []
     for name, arr in params.items():
         tag = _DTYPE_TAGS[arr.dtype.name]
         data = np.ascontiguousarray(arr).astype(tag, copy=False).tobytes()
-        lines.append(f"{name}\t{','.join(map(str, arr.shape))}\t{arr.dtype.name}\t{offset}")
+        rows.append((name, ",".join(map(str, arr.shape)), arr.dtype.name, offset))
         blobs.append(data)
         offset += len(data)
-    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(os.path.join(path, MANIFEST_NAME), TENSOR_HEADER, rows)
     with open(os.path.join(path, BLOB_NAME), "wb") as fh:
         fh.write(b"".join(blobs))
     with open(os.path.join(path, RECORD_NAME), "w") as fh:
@@ -325,8 +324,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
     with reading(record_path), open(record_path) as fh:
         record = json.load(fh)
         cfg = ModelConfig.from_dict(record["model"], "model")
-    with reading(manifest), open(manifest) as fh:
-        rows = [line.rstrip("\n").split("\t") for line in fh][1:]
+    rows = read_table(manifest, TENSOR_HEADER)
     with reading(blob_path), open(blob_path, "rb") as fh:
         blob = fh.read()
     params = {}

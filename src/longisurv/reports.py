@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyCellError
+from .errors import ConfigError, DataError, EmptyCellError, write_table
 from .metrics import (BONFERRONI_M, CHUNK_EYES, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
                       ModelScorer, OracleScorer, ReportRow, bonferroni, bootstrap_ci,
                       build_risk_cells, pair_concordance, stars, welch_one_sided)
@@ -200,22 +200,17 @@ def attention_analysis(params: dict, record: dict,
                            offset_counts=counts, pearson_r=pearson)
 
 
+ATTENTION_HEADER = ("eye_id", "n_visits", "offset", "score")
+SUMMARY_HEADER = ("offset", "median_score", "n_images")
+
+
 def write_attention(path: str, report: AttentionReport) -> None:
-    lines = ["eye_id\tn_visits\toffset\tscore"]
-    for eye_id, j_i, offset, score in report.rows:
-        lines.append(f"{eye_id}\t{j_i}\t{offset}\t{score!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ATTENTION_HEADER, report.rows)
 
 
 def write_attention_summary(path: str, report: AttentionReport) -> None:
-    lines = ["offset\tmedian_score\tn_images"]
-    for label, med, cnt in zip(report.offset_labels, report.offset_medians,
-                               report.offset_counts):
-        lines.append(f"{label}\t{med!r}\t{cnt}")
-    lines.append("")
-    lines.append(f"fraction_last_visit_max\t{report.fraction_last_max!r}")
-    lines.append(f"pearson_offset_median\t"
-                 f"{'NA' if report.pearson_r is None else repr(report.pearson_r)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """The per-offset medians, a blank line, then two key/value lines."""
+    write_table(path, SUMMARY_HEADER, [
+        *zip(report.offset_labels, report.offset_medians, report.offset_counts), (),
+        ("fraction_last_visit_max", report.fraction_last_max),
+        ("pearson_offset_median", report.pearson_r)])

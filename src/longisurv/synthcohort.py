@@ -31,8 +31,9 @@ On disk a dataset is a directory of four files. ``manifest.tsv`` has one row
 per visit (patient, eye, month, outcome step, censoring flag 0 or 1), each
 eye's rows consecutive and increasing in month. ``images.npy`` is one
 (rows, C, H, W) float32 array whose image k is row k's visit, so a loaded
-eye's images are a view of it. ``truth.tsv`` holds each eye's hidden drift,
-severities and hazards, and ``cohort.json`` the config.
+eye's images are a view of it. ``truth.tsv`` has one row per manifest eye:
+its hidden drift, its severity at each visit and its ``j_max`` hazards.
+``cohort.json`` holds the config.
 """
 from __future__ import annotations
 
@@ -44,12 +45,14 @@ import numpy as np
 
 from .config import JsonConfig
 from .encoders import augment_images, standardize
-from .errors import ConfigError, DataError, reading
+from .errors import ConfigError, DataError, read_table, reading, write_table
 from .model import SequenceBatch
 from .survival import EventOutcome, TimeGrid
 
 MANIFEST_NAME = "manifest.tsv"
 TRUTH_NAME = "truth.tsv"
+MANIFEST_HEADER = ("patient_id", "eye_id", "visit_month", "event_step", "censored")
+TRUTH_HEADER = ("patient_id", "eye_id", "drift", "severities", "true_hazard")
 CONFIG_NAME = "cohort.json"
 IMAGES_NAME = "images.npy"
 
@@ -356,17 +359,12 @@ def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
     os.makedirs(path, exist_ok=True)
     np.save(os.path.join(path, IMAGES_NAME),
             np.concatenate([e.images for e in eyes], dtype=np.float32))
-    man = ["patient_id\teye_id\tvisit_month\tevent_step\tcensored"]
-    truth = ["patient_id\teye_id\tdrift\tseverities\ttrue_hazard"]
-    for e in eyes:
-        man.extend(f"{e.patient_id}\t{e.eye_id}\t{int(month)}\t{e.outcome.event_step}"
-                   f"\t{int(e.outcome.censored)}" for month in e.visit_months)
-        truth.append(f"{e.patient_id}\t{e.eye_id}\t{e.drift!r}"
-                     f"\t{_fmt_list(e.severities)}\t{_fmt_list(e.true_hazard)}")
-    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
-        fh.write("\n".join(man) + "\n")
-    with open(os.path.join(path, TRUTH_NAME), "w") as fh:
-        fh.write("\n".join(truth) + "\n")
+    write_table(os.path.join(path, MANIFEST_NAME), MANIFEST_HEADER, (
+        (e.patient_id, e.eye_id, int(month), e.outcome.event_step, int(e.outcome.censored))
+        for e in eyes for month in e.visit_months))
+    write_table(os.path.join(path, TRUTH_NAME), TRUTH_HEADER, (
+        (e.patient_id, e.eye_id, e.drift, _fmt_list(e.severities), _fmt_list(e.true_hazard))
+        for e in eyes))
     with open(os.path.join(path, CONFIG_NAME), "w") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -381,17 +379,15 @@ def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
                                       for name in (CONFIG_NAME, TRUTH_NAME, IMAGES_NAME))
     with reading(cfg_path), open(cfg_path) as fh:
         cfg = CohortConfig.from_dict(json.load(fh), "cohort")
-    truth = {}
-    with reading(truth_path), open(truth_path) as fh:
-        for line in list(fh)[1:]:
-            pid, eid, drift, sev, hz = line.rstrip("\n").split("\t")
-            truth[eid] = (float(drift), _parse_list(sev), _parse_list(hz))
+    truth_rows = read_table(truth_path, TRUTH_HEADER)
+    with reading(truth_path):
+        truth = {eid: (float(drift), _parse_list(sev), _parse_list(hz))
+                 for _, eid, drift, sev, hz in truth_rows}
 
     by_eye: dict[str, dict] = {}              # each eye's first row, months, outcome
-    with reading(man_path), open(man_path) as fh:
-        rows = list(fh)[1:]
-        for k, line in enumerate(rows):
-            pid, eid, month, step, cens = line.rstrip("\n").split("\t")
+    rows = read_table(man_path, MANIFEST_HEADER)
+    with reading(man_path):
+        for k, (pid, eid, month, step, cens) in enumerate(rows):
             if cens not in ("0", "1"):
                 raise ValueError(f"row {k + 2}: censored flag {cens!r} is not 0 or 1")
             rec = by_eye.setdefault(eid, {"patient_id": pid, "first": k, "months": [],
@@ -417,9 +413,15 @@ def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
         if eid not in truth:
             raise DataError(f"{truth_path} has no row for eye {eid}")
         first, n = rec["first"], len(rec["months"])
-        drift, sev, hz = truth[eid]
+        drift, sev, hz = truth.pop(eid)
+        if len(sev) != n or len(hz) != cfg.j_max:
+            raise DataError(f"{truth_path}: eye {eid} has {len(sev)} severities for {n} "
+                            f"visits and {len(hz)} hazards for j_max {cfg.j_max}")
         eyes.append(EyeRecord(patient_id=rec["patient_id"], eye_id=eid,
                               visit_months=np.array(rec["months"]),
                               images=images[first:first + n], outcome=rec["outcome"],
                               drift=drift, severities=sev, true_hazard=hz))
+    if truth:
+        raise DataError(f"{truth_path}: eyes with no rows in {man_path}: "
+                        f"{', '.join(sorted(truth))}")
     return eyes, cfg

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import JsonConfig
 from .encoders import augment_images, pixel_stats, standardize
-from .errors import ConfigError, EmptyCellError, NumericalError
+from .errors import ConfigError, EmptyCellError, NumericalError, write_table
 from .losses import LossConfig, sequence_loss, baseline_loss
 from .metrics import (DEFAULT_T_YEARS, DEFAULT_DT_YEARS, ModelScorer,
                       build_risk_cells, mean_grid_concordance)
@@ -258,10 +258,8 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
                        stopped_epoch=stopped_epoch, diverged=diverged)
 
 
+HISTORY_HEADER = ("epoch", "train_loss", "val_metric", "lr")
+
+
 def write_history(path: str, history: list) -> None:
-    lines = ["epoch\ttrain_loss\tval_metric\tlr"]
-    for row in history:
-        lines.append(f"{row['epoch']}\t{row['train_loss']!r}"
-                     f"\t{row['val_metric']!r}\t{row['lr']!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, HISTORY_HEADER, ([row[k] for k in HISTORY_HEADER] for row in history))

@@ -158,6 +158,14 @@ class TestExitCodes:
         path.write_text("\n".join(lines) + "\n")
 
     @staticmethod
+    def _drop_last_eye(d):
+        """Delete the last eye's manifest rows and images, keeping its truth row."""
+        lines = (d / "manifest.tsv").read_text().splitlines()
+        kept = [line for line in lines if line.split("\t")[1] != lines[-1].split("\t")[1]]
+        (d / "manifest.tsv").write_text("\n".join(kept) + "\n")
+        np.save(d / "images.npy", np.load(d / "images.npy")[:len(kept) - 1])
+
+    @staticmethod
     def _edit_row(path, line_index, edit):
         lines = path.read_text().splitlines()
         if edit is None:
@@ -188,10 +196,19 @@ class TestExitCodes:
             d / "manifest.tsv", 1, lambda f: f[:3] + ["99"] + f[4:]), "manifest.tsv"),
         (lambda d: TestExitCodes._edit_row(
             d / "manifest.tsv", 1, lambda f: f[:-1] + ["2"]), "manifest.tsv"),
+        (lambda d: TestExitCodes._drop_last_eye(d), "truth.tsv"),
+        (lambda d: TestExitCodes._edit_row(
+            d / "truth.tsv", 1, lambda f: f[:4] + [f[4].rsplit(";", 1)[0]]), "truth.tsv"),
+        (lambda d: TestExitCodes._edit_row(d / "truth.tsv", 1, lambda f: f[:4] + [""]),
+         "truth.tsv"),
+        (lambda d: TestExitCodes._edit_row(
+            d / "truth.tsv", 1, lambda f: f[:3] + [f[3] + ";0.5", f[4]]), "truth.tsv"),
     ], ids=["missing_truth", "missing_cohort_config", "visit_month", "manifest_field_count",
             "truth_field_count", "eye_without_truth", "missing_image", "empty_images",
             "truncated_images", "one_image_too_few", "npz_archive", "eye_rows_not_consecutive",
-            "months_out_of_order", "event_step_outside_grid", "censored_flag"])
+            "months_out_of_order", "event_step_outside_grid", "censored_flag",
+            "truth_eye_without_rows", "short_hazard_list", "empty_hazard_list",
+            "severity_per_visit"])
     def test_malformed_dataset_is_data_error(self, workspace, tmp_path, capsys,
                                              damage, named):
         dataset = tmp_path / "dataset"
@@ -250,6 +267,16 @@ class TestExitCodes:
                      "--samples", str(samples), "--out", str(tmp_path / "x.svg")])
         err = capsys.readouterr().err
         assert code == 3 and "samples.tsv" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("table", ["compare.tsv", "samples.tsv"],
+                             ids=["report_as_samples", "samples_as_report"])
+    def test_swapped_plot_table_is_data_error(self, report_dir, tmp_path, capsys, table):
+        """One table given as both --report and --samples fails the other's header."""
+        path = os.path.join(report_dir, table)
+        code = main(["plot", "--report", path, "--samples", path,
+                     "--out", str(tmp_path / "x.svg")])
+        err = capsys.readouterr().err
+        assert code == 3 and path in err and "header" in err and "Traceback" not in err
 
     def test_missing_report_table_is_data_error(self, tmp_path, capsys):
         missing = str(tmp_path / "compare.tsv")

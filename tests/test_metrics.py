@@ -12,7 +12,8 @@ from longisurv.metrics import (DEFAULT_T_YEARS, concordance_td, brier_td,
                                bootstrap_ci, welch_one_sided, bonferroni, stars,
                                risk_set, visits_seen, window_risks,
                                build_risk_cells, OracleScorer, ModelScorer,
-                               mean_grid_concordance, ReportRow, write_report)
+                               mean_grid_concordance, ReportRow, write_report,
+                               write_samples)
 from longisurv.model import (ModelConfig, forward_sequences,
                              forward_single_images, init_params)
 from longisurv.survival import hazard_to_survival
@@ -471,7 +472,9 @@ def test_report_round_trip(tmp_path):
     rows = [ReportRow(model="longitudinal", metric="concordance", t_years=1.0,
                       dt_years=2.0, estimate=0.91, boot_mean=0.9, ci_lo=0.85,
                       ci_hi=0.95, p_adjusted=0.01, significance="**",
-                      n_pairs=120, n_risk_set=60)]
+                      n_pairs=120, n_risk_set=60, samples=np.array([0.5, 1 / 3])),
+            ReportRow(model="baseline", metric="brier", t_years=3, dt_years=0.5,
+                      estimate=np.float64(0.25))]
     path = tmp_path / "report.tsv"
     write_report(str(path), rows)
     text = path.read_text().splitlines()
@@ -479,3 +482,14 @@ def test_report_round_trip(tmp_path):
     assert text[1].split("\t")[0] == "longitudinal"
     write_report(str(tmp_path / "again.tsv"), rows)
     assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+    # the exact bytes: None is NA, an int is str, a float (numpy's too) its repr
+    assert path.read_text() == (
+        "model\tmetric\tt_years\tdt_years\testimate\tboot_mean\tci_lo\tci_hi"
+        "\tp_adjusted\tsignificance\tn_pairs\tn_risk_set\n"
+        "longitudinal\tconcordance\t1.0\t2.0\t0.91\t0.9\t0.85\t0.95\t0.01\t**\t120\t60\n"
+        "baseline\tbrier\t3\t0.5\t0.25\tNA\tNA\tNA\tNA\tNA\t0\t0\n")
+    write_samples(str(tmp_path / "samples.tsv"), rows)
+    assert (tmp_path / "samples.tsv").read_text() == (
+        "model\tmetric\tt_years\tdt_years\tsample_index\tvalue\n"
+        "longitudinal\tconcordance\t1.0\t2.0\t0\t0.5\n"
+        "longitudinal\tconcordance\t1.0\t2.0\t1\t0.3333333333333333\n")

@@ -6,9 +6,9 @@ from longisurv.errors import ConfigError, EmptyCellError
 from longisurv.metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, bootstrap_ci,
                                brier_td, concordance_td)
 from longisurv.model import ModelConfig, init_params
-from longisurv.reports import (RiskSource, attention_analysis, compare_sources,
-                               evaluate_source, source_from_token,
-                               write_attention_summary)
+from longisurv.reports import (AttentionReport, RiskSource, attention_analysis,
+                               compare_sources, evaluate_source, source_from_token,
+                               write_attention, write_attention_summary)
 from longisurv.synthcohort import CohortConfig, generate_cohort
 
 
@@ -206,3 +206,15 @@ class TestAttentionAnalysis:
         write_attention_summary(str(tmp_path / "a.tsv"), report)
         write_attention_summary(str(tmp_path / "b.tsv"), report)
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+        # the exact bytes, with the blank line and a Pearson r too few bins give
+        pinned = AttentionReport(rows=[("p00_e0", 2, 1, 0.5), ("p00_e0", 2, 0, 1.0)],
+                                 fraction_last_max=1.0, offset_labels=["0", "1"],
+                                 offset_medians=[1.0, 0.5], offset_counts=[1, 1],
+                                 pearson_r=None)
+        write_attention_summary(str(tmp_path / "pinned.tsv"), pinned)
+        assert (tmp_path / "pinned.tsv").read_text() == (
+            "offset\tmedian_score\tn_images\n0\t1.0\t1\n1\t0.5\t1\n\n"
+            "fraction_last_visit_max\t1.0\npearson_offset_median\tNA\n")
+        write_attention(str(tmp_path / "rows.tsv"), pinned)
+        assert (tmp_path / "rows.tsv").read_text() == (
+            "eye_id\tn_visits\toffset\tscore\np00_e0\t2\t1\t0.5\np00_e0\t2\t0\t1.0\n")

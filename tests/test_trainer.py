@@ -178,9 +178,14 @@ class TestTrainLoop:
 
 def test_history_writer_deterministic(tmp_path):
     rows = [{"epoch": 1, "train_loss": 0.5, "val_metric": 0.71, "lr": 1e-4},
-            {"epoch": 2, "train_loss": 0.41, "val_metric": 0.74, "lr": 1e-4}]
+            {"epoch": 2, "train_loss": 0.41, "val_metric": 0.74, "lr": 1e-4},
+            {"epoch": 3, "train_loss": 0.4, "val_metric": float("nan"), "lr": 1}]
     write_history(str(tmp_path / "a.tsv"), rows)
     write_history(str(tmp_path / "b.tsv"), rows)
     assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
     lines = (tmp_path / "a.tsv").read_text().splitlines()
     assert lines[0] == "epoch\ttrain_loss\tval_metric\tlr"
+    # an empty validation grid is nan; an int lr from a --config stays an int
+    assert (tmp_path / "a.tsv").read_text() == (
+        "epoch\ttrain_loss\tval_metric\tlr\n1\t0.5\t0.71\t0.0001\n"
+        "2\t0.41\t0.74\t0.0001\n3\t0.4\tnan\t1\n")
