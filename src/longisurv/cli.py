@@ -197,11 +197,7 @@ def cmd_compare(args) -> int:
 def cmd_attention(args) -> int:
     eyes, cohort_cfg = load_dataset(args.dataset)
     subset = _split_eyes(eyes, cohort_cfg, args.split)
-    params, record = load_checkpoint(args.ckpt)
-    try:
-        report = attention_analysis(params, record, subset)
-    except DataError as ex:
-        raise DataError(f"checkpoint {args.ckpt}: {ex}")
+    report = attention_analysis(*load_checkpoint(args.ckpt), subset)
     os.makedirs(args.out, exist_ok=True)
     write_attention(os.path.join(args.out, "attention.tsv"), report)
     write_attention_summary(os.path.join(args.out, "attention_summary.tsv"), report)

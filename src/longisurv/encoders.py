@@ -1,10 +1,14 @@
-"""Per-visit feature encoders.
+"""Per-visit feature encoders and the pixel pipeline that feeds them.
 
 Two sinusoidal time encodings (absolute months since enrollment, and the
 relative gap to the next visit) plus a small convolutional image encoder
 that maps each visit image to a d-dimensional embedding. Visit times are
 always in months here; year-to-month conversion happens at the CLI
 boundary.
+
+Images are augmented, standardized and cast here only, by ``model_images``
+(over a padded sequence batch in ``prepare_batch``), so both model kinds see
+pixels prepared the same way in training and in scoring.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diffgraph as dg
 from .errors import ConfigError, DataError
+from .synthcohort import EyeRecord, SequenceBatch, pad_and_batch
 
 
 def _sinusoid(values: np.ndarray, d: int) -> np.ndarray:
@@ -78,7 +83,7 @@ def encode_images(images: dg.Node, leaves: dict, n_blocks: int = 3) -> dg.Node:
 
 
 # ---------------------------------------------------------------------------
-# pixel pipeline: augmentation + standardization
+# pixel pipeline: augmentation, standardization, cast
 # ---------------------------------------------------------------------------
 
 AUG_NOISE_SIGMA = 0.02
@@ -118,3 +123,25 @@ def standardize(images: np.ndarray, mean, std) -> np.ndarray:
     mean = np.asarray(mean, dtype=images.dtype).reshape(1, -1, 1, 1)
     std = np.asarray(std, dtype=images.dtype).reshape(1, -1, 1, 1)
     return (images - mean) / std
+
+
+def model_images(images: np.ndarray, mean, std, dtype,
+                 rng: np.random.Generator | None = None) -> np.ndarray:
+    """Model input from raw images: augment when ``rng`` is given, standardize, cast."""
+    if rng is not None:
+        images = augment_images(images, rng)
+    return standardize(images, mean, std).astype(dtype, copy=False)
+
+
+def prepare_batch(eyes: list[EyeRecord], l: int, pixel_mean, pixel_std, dtype,
+                  rng: np.random.Generator | None = None) -> SequenceBatch:
+    """Model-ready batch: pad to length l, then ``model_images`` over every slot.
+
+    Padding comes first, so augmentation draws for every padded slot too and
+    a batch's draws depend only on its eye count and l.
+    """
+    batch = pad_and_batch(eyes, l)
+    flat = batch.images.reshape(-1, *batch.images.shape[2:])
+    batch.images = model_images(flat, pixel_mean, pixel_std, dtype,
+                                rng).reshape(batch.images.shape)
+    return batch

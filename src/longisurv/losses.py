@@ -149,11 +149,10 @@ def step_ahead_loss_node(fp: ForwardPass,
     to values from a reference forward pass, which is what a central
     finite-difference probe of this objective must differentiate against.
     """
-    valid = fp.valid[:, :fp.l_trim]
-    b, lt = valid.shape
+    b, lt = fp.valid.shape
     pair = np.zeros((b, lt), dtype=bool)
     if lt > 1:
-        pair[:, :-1] = valid[:, :-1] & valid[:, 1:]
+        pair[:, :-1] = fp.valid[:, :-1] & fp.valid[:, 1:]
     n_pairs = int(pair.sum())
     if n_pairs == 0:
         return dg.constant(np.zeros((), dtype=fp.node_step.value.dtype)), 0
@@ -167,10 +166,9 @@ def step_ahead_loss_node(fp: ForwardPass,
 def sequence_loss(fp: ForwardPass, outcomes: list, cfg: LossConfig,
                   frozen_targets: np.ndarray | None = None) -> tuple[dg.Node, dict]:
     """Total longitudinal objective: survival + step-ahead, each batch-averaged."""
-    valid = fp.valid[:, :fp.l_trim]
-    b, lt = valid.shape
+    b, lt = fp.valid.shape
     j_max = fp.node_hazards.value.shape[-1]
-    flat_idx = np.flatnonzero(valid.reshape(-1))
+    flat_idx = np.flatnonzero(fp.valid.reshape(-1))
     rows = dg.gather_rows(dg.reshape(fp.node_hazards, (b * lt, j_max)), flat_idx)
     eye_of_row = flat_idx // lt
     steps = np.array([outcomes[i].event_step for i in eye_of_row])

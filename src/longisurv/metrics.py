@@ -21,9 +21,9 @@ from scipy.special import betainc
 from .errors import ConfigError, DataError, EmptyCellError, write_table
 from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images)
-from .encoders import standardize
+from .encoders import model_images, prepare_batch
 from .survival import TimeGrid, hazard_to_survival, risk_window
-from .synthcohort import EyeRecord, prepare_batch
+from .synthcohort import EyeRecord
 
 log = logging.getLogger(__name__)
 
@@ -244,16 +244,12 @@ class OracleScorer:
 
 
 class ModelScorer:
-    """Curves from a checkpoint record, each from the visits seen by its time."""
+    """Curves from a ``train``/``load_checkpoint`` record, each from the visits seen by then."""
 
     def __init__(self, params: dict, record: dict):
         self.params = params
         self.cfg = ModelConfig.from_dict(record["model"], "model")
-        self.pixel_mean, self.pixel_std = record.get("pixel_mean"), record.get("pixel_std")
-        for key, values in (("pixel_mean", self.pixel_mean), ("pixel_std", self.pixel_std)):
-            if not (isinstance(values, list) and len(values) == self.cfg.image_channels
-                    and all(type(v) in (int, float) for v in values)):
-                raise DataError(f"{key} needs one number per image channel, got {values!r}")
+        self.pixel_mean, self.pixel_std = record["pixel_mean"], record["pixel_std"]
         self.name = self.cfg.kind
 
     def curves(self, eyes, seen):
@@ -281,9 +277,9 @@ class ModelScorer:
                 fp = forward_sequences(self.params, self.cfg, batch)
                 hazards = fp.hazards[j, counts[k, j] - 1]
             else:
-                imgs = np.stack([part[jj].images[counts[kk, jj] - 1]
-                                 for kk, jj in zip(k, j)])
-                imgs = standardize(imgs, self.pixel_mean, self.pixel_std)
+                imgs = model_images(np.stack([part[jj].images[counts[kk, jj] - 1]
+                                              for kk, jj in zip(k, j)]),
+                                    self.pixel_mean, self.pixel_std, self.cfg.np_dtype)
                 hazards = forward_single_images(self.params, self.cfg, imgs).hazards
             out[k, cols[j]] = hazard_to_survival(hazards)
         return out

@@ -24,6 +24,7 @@ from .config import JsonConfig
 from .encoders import (conv_encoder_param_shapes, encode_images,
                        temporal_encode, relative_encode)
 from .errors import ConfigError, DataError, read_table, reading, write_table
+from .synthcohort import SequenceBatch
 
 KIND_LONGITUDINAL = "longitudinal"
 KIND_BASELINE = "baseline"
@@ -59,45 +60,19 @@ class ModelConfig(JsonConfig):
         return np.float64 if self.dtype == "float64" else np.float32
 
 
-
-@dataclass
-class SequenceBatch:
-    """Right-padded visit sequences: images (B,l,C,H,W), months (B,l), prefix mask."""
-
-    images: np.ndarray
-    visit_months: np.ndarray
-    valid: np.ndarray
-    outcomes: list
-
-    def validate(self) -> None:
-        b, l = self.valid.shape
-        if not np.all(self.valid[:, 0]):
-            raise DataError("every sequence needs at least one visit")
-        if l > 1 and np.any(self.valid[:, 1:] & ~self.valid[:, :-1]):
-            raise DataError("validity mask is not a prefix mask")
-        both = self.valid[:, 1:] & self.valid[:, :-1]
-        if np.any(both & (np.diff(self.visit_months, axis=1) <= 0)):
-            raise DataError("visit months must be strictly increasing")
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.valid.sum(axis=1).astype(int)
-
-
 @dataclass
 class ForwardPass:
-    """Forward results: padded output arrays plus the graph nodes losses need."""
+    """Forward results plus the graph nodes losses need; positions end at the longest sequence."""
 
-    hazards: np.ndarray                 # (B, l, J) zero-filled beyond validity
+    hazards: np.ndarray                 # (B, l, J)
     step_ahead: np.ndarray | None       # (B, l, d)
     attention: list                     # per layer (B, heads, l, l)
-    valid: np.ndarray
-    node_hazards: dg.Node = None        # (B, l_trim, J)
-    node_step: dg.Node = None           # (B, l_trim, d)
-    node_eimg: dg.Node = None           # (B, l_trim, d)
+    valid: np.ndarray                   # (B, l)
+    node_hazards: dg.Node = None        # (B, l, J)
+    node_step: dg.Node = None           # (B, l, d)
+    node_eimg: dg.Node = None           # (B, l, d)
     leaves: dict = field(default_factory=dict)
-    l_trim: int = 0
-    visit_steps: np.ndarray = None      # (B, l_trim) grid step of each visit
+    visit_steps: np.ndarray = None      # (B, l) grid step of each visit
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict:
@@ -186,8 +161,8 @@ def forward_sequences(params: dict, cfg: ModelConfig, batch: SequenceBatch,
     """Longitudinal forward pass over a padded batch of visit sequences.
 
     Padding beyond the batch's longest sequence is trimmed before any
-    computation, so outputs over valid positions are invariant (bit-exact)
-    to the amount of right padding.
+    computation, and the outputs end there too, so they are invariant
+    (bit-exact) to the amount of right padding.
     """
     if cfg.kind != KIND_LONGITUDINAL:
         raise ConfigError("forward_sequences requires a longitudinal config")
@@ -196,7 +171,7 @@ def forward_sequences(params: dict, cfg: ModelConfig, batch: SequenceBatch,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     leaves = {name: dg.param(arr, name) for name, arr in params.items()}
 
-    b, l_full = batch.valid.shape
+    b = len(batch.valid)
     lt = int(batch.lengths.max())
     valid = batch.valid[:, :lt]
     months = batch.visit_months[:, :lt]
@@ -234,20 +209,9 @@ def forward_sequences(params: dict, cfg: ModelConfig, batch: SequenceBatch,
     sp = dg.matmul(dg.dropout(x + te_r, cfg.dropout, rng, train),
                    leaves["head.step.w"]) + leaves["head.step.b"]
 
-    hazards = np.zeros((b, l_full, cfg.j_max), dtype=dt)
-    hazards[:, :lt] = hz.value
-    step = np.zeros((b, l_full, cfg.embed_dim), dtype=dt)
-    step[:, :lt] = sp.value
-    attention = []
-    for a in attn_maps:
-        full = np.zeros((b, cfg.n_heads, l_full, l_full), dtype=dt)
-        full[:, :, :lt, :lt] = a
-        attention.append(full)
-
-    return ForwardPass(hazards=hazards, step_ahead=step, attention=attention,
-                       valid=batch.valid, node_hazards=hz, node_step=sp,
-                       node_eimg=e_img, leaves=leaves, l_trim=lt,
-                       visit_steps=(months // cfg.step_months).astype(int))
+    return ForwardPass(hazards=hz.value, step_ahead=sp.value, attention=attn_maps,
+                       valid=valid, node_hazards=hz, node_step=sp, node_eimg=e_img,
+                       leaves=leaves, visit_steps=(months // cfg.step_months).astype(int))
 
 
 def forward_single_images(params: dict, cfg: ModelConfig, images: np.ndarray,
@@ -264,7 +228,7 @@ def forward_single_images(params: dict, cfg: ModelConfig, images: np.ndarray,
                               leaves["head.surv.w"]) + leaves["head.surv.b"])
     return ForwardPass(hazards=hz.value, step_ahead=None, attention=[],
                        valid=np.ones((images.shape[0], 1), dtype=bool),
-                       node_hazards=hz, leaves=leaves, l_trim=1)
+                       node_hazards=hz, leaves=leaves)
 
 
 def extract_attention(fp: ForwardPass, eye_index: int) -> np.ndarray:
@@ -314,8 +278,8 @@ def save_checkpoint(path: str, params: dict, record: dict) -> None:
 def load_checkpoint(path: str) -> tuple[dict, dict]:
     """Read a checkpoint directory; a malformed file is a DataError naming it.
 
-    The tensors must have the names, shapes and dtypes that ``init_params``
-    gives the record's model config.
+    The record needs pixel statistics (one number per image channel) and the
+    tensors the names, shapes and dtypes that ``init_params`` gives its model config.
     """
     manifest, blob_path, record_path = (os.path.join(path, name)
                                         for name in (MANIFEST_NAME, BLOB_NAME, RECORD_NAME))
@@ -324,6 +288,11 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
     with reading(record_path), open(record_path) as fh:
         record = json.load(fh)
         cfg = ModelConfig.from_dict(record["model"], "model")
+        for key in ("pixel_mean", "pixel_std"):
+            values = record.get(key)
+            if not (isinstance(values, list) and len(values) == cfg.image_channels
+                    and all(type(v) in (int, float) for v in values)):
+                raise ValueError(f"{key} needs one number per image channel, got {values!r}")
     rows = read_table(manifest, TENSOR_HEADER)
     with reading(blob_path), open(blob_path, "rb") as fh:
         blob = fh.read()

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyCellError, write_table
+from .encoders import prepare_batch
+from .errors import ConfigError, EmptyCellError, write_table
 from .metrics import (BONFERRONI_M, CHUNK_EYES, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
                       ModelScorer, OracleScorer, ReportRow, bonferroni, bootstrap_ci,
                       build_risk_cells, pair_concordance, stars, welch_one_sided)
 from .model import extract_attention, forward_sequences, load_checkpoint
 from .survival import TimeGrid
-from .synthcohort import EyeRecord, prepare_batch
+from .synthcohort import EyeRecord
 
 log = logging.getLogger(__name__)
 
@@ -50,11 +51,7 @@ def source_from_token(token: str, seed: int = 0) -> RiskSource:
         return RiskSource(name="anti-oracle", scorer=OracleScorer(), anti=True)
     if token == "random":
         return RiskSource(name="random", random_seed=seed)
-    params, record = load_checkpoint(token)
-    try:
-        scorer = ModelScorer(params, record)
-    except DataError as ex:
-        raise DataError(f"checkpoint {token}: {ex}")
+    scorer = ModelScorer(*load_checkpoint(token))
     return RiskSource(name=scorer.name, scorer=scorer)
 
 

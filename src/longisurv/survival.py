@@ -34,6 +34,8 @@ class TimeGrid:
     def time_to_step(self, t_years: float) -> int:
         """Convert years since enrollment to the nearest grid step (round half up)."""
         exact = 12.0 * t_years / self.step_months
+        if not np.isfinite(exact):
+            raise ConfigError(f"time {t_years} years is not a finite number")
         step = int(np.floor(exact + 0.5))
         if abs(exact - step) > 0.01:
             log.warning(

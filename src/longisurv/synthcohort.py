@@ -34,6 +34,9 @@ eye's rows consecutive and increasing in month. ``images.npy`` is one
 eye's images are a view of it. ``truth.tsv`` has one row per manifest eye:
 its hidden drift, its severity at each visit and its ``j_max`` hazards.
 ``cohort.json`` holds the config.
+
+This is the data layer: it imports nothing above ``survival``, and
+``pad_and_batch`` builds the ``SequenceBatch`` the models read.
 """
 from __future__ import annotations
 
@@ -44,9 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import JsonConfig
-from .encoders import augment_images, standardize
 from .errors import ConfigError, DataError, read_table, reading, write_table
-from .model import SequenceBatch
 from .survival import EventOutcome, TimeGrid
 
 MANIFEST_NAME = "manifest.tsv"
@@ -281,6 +282,30 @@ def split_patients(eyes: list[EyeRecord], fractions=(0.7, 0.1, 0.2),
     return tuple([e for e in eyes if e.patient_id in g] for g in groups)
 
 
+@dataclass
+class SequenceBatch:
+    """Right-padded visit sequences: images (B,l,C,H,W), months (B,l), prefix mask."""
+
+    images: np.ndarray
+    visit_months: np.ndarray
+    valid: np.ndarray
+    outcomes: list
+
+    def validate(self) -> None:
+        b, l = self.valid.shape
+        if not np.all(self.valid[:, 0]):
+            raise DataError("every sequence needs at least one visit")
+        if l > 1 and np.any(self.valid[:, 1:] & ~self.valid[:, :-1]):
+            raise DataError("validity mask is not a prefix mask")
+        both = self.valid[:, 1:] & self.valid[:, :-1]
+        if np.any(both & (np.diff(self.visit_months, axis=1) <= 0)):
+            raise DataError("visit months must be strictly increasing")
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self.valid.sum(axis=1).astype(int)
+
+
 def pad_and_batch(eyes: list[EyeRecord], l: int) -> SequenceBatch:
     """Zero-pad visit sequences to length l with prefix validity masks."""
     if not eyes:
@@ -302,22 +327,6 @@ def pad_and_batch(eyes: list[EyeRecord], l: int) -> SequenceBatch:
         valid[i, :j] = True
     return SequenceBatch(images=images, visit_months=months, valid=valid,
                          outcomes=[e.outcome for e in eyes])
-
-
-def prepare_batch(eyes: list[EyeRecord], l: int, pixel_mean, pixel_std, dtype,
-                  rng: np.random.Generator | None = None) -> SequenceBatch:
-    """Model-ready batch: pad to length l, augment when ``rng`` is given, standardize.
-
-    Padding comes first, so augmentation draws for every padded slot too and
-    a batch's draws depend only on its eye count and l.
-    """
-    batch = pad_and_batch(eyes, l)
-    flat = batch.images.reshape(-1, *batch.images.shape[2:])
-    if rng is not None:
-        flat = augment_images(flat, rng)
-    flat = standardize(flat, pixel_mean, pixel_std)
-    batch.images = flat.reshape(batch.images.shape).astype(dtype, copy=False)
-    return batch
 
 
 def summary_stats(eyes: list[EyeRecord], grid: TimeGrid) -> dict:
@@ -380,9 +389,12 @@ def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
     with reading(cfg_path), open(cfg_path) as fh:
         cfg = CohortConfig.from_dict(json.load(fh), "cohort")
     truth_rows = read_table(truth_path, TRUTH_HEADER)
+    truth = {}
     with reading(truth_path):
-        truth = {eid: (float(drift), _parse_list(sev), _parse_list(hz))
-                 for _, eid, drift, sev, hz in truth_rows}
+        for k, (_, eid, drift, sev, hz) in enumerate(truth_rows):
+            if eid in truth:
+                raise ValueError(f"row {k + 2}: a second row for eye {eid}")
+            truth[eid] = (float(drift), _parse_list(sev), _parse_list(hz))
 
     by_eye: dict[str, dict] = {}              # each eye's first row, months, outcome
     rows = read_table(man_path, MANIFEST_HEADER)
@@ -390,8 +402,11 @@ def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
         for k, (pid, eid, month, step, cens) in enumerate(rows):
             if cens not in ("0", "1"):
                 raise ValueError(f"row {k + 2}: censored flag {cens!r} is not 0 or 1")
-            rec = by_eye.setdefault(eid, {"patient_id": pid, "first": k, "months": [],
+            rec = by_eye.setdefault(eid, {"fields": (pid, step, cens), "first": k, "months": [],
                                           "outcome": EventOutcome(int(step), cens == "1")})
+            if (pid, step, cens) != rec["fields"]:
+                raise ValueError(f"row {k + 2}: eye {eid}'s patient, outcome step or "
+                                 f"censored flag differs from its first row's")
             if (k != rec["first"] + len(rec["months"])
                     or rec["months"] and int(month) <= rec["months"][-1]):
                 raise ValueError(f"row {k + 2}: eye {eid}'s visits are not consecutive "
@@ -417,7 +432,7 @@ def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
         if len(sev) != n or len(hz) != cfg.j_max:
             raise DataError(f"{truth_path}: eye {eid} has {len(sev)} severities for {n} "
                             f"visits and {len(hz)} hazards for j_max {cfg.j_max}")
-        eyes.append(EyeRecord(patient_id=rec["patient_id"], eye_id=eid,
+        eyes.append(EyeRecord(patient_id=rec["fields"][0], eye_id=eid,
                               visit_months=np.array(rec["months"]),
                               images=images[first:first + n], outcome=rec["outcome"],
                               drift=drift, severities=sev, true_hazard=hz))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import JsonConfig
-from .encoders import augment_images, pixel_stats, standardize
+from .encoders import model_images, pixel_stats, prepare_batch
 from .errors import ConfigError, EmptyCellError, NumericalError, write_table
 from .losses import LossConfig, sequence_loss, baseline_loss
 from .metrics import (DEFAULT_T_YEARS, DEFAULT_DT_YEARS, ModelScorer,
@@ -27,7 +27,7 @@ from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images, init_params)
 from . import diffgraph as dg
 from .survival import TimeGrid
-from .synthcohort import EyeRecord, prepare_batch
+from .synthcohort import EyeRecord
 
 log = logging.getLogger(__name__)
 
@@ -48,8 +48,8 @@ class TrainConfig(JsonConfig):
     def __post_init__(self):
         if self.max_epochs < 1 or self.patience < 1 or self.batch_size_sequences < 1:
             raise ConfigError("epochs, patience and batch size must be positive")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"learning rate must be finite and positive, got {self.lr}")
 
 
 @dataclass
@@ -204,9 +204,8 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
                                        seed=fwd_seed)
                 loss_node, parts = sequence_loss(fp, batch.outcomes, loss_cfg)
             else:
-                imgs = np.stack([e.images[-1] for e in part])
-                imgs = standardize(augment_images(imgs, aug_rng),
-                                   px_mean, px_std).astype(dt)
+                imgs = model_images(np.stack([e.images[-1] for e in part]),
+                                    px_mean, px_std, dt, aug_rng)
                 fp = forward_single_images(params, model_cfg, imgs, train=True,
                                            seed=fwd_seed)
                 loss_node, parts = baseline_loss(

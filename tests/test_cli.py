@@ -75,6 +75,26 @@ class TestExitCodes:
         assert "loss" in err and "supervise_all_subsequences" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("evaluate", ["--t-years", "nan"]),
+        ("evaluate", ["--dt-years", "inf"]),
+        ("plot", ["--curves", "--at-years", "nan"]),
+        ("train", ["--lr", "nan"]),
+    ], ids=["t_years_nan", "dt_years_inf", "at_years_nan", "lr_nan"])
+    def test_non_finite_number_is_config_error(self, workspace, tmp_path, capsys,
+                                               command, flags):
+        args = [command, "--seed", "1", "--dataset", workspace["dataset"],
+                "--out", str(tmp_path / "out")] + flags
+        if command == "evaluate":
+            args += ["--ckpt", "oracle", "--bootstrap", "2"]
+        elif command == "plot":
+            with open(os.path.join(workspace["dataset"], "manifest.tsv")) as fh:
+                eye = fh.read().splitlines()[1].split("\t")[1]
+            args += ["--ckpt", "oracle", "--eyes", eye]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+
     def test_unknown_config_section_is_config_error(self, workspace, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json",
                          {"modle": {"embed_dim": 8}, "train": {"max_epochs": 1}})
@@ -174,6 +194,20 @@ class TestExitCodes:
             lines[line_index] = "\t".join(edit(lines[line_index].split("\t")))
         path.write_text("\n".join(lines) + "\n")
 
+    @staticmethod
+    def _append_copy(path, line_index, edit):
+        """Append an edited copy of one row."""
+        fields = path.read_text().splitlines()[line_index].split("\t")
+        with open(path, "a") as fh:
+            fh.write("\t".join(edit(fields)) + "\n")
+
+    @staticmethod
+    def _edit_second_visit(path, edit):
+        """Edit the second row of the first eye with two visits."""
+        eyes = [line.split("\t")[1] for line in path.read_text().splitlines()]
+        k = next(k for k in range(2, len(eyes)) if eyes[k] == eyes[k - 1])
+        TestExitCodes._edit_row(path, k, edit)
+
     @pytest.mark.parametrize("damage, named", [
         (lambda d: os.remove(d / "truth.tsv"), "truth.tsv"),
         (lambda d: os.remove(d / "cohort.json"), "cohort.json"),
@@ -203,12 +237,21 @@ class TestExitCodes:
          "truth.tsv"),
         (lambda d: TestExitCodes._edit_row(
             d / "truth.tsv", 1, lambda f: f[:3] + [f[3] + ";0.5", f[4]]), "truth.tsv"),
+        (lambda d: TestExitCodes._append_copy(
+            d / "truth.tsv", 1, lambda f: f[:2] + ["9.5"] + f[3:]), "truth.tsv"),
+        (lambda d: TestExitCodes._edit_second_visit(
+            d / "manifest.tsv", lambda f: ["p99"] + f[1:]), "manifest.tsv"),
+        (lambda d: TestExitCodes._edit_second_visit(
+            d / "manifest.tsv", lambda f: f[:3] + ["1", f[4]]), "manifest.tsv"),
+        (lambda d: TestExitCodes._edit_second_visit(
+            d / "manifest.tsv", lambda f: f[:4] + [str(1 - int(f[4]))]), "manifest.tsv"),
     ], ids=["missing_truth", "missing_cohort_config", "visit_month", "manifest_field_count",
             "truth_field_count", "eye_without_truth", "missing_image", "empty_images",
             "truncated_images", "one_image_too_few", "npz_archive", "eye_rows_not_consecutive",
             "months_out_of_order", "event_step_outside_grid", "censored_flag",
             "truth_eye_without_rows", "short_hazard_list", "empty_hazard_list",
-            "severity_per_visit"])
+            "severity_per_visit", "duplicate_truth_row", "eye_rows_disagree_on_patient",
+            "eye_rows_disagree_on_outcome_step", "eye_rows_disagree_on_censoring"])
     def test_malformed_dataset_is_data_error(self, workspace, tmp_path, capsys,
                                              damage, named):
         dataset = tmp_path / "dataset"

@@ -4,8 +4,8 @@ import pathlib
 import longisurv
 
 # each module may import only modules before it
-ORDER = ["errors", "config", "survival", "diffgraph", "encoders", "model",
-         "synthcohort", "losses", "metrics", "trainer", "reports", "svgplot", "cli"]
+ORDER = ["errors", "config", "survival", "synthcohort", "diffgraph", "encoders", "model",
+         "losses", "metrics", "trainer", "reports", "svgplot", "cli"]
 PACKAGE = pathlib.Path(longisurv.__file__).parent
 
 

@@ -229,11 +229,10 @@ class TestGradientSignal:
         batch = random_batch(rng, cfg, [2, 3])
         batch.outcomes = [EventOutcome(3, False), EventOutcome(5, False)]
         fp = forward_sequences(params, cfg, batch)
-        valid = fp.valid[:, :fp.l_trim]
-        flat_idx = np.flatnonzero(valid.reshape(-1))
+        flat_idx = np.flatnonzero(fp.valid.reshape(-1))
         rows = dg.gather_rows(
             dg.reshape(fp.node_hazards, (-1, cfg.j_max)), flat_idx)
-        eye_of_row = flat_idx // fp.l_trim
+        eye_of_row = flat_idx // fp.valid.shape[1]
         steps = np.array([batch.outcomes[i].event_step for i in eye_of_row])
         cens = np.array([batch.outcomes[i].censored for i in eye_of_row])
         node = survival_loss_rows(rows, steps, cens, LossConfig(beta=0.0))
