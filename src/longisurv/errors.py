@@ -4,8 +4,8 @@ CLI exit codes map onto these: ConfigError -> 2, DataError -> 3,
 NumericalError -> 4. EmptyCellError is a flow-control signal for metric
 cells with no comparable pairs, not a failure.
 
-Every TSV table (dataset and checkpoint manifests, truth, report, samples,
-history and attention tables) goes through ``write_table``/``read_table``: a
+Every TSV table (dataset manifest, truth, report, samples, history and
+attention tables) goes through ``write_table``/``read_table``: a
 header line, one tab-joined line per row and a trailing newline; ``None`` is
 ``NA``, a float its ``repr`` and anything else its ``str``. A table with only
 a header reads as empty; otherwise its header must be the one its writer

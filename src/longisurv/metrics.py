@@ -332,6 +332,10 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
     replaces risks with seeded uniform noise.
     """
     t_steps = [grid.time_to_step(t) for t in t_years]
+    dt_steps = [grid.time_to_step(dt) for dt in dt_years]
+    if 0 in dt_steps:
+        raise ConfigError(f"dt {dt_years[dt_steps.index(0)]} years rounds to 0 steps "
+                          f"of the {grid.step_months}-month grid")
     seen = np.zeros((len(t_steps), len(eyes)), dtype=int)
     for k, t_step in enumerate(t_steps):
         idx = risk_set(eyes, grid, t_step)
@@ -348,19 +352,18 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
             continue
         steps = np.array([eyes[i].outcome.event_step for i in idx])
         cens = np.array([eyes[i].outcome.censored for i in idx])
-        for dt in dt_years:
-            dt_steps = grid.time_to_step(dt)
+        for dt, n_steps in zip(dt_years, dt_steps):
             if random_seed is not None:
                 risks = np.random.default_rng(np.random.SeedSequence(
                     entropy=random_seed,
                     spawn_key=(int(t * 12), int(dt * 12)))).random(len(idx))
             else:
-                risks = window_risks(curves[k, idx], grid, t_step, dt_steps)
+                risks = window_risks(curves[k, idx], grid, t_step, n_steps)
                 if rng_anti:
                     risks = -risks
             cells[(t, dt)] = RiskCell(
                 t_years=t, dt_years=dt, risks=risks, event_steps=steps,
-                censored=cens, horizon_step=t_step + dt_steps)
+                censored=cens, horizon_step=t_step + n_steps)
     return cells
 
 

@@ -7,9 +7,10 @@ step-ahead prediction of the next visit's image embedding. The baseline
 shares the image encoder and survival head but sees a single image and no
 temporal machinery.
 
-Checkpoints are a directory of three files: a plain-text tensor manifest,
-one little-endian binary blob, and a JSON record whose "model" section is
-read by ``ModelConfig.from_dict``. Round trips are bit-exact.
+Checkpoints are a directory of two files: a JSON record whose "model"
+section is read by ``ModelConfig.from_dict``, and one little-endian binary
+blob of the tensors that section's ``init_params`` builds, in its order.
+Round trips are bit-exact.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from . import diffgraph as dg
 from .config import JsonConfig
 from .encoders import (conv_encoder_param_shapes, encode_images,
                        temporal_encode, relative_encode)
-from .errors import ConfigError, DataError, read_table, reading, write_table
+from .errors import ConfigError, DataError, reading
 from .synthcohort import SequenceBatch
 
 KIND_LONGITUDINAL = "longitudinal"
@@ -249,8 +250,6 @@ def extract_attention(fp: ForwardPass, eye_index: int) -> np.ndarray:
 # checkpoint persistence
 # ---------------------------------------------------------------------------
 
-MANIFEST_NAME = "manifest.tsv"
-TENSOR_HEADER = ("name", "shape", "dtype", "offset")
 BLOB_NAME = "params.bin"
 RECORD_NAME = "config.json"
 
@@ -258,18 +257,14 @@ _DTYPE_TAGS = {"float64": "<f8", "float32": "<f4"}
 
 
 def save_checkpoint(path: str, params: dict, record: dict) -> None:
+    """Write ``config.json`` and ``params.bin``, the little-endian tensors in the
+    ``init_params`` order of the record's model config."""
+    layout = init_params(ModelConfig.from_dict(record["model"], "model"), 0)
     os.makedirs(path, exist_ok=True)
-    offset = 0
-    rows, blobs = [], []
-    for name, arr in params.items():
-        tag = _DTYPE_TAGS[arr.dtype.name]
-        data = np.ascontiguousarray(arr).astype(tag, copy=False).tobytes()
-        rows.append((name, ",".join(map(str, arr.shape)), arr.dtype.name, offset))
-        blobs.append(data)
-        offset += len(data)
-    write_table(os.path.join(path, MANIFEST_NAME), TENSOR_HEADER, rows)
+    tensors = (params[name] for name in layout)
     with open(os.path.join(path, BLOB_NAME), "wb") as fh:
-        fh.write(b"".join(blobs))
+        fh.write(b"".join(arr.astype(_DTYPE_TAGS[arr.dtype.name], copy=False).tobytes()
+                          for arr in tensors))
     with open(os.path.join(path, RECORD_NAME), "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -278,12 +273,12 @@ def save_checkpoint(path: str, params: dict, record: dict) -> None:
 def load_checkpoint(path: str) -> tuple[dict, dict]:
     """Read a checkpoint directory; a malformed file is a DataError naming it.
 
-    The record needs pixel statistics (one number per image channel) and the
-    tensors the names, shapes and dtypes that ``init_params`` gives its model config.
+    The record needs pixel statistics (one number per image channel), and
+    ``params.bin`` exactly the values of the tensors ``init_params`` gives
+    its model config, which fixes their names, shapes, dtype and order.
     """
-    manifest, blob_path, record_path = (os.path.join(path, name)
-                                        for name in (MANIFEST_NAME, BLOB_NAME, RECORD_NAME))
-    if not os.path.isfile(manifest):
+    blob_path, record_path = (os.path.join(path, name) for name in (BLOB_NAME, RECORD_NAME))
+    if not os.path.isfile(blob_path):
         raise DataError(f"not a checkpoint directory: {path}")
     with reading(record_path), open(record_path) as fh:
         record = json.load(fh)
@@ -293,24 +288,14 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
             if not (isinstance(values, list) and len(values) == cfg.image_channels
                     and all(type(v) in (int, float) for v in values)):
                 raise ValueError(f"{key} needs one number per image channel, got {values!r}")
-    rows = read_table(manifest, TENSOR_HEADER)
+    layout = init_params(cfg, 0)
+    sizes = [arr.size for arr in layout.values()]
     with reading(blob_path), open(blob_path, "rb") as fh:
-        blob = fh.read()
-    params = {}
-    for line_no, row in enumerate(rows, start=2):
-        try:
-            name, shape_s, dtype_name, offset_s = row
-            shape = tuple(int(s) for s in shape_s.split(",")) if shape_s else ()
-            arr = np.frombuffer(blob, dtype=_DTYPE_TAGS[dtype_name], offset=int(offset_s),
-                                count=int(np.prod(shape)) if shape else 1)
-            params[name] = arr.astype(dtype_name).reshape(shape).copy()
-        except (ValueError, KeyError) as ex:
-            raise DataError(f"{manifest} line {line_no}: no tensor in {blob_path}: {ex!r}")
-    layout = {name: (arr.shape, arr.dtype) for name, arr in init_params(cfg, 0).items()}
-    found = {name: (arr.shape, arr.dtype) for name, arr in params.items()}
-    if found != layout:
-        differ = sorted(name for name in layout.keys() | found.keys()
-                        if layout.get(name) != found.get(name))
-        raise DataError(f"{manifest}: tensors differ from the {cfg.kind} model's layout: "
-                        f"{', '.join(differ)}")
+        values = np.frombuffer(fh.read(), dtype=_DTYPE_TAGS[cfg.dtype])
+        if len(values) != sum(sizes):
+            raise ValueError(f"{len(values)} {cfg.dtype} values, the {cfg.kind} "
+                             f"model has {sum(sizes)}")
+    chunks = np.split(values, np.cumsum(sizes)[:-1])
+    params = {name: chunk.astype(cfg.np_dtype).reshape(arr.shape)
+              for (name, arr), chunk in zip(layout.items(), chunks)}
     return params, record

@@ -36,6 +36,8 @@ class TimeGrid:
         exact = 12.0 * t_years / self.step_months
         if not np.isfinite(exact):
             raise ConfigError(f"time {t_years} years is not a finite number")
+        if exact < 0:
+            raise ConfigError(f"time {t_years} years is negative")
         step = int(np.floor(exact + 0.5))
         if abs(exact - step) > 0.01:
             log.warning(

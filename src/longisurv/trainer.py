@@ -46,10 +46,17 @@ class TrainConfig(JsonConfig):
     val_dt_years: tuple[float, ...] = DEFAULT_DT_YEARS
 
     def __post_init__(self):
-        if self.max_epochs < 1 or self.patience < 1 or self.batch_size_sequences < 1:
-            raise ConfigError("epochs, patience and batch size must be positive")
+        if min(self.max_epochs, self.patience, self.plateau_patience,
+               self.batch_size_sequences) < 1:
+            raise ConfigError("max_epochs, patience, plateau_patience and "
+                              "batch_size_sequences must be positive")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"learning rate must be finite and positive, got {self.lr}")
+        if not 0 < self.plateau_factor <= 1:
+            raise ConfigError(f"plateau_factor must lie in (0, 1], got {self.plateau_factor}")
+        if not (np.isfinite(self.improvement_epsilon) and self.improvement_epsilon >= 0):
+            raise ConfigError("improvement_epsilon must be finite and non-negative, "
+                              f"got {self.improvement_epsilon}")
 
 
 @dataclass
@@ -170,8 +177,6 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
         "loss": loss_cfg.to_dict(),
         "pixel_mean": px_mean,
         "pixel_std": px_std,
-        "l_max": l_max,
-        "seed": train_cfg.seed,
     }
 
     if warm_start is not None:

@@ -80,7 +80,11 @@ class TestExitCodes:
         ("evaluate", ["--dt-years", "inf"]),
         ("plot", ["--curves", "--at-years", "nan"]),
         ("train", ["--lr", "nan"]),
-    ], ids=["t_years_nan", "dt_years_inf", "at_years_nan", "lr_nan"])
+        ("evaluate", ["--t-years=-1"]),
+        ("plot", ["--curves", "--at-years=-1"]),
+        ("evaluate", ["--dt-years", "0.1"]),                # 0.2 of a 6-month step
+    ], ids=["t_years_nan", "dt_years_inf", "at_years_nan", "lr_nan", "t_years_negative",
+            "at_years_negative", "dt_years_rounds_to_zero"])
     def test_non_finite_number_is_config_error(self, workspace, tmp_path, capsys,
                                                command, flags):
         args = [command, "--seed", "1", "--dataset", workspace["dataset"],
@@ -132,35 +136,26 @@ class TestExitCodes:
         code, err = self._evaluate_broken_checkpoint(workspace, tmp_path, capsys, truncate)
         assert code == 3 and "params.bin" in err
 
-    @pytest.mark.parametrize("row_edit", [
-        lambda fields: fields[:3],                             # a field missing
-        lambda fields: fields[:2] + ["float16"] + fields[3:],  # unknown dtype
-    ], ids=["field_count", "dtype"])
-    def test_malformed_manifest_row_is_data_error(self, workspace, tmp_path, capsys,
-                                                  row_edit):
-        def edit(ckpt):
-            lines = (ckpt / "manifest.tsv").read_text().splitlines()
-            lines[1] = "\t".join(row_edit(lines[1].split("\t")))
-            (ckpt / "manifest.tsv").write_text("\n".join(lines) + "\n")
-
-        code, err = self._evaluate_broken_checkpoint(workspace, tmp_path, capsys, edit)
-        assert code == 3 and "manifest.tsv line 2" in err
-
     def test_missing_record_is_data_error(self, workspace, tmp_path, capsys):
         code, err = self._evaluate_broken_checkpoint(
             workspace, tmp_path, capsys, lambda ckpt: os.remove(ckpt / "config.json"))
         assert code == 3 and "config.json" in err
 
-    @pytest.mark.parametrize("line_index, edit", [
-        (-1, None),                                                   # last tensor gone
-        (1, lambda f: [f[0], ",".join(reversed(f[1].split(",")))] + f[2:]),
-    ], ids=["missing_tensor", "wrong_shape"])
+    @staticmethod
+    def _widen_conv(ckpt):
+        record = json.loads((ckpt / "config.json").read_text())
+        record["model"]["conv_widths"] = [4, 4, 4]
+        write_json(ckpt / "config.json", record)
+
+    @pytest.mark.parametrize("damage", [
+        lambda ckpt: (ckpt / "params.bin").write_bytes(
+            (ckpt / "params.bin").read_bytes() + bytes(8)),
+        lambda ckpt: TestExitCodes._widen_conv(ckpt),
+    ], ids=["trailing_bytes", "other_model"])
     def test_tensor_layout_mismatch_is_data_error(self, workspace, tmp_path, capsys,
-                                                  line_index, edit):
-        code, err = self._evaluate_broken_checkpoint(
-            workspace, tmp_path, capsys,
-            lambda ckpt: self._edit_row(ckpt / "manifest.tsv", line_index, edit))
-        assert code == 3 and "manifest.tsv" in err and "layout" in err
+                                                  damage):
+        code, err = self._evaluate_broken_checkpoint(workspace, tmp_path, capsys, damage)
+        assert code == 3 and "params.bin" in err
 
     @staticmethod
     def _to_npz(path):
@@ -267,8 +262,7 @@ class TestExitCodes:
     # drops trailing table rows
     CORRUPTIONS = [("dataset", "images.npy", "cut"), ("dataset", "cohort.json", "cut"),
                    ("dataset", "manifest.tsv", "rows"), ("dataset", "truth.tsv", "rows"),
-                   ("ckpt", "params.bin", "cut"), ("ckpt", "config.json", "cut"),
-                   ("ckpt", "manifest.tsv", "rows")]
+                   ("ckpt", "params.bin", "cut"), ("ckpt", "config.json", "cut")]
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -380,7 +374,13 @@ class TestExitCodes:
         ("simulate", [1], "c.json"),
         ("train", {"model": [1]}, "non-object config section(s): model"),
         ("train", {"model": {"conv_widths": [2.5, 4, 4]}}, "model.conv_widths"),
-    ], ids=["non_object_file", "non_object_section", "float_in_tuple"])
+        ("train", {"train": {"plateau_patience": 0}}, "plateau_patience"),
+        ("train", {"train": {"plateau_factor": -1.0, "plateau_patience": 1,
+                             "improvement_epsilon": 1.0}}, "plateau_factor"),
+        ("train", {"train": {"improvement_epsilon": -1.0}}, "improvement_epsilon"),
+    ], ids=["non_object_file", "non_object_section", "float_in_tuple",
+            "plateau_patience_zero", "plateau_factor_negative",
+            "improvement_epsilon_negative"])
     def test_misfit_config_file_is_config_error(self, workspace, tmp_path, capsys,
                                                 command, payload, named):
         cfg = write_json(tmp_path / "c.json", payload)
@@ -486,7 +486,7 @@ class TestSimulate:
 
 class TestTrain:
     def test_checkpoint_and_history_written(self, workspace):
-        assert os.path.isfile(os.path.join(workspace["ckpt"], "manifest.tsv"))
+        assert not os.path.exists(os.path.join(workspace["ckpt"], "manifest.tsv"))
         assert os.path.isfile(os.path.join(workspace["ckpt"], "params.bin"))
         assert os.path.isfile(os.path.join(workspace["ckpt"], "config.json"))
         history = open(os.path.join(workspace["ckpt"], "history.tsv")).read()
@@ -499,7 +499,7 @@ class TestTrain:
             assert main(["train", "--seed", "13", "--out", out,
                          "--dataset", workspace["dataset"],
                          "--config", workspace["train_cfg"]]) == 0
-        for rel in ("params.bin", "manifest.tsv", "history.tsv", "config.json"):
+        for rel in ("params.bin", "history.tsv", "config.json"):
             assert (tmp_path / "a" / rel).read_bytes() == \
                    (tmp_path / "b" / rel).read_bytes()
         assert (tmp_path / "a" / "params.bin").read_bytes() == \
@@ -510,9 +510,9 @@ class TestTrain:
         assert main(["train", "--seed", "13", "--kind", "baseline", "--out", out,
                      "--dataset", workspace["dataset"],
                      "--config", workspace["train_cfg"]]) == 0
-        manifest = open(os.path.join(out, "manifest.tsv")).read()
-        assert "tr0" not in manifest
-        assert "head.step.w" not in manifest
+        names = list(load_checkpoint(out)[0])
+        assert not any(name.startswith("tr") for name in names)
+        assert "head.step.w" not in names and "head.surv.w" in names
 
     def test_warm_start_runs(self, workspace, tmp_path):
         out = str(tmp_path / "warm")

@@ -165,6 +165,25 @@ class TestCheckpoint:
         b = forward_sequences(loaded, cfg2, batch)
         np.testing.assert_array_equal(a.hazards, b.hazards)
 
+    @pytest.mark.parametrize("dtype, tag", [("float64", "<f8"), ("float32", "<f4")])
+    def test_blob_is_init_params_order_little_endian(self, tmp_path, dtype, tag):
+        cfg = tiny_config(dtype=dtype)
+        params = init_params(cfg, seed=4)
+        record = {"model": cfg.to_dict(), "pixel_mean": [0.31], "pixel_std": [0.22]}
+        save_checkpoint(str(tmp_path / "ck"), params, record)
+        blob = (tmp_path / "ck" / "params.bin").read_bytes()
+        assert blob == b"".join(p.astype(tag).tobytes() for p in params.values())
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["config.json",
+                                                                      "params.bin"]
+
+        reversed_params = dict(reversed(list(params.items())))
+        save_checkpoint(str(tmp_path / "rev"), reversed_params, record)
+        assert (tmp_path / "rev" / "params.bin").read_bytes() == blob
+        loaded, _ = load_checkpoint(str(tmp_path / "rev"))
+        assert list(loaded) == list(params)
+        for k in params:
+            np.testing.assert_array_equal(loaded[k], params[k])
+
     def test_missing_directory_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_checkpoint(str(tmp_path / "nope"))
