@@ -11,11 +11,15 @@ topological order because primitives only consume existing nodes. Image
 arrays are NCHW-shaped, channels-last in memory where ``conv2d`` and
 ``avg_pool2`` made them; no value depends on layout. An adjoint keeps the
 dtype its vjp yields and is never written in place, so it may be a view.
+``conv2d`` gathers GEMM rows through a cached tap index and runs each vjp as
+one GEMM. A vjp casts a float32 operand of a float64 adjoint first (``_cast``),
+into the same operand numpy's implicit mixed ``@`` makes, so no byte changes.
 
 No broadcasting beyond what the model needs, no higher-order derivatives.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -103,6 +107,18 @@ def _unbroadcast(adj: np.ndarray, shape: tuple) -> np.ndarray:
     return adj.reshape(shape)
 
 
+def _cast(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``a`` as an implicit mixed ``a @ g`` hands it to BLAS: itself, or a
+    C-ordered promoted copy, here built in cache-sized slabs of a transpose."""
+    dt = np.result_type(a, g)
+    if a.dtype == dt:
+        return a
+    out = np.empty(a.shape, dt)
+    for s in range(0, a.shape[-1], 4096):
+        out[..., s:s + 4096] = a[..., s:s + 4096]
+    return out
+
+
 def _binary_shapes_ok(a: np.ndarray, b: np.ndarray) -> bool:
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -143,8 +159,8 @@ def matmul(a: Node, b: Node) -> Node:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = a.value @ b.value
     return Node(out, "matmul", a.needs_grad or b.needs_grad, [
-        (a, lambda g: _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape)),
-        (b, lambda g: _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape)),
+        (a, lambda g: _unbroadcast(g @ _cast(np.swapaxes(b.value, -1, -2), g), a.value.shape)),
+        (b, lambda g: _unbroadcast(_cast(np.swapaxes(a.value, -1, -2), g) @ g, b.value.shape)),
     ])
 
 
@@ -288,17 +304,33 @@ def dropout(x: Node, rate: float, rng: np.random.Generator, train: bool) -> Node
                 [(x, lambda g: g * keep)])
 
 
+@functools.lru_cache(maxsize=64)
+def _taps(c: int, h: int, w: int, kh: int, kw: int, pad: int):
+    """Flat channels-last index of each (c, kh, kw) tap of each output pixel;
+    a padding tap points at the zero ``_im2col`` appends to an image."""
+    oh, ow = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    i = (np.arange(oh)[:, None] + np.arange(kh) - pad)[:, None, None, :, None]
+    j = (np.arange(ow)[:, None] + np.arange(kw) - pad)[None, :, None, None, :]
+    idx = np.where((i >= 0) & (i < h) & (j >= 0) & (j < w),
+                   (i * w + j) * c + np.arange(c)[:, None, None], h * w * c)
+    idx.flags.writeable = False
+    return idx.reshape(oh * ow, c * kh * kw), oh, ow
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, pad: int):
+    """GEMM rows (n*oh*ow, c*kh*kw) of x's zero-padded windows, one gather."""
     n, c, h, w = x.shape
-    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    oh, ow = windows.shape[1], windows.shape[2]
-    return windows.reshape(n * oh * ow, c * kh * kw), oh, ow
+    idx, oh, ow = _taps(c, h, w, kh, kw, pad)
+    flat = np.concatenate([x.transpose(0, 2, 3, 1).reshape(n, -1), np.zeros((n, 1), x.dtype)], 1)
+    cols = np.take(flat, idx, axis=1, mode="wrap")   # in range: skips the bounds check
+    return cols.reshape(n * oh * ow, c * kh * kw), oh, ow
 
 
 def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
     """Stride-1 2-D convolution, weight (F, C, kh, kw). The output is an NCHW
-    view of channels-last GEMM rows; adjoints take the GEMMs' dtype."""
+    view of channels-last GEMM rows; adjoints take the GEMMs' dtype. Rows are
+    gathered by a cached tap index, vjps ``_cast`` first, and each vjp is one
+    GEMM: BLAS picks its kernel by size, so image blocks would change bytes."""
     n, c, h, ww = x.value.shape
     f, cw, kh, kw = w.value.shape
     if cw != c:
@@ -311,13 +343,13 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
 
     def vjp_x(g):
         # full correlation with spatially flipped, channel-swapped weights
-        wflip = w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        wflip = w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1).T
         gcols, gh, gw = _im2col(g, kh, kw, kh - 1 - pad)
-        return (gcols @ wflip.reshape(c, -1).T).reshape(n, gh, gw, c).transpose(0, 3, 1, 2)
+        return (gcols @ _cast(wflip, g)).reshape(n, gh, gw, c).transpose(0, 3, 1, 2)
 
     def vjp_w(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)
-        return (cols.T @ gmat).T.reshape(f, c, kh, kw)
+        return (_cast(cols.T, gmat) @ gmat).T.reshape(f, c, kh, kw)
 
     return Node(out, "conv2d", x.needs_grad or w.needs_grad or b.needs_grad, [
         (x, vjp_x),

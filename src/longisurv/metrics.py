@@ -320,6 +320,17 @@ class RiskCell:
                         self.horizon_step)
 
 
+def grid_steps(grid: TimeGrid, t_years, dt_years) -> tuple[list[int], list[int]]:
+    """A (t, dt) grid's prediction times and windows in grid steps; a
+    window that rounds to 0 steps is a ``ConfigError``."""
+    t_steps = [grid.time_to_step(t) for t in t_years]
+    dt_steps = [grid.time_to_step(dt) for dt in dt_years]
+    if 0 in dt_steps:
+        raise ConfigError(f"dt {dt_years[dt_steps.index(0)]} years rounds to 0 steps "
+                          f"of the {grid.step_months}-month grid")
+    return t_steps, dt_steps
+
+
 def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
                      t_years=DEFAULT_T_YEARS, dt_years=DEFAULT_DT_YEARS,
                      rng_anti: bool = False,
@@ -331,11 +342,7 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
     per eye. ``rng_anti`` negates risks (an anti-oracle); ``random_seed``
     replaces risks with seeded uniform noise.
     """
-    t_steps = [grid.time_to_step(t) for t in t_years]
-    dt_steps = [grid.time_to_step(dt) for dt in dt_years]
-    if 0 in dt_steps:
-        raise ConfigError(f"dt {dt_years[dt_steps.index(0)]} years rounds to 0 steps "
-                          f"of the {grid.step_months}-month grid")
+    t_steps, dt_steps = grid_steps(grid, t_years, dt_years)
     seen = np.zeros((len(t_steps), len(eyes)), dtype=int)
     for k, t_step in enumerate(t_steps):
         idx = risk_set(eyes, grid, t_step)

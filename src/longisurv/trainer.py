@@ -22,7 +22,7 @@ from .encoders import model_images, pixel_stats, prepare_batch
 from .errors import ConfigError, EmptyCellError, NumericalError, write_table
 from .losses import LossConfig, sequence_loss, baseline_loss
 from .metrics import (DEFAULT_T_YEARS, DEFAULT_DT_YEARS, ModelScorer,
-                      build_risk_cells, mean_grid_concordance)
+                      build_risk_cells, grid_steps, mean_grid_concordance)
 from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images, init_params)
 from . import diffgraph as dg
@@ -165,6 +165,7 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
     """
     loss_cfg = loss_cfg or LossConfig()
     grid = TimeGrid(model_cfg.step_months, model_cfg.j_max)
+    grid_steps(grid, train_cfg.val_t_years, train_cfg.val_dt_years)   # fail before epoch 1
     l_max = max(e.n_visits for e in train_eyes + val_eyes)
     dt = model_cfg.np_dtype
 

@@ -312,16 +312,30 @@ class TestChannelsLastIsByteIdentical:
     @pytest.mark.parametrize("x_layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("g_layout", sorted(LAYOUTS))
     def test_conv2d(self, dtype, c, x_layout, g_layout):
+        self._check_conv2d(dtype, c, x_layout, g_layout, n=5, pad=1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 8, 16])
+    @pytest.mark.parametrize("x_layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("g_layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_conv2d_other_pads(self, dtype, c, x_layout, g_layout, pad):
+        # vjp_x pads g by kh - 1 - pad, so by 2 and 0 here; 37 images is
+        # more than two 16-image blocks, should vjp_x ever be blocked
+        self._check_conv2d(dtype, c, x_layout, g_layout, n=37, pad=pad)
+
+    @staticmethod
+    def _check_conv2d(dtype, c, x_layout, g_layout, n, pad):
         rng = np.random.default_rng(c)
         f = 8
-        xv = rng.normal(size=(5, c, 12, 10)).astype(dtype)
+        xv = rng.normal(size=(n, c, 12, 10)).astype(dtype)
         wv = rng.normal(size=(f, c, 3, 3)).astype(dtype)
         bv = rng.normal(size=f).astype(dtype)
-        gv = rng.normal(size=(5, f, 12, 10))
-        want = _ref_conv2d(xv, wv, bv, gv)
+        gv = rng.normal(size=(n, f, 10 + 2 * pad, 8 + 2 * pad))
+        want = _ref_conv2d(xv, wv, bv, gv, pad)
         x, w, b = (dg.param(LAYOUTS[x_layout](xv), "x"), dg.param(wv, "w"),
                    dg.param(bv, "b"))
-        out = dg.conv2d(x, w, b)
+        out = dg.conv2d(x, w, b, pad)
         _same_bytes(out.value, want[0])
         dg.backward(dg.sum_all(dg.mul(out, dg.constant(LAYOUTS[g_layout](gv)))))
         _same_bytes(x.adjoint, want[1])
@@ -329,6 +343,23 @@ class TestChannelsLastIsByteIdentical:
         assert b.adjoint.dtype == want[3].dtype
         assert np.all(np.abs(b.adjoint - want[3])
                       <= 1e-13 * np.abs(gv).sum(axis=(0, 2, 3)))
+
+    @pytest.mark.parametrize("n, c, f, side, dtype", [
+        (17, 16, 32, 8, np.float64),     # the encoder's third layer, float64
+        (672, 3, 5, 6, np.float32),      # three input channels, float32
+    ])
+    def test_conv2d_input_adjoint_is_one_gemm(self, n, c, f, side, dtype):
+        # with OpenBLAS 0.3.31's SkylakeX kernels these shapes round
+        # differently when the input adjoint's GEMM runs 16 images at a time
+        rng = np.random.default_rng(n)
+        xv = rng.normal(size=(n, c, side, side)).astype(dtype)
+        wv = rng.normal(size=(f, c, 3, 3)).astype(dtype)
+        gv = rng.normal(size=(n, f, side, side))
+        want = _ref_conv2d(xv, wv, np.zeros(f, dtype), gv)
+        x = dg.param(_channels_last(xv), "x")
+        out = dg.conv2d(x, dg.constant(wv), dg.constant(np.zeros(f, dtype)))
+        dg.backward(dg.sum_all(dg.mul(out, dg.constant(_channels_last(gv)))))
+        _same_bytes(x.adjoint, want[1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c", [1, 8, 16])
@@ -361,3 +392,57 @@ class TestChannelsLastIsByteIdentical:
         b = dg.param(np.zeros(8, np.float32), "b")
         pooled = dg.avg_pool2(dg.relu(dg.conv2d(x, w, b)))
         assert pooled.value.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+class TestIm2col:
+    """The gathered GEMM rows are the sliding-window rows, byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 3, 16])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_matches_sliding_windows(self, dtype, c, pad, layout):
+        xv = np.random.default_rng(c + pad).normal(size=(4, c, 7, 5)).astype(dtype)
+        want = _ref_im2col(xv, 3, 3, pad)
+        got = dg._im2col(LAYOUTS[layout](xv), 3, 3, pad)
+        assert got[1:] == want[1:]
+        _same_bytes(got[0], want[0])
+        again = dg._im2col(LAYOUTS[layout](xv), 3, 3, pad)     # a cache hit
+        _same_bytes(again[0], want[0])
+
+    @pytest.mark.parametrize("c, pad", [(3, 1), (1, 2)])
+    def test_shapes_differing_in_c_or_pad_get_their_own_index(self, c, pad):
+        first = dg._taps(1, 7, 5, 3, 3, 1)[0]
+        assert dg._taps(c, 7, 5, 3, 3, pad)[0] is not first
+        xv = np.random.default_rng(1).normal(size=(2, c, 7, 5))
+        _same_bytes(dg._im2col(xv, 3, 3, pad)[0], _ref_im2col(xv, 3, 3, pad)[0])
+        assert not first.flags.writeable
+
+
+class TestMixedMatmulIsImplicitProduct:
+    """With float32 operands and a float64 adjoint, both matmul vjps give the
+    bytes of numpy's implicit mixed product, and stay float64: the float32
+    model's backward pass runs in float64."""
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((1, 1, 8), (8, 8)),            # one row through a weight
+        ((4, 7, 16), (16, 32)),         # (batch, visits, d) @ weight
+        ((32, 21, 32), (32, 1)),        # a hazard head
+        ((4, 2, 7, 8), (4, 2, 8, 7)),   # attention scores, q @ k^T
+        ((4, 2, 7, 7), (4, 2, 7, 8)),   # attention @ v
+    ])
+    def test_vjps(self, a_shape, b_shape):
+        rng = np.random.default_rng(len(a_shape) + b_shape[-1])
+        av = rng.normal(size=a_shape).astype(np.float32)
+        bv = rng.normal(size=b_shape).astype(np.float32)
+        a, b = dg.param(av, "a"), dg.param(bv, "b")
+        out = dg.matmul(a, b)
+        gv = rng.normal(size=out.shape)
+        dg.backward(dg.sum_all(dg.mul(out, dg.constant(gv))))
+        da = gv @ np.swapaxes(bv, -1, -2)
+        db = np.swapaxes(av, -1, -2) @ gv
+        if db.ndim > bv.ndim:
+            db = db.sum(axis=0)
+        assert da.dtype == db.dtype == np.float64
+        _same_bytes(a.adjoint, da)
+        _same_bytes(b.adjoint, db)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from longisurv import trainer as tr
-from longisurv.errors import NumericalError
+from longisurv.errors import ConfigError, NumericalError
 from longisurv.model import ModelConfig
 from longisurv.synthcohort import CohortConfig, generate_cohort, split_patients
 from longisurv.trainer import (TrainConfig, TrainingSchedule, AdamState,
@@ -154,6 +154,17 @@ class TestTrainLoop:
                           for e in train_eyes)
         assert sorted(seen) == expected
         assert all(v < tau for tau, v in seen)
+
+    @pytest.mark.parametrize("grid", [dict(val_dt_years=(0.1,)),
+                                      dict(val_t_years=(-1.0,))])
+    def test_bad_validation_grid_fails_before_any_step(self, splits, monkeypatch, grid):
+        (train_eyes, val_eyes, _), _ = splits
+        steps = []
+        monkeypatch.setattr(tr, "adam_step", lambda *args: steps.append(args))
+        with pytest.raises(ConfigError, match="dt 0.1 years|negative"):
+            train(train_eyes, val_eyes, smoke_model(),
+                  TrainConfig(max_epochs=3, seed=1, **grid))
+        assert steps == []
 
     def test_divergence_aborts_with_best_params(self, splits, monkeypatch):
         (train_eyes, val_eyes, _), _ = splits
