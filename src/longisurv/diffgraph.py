@@ -14,6 +14,8 @@ dtype its vjp yields and is never written in place, so it may be a view.
 ``conv2d`` gathers GEMM rows through a cached tap index and runs each vjp as
 one GEMM. A vjp casts a float32 operand of a float64 adjoint first (``_cast``),
 into the same operand numpy's implicit mixed ``@`` makes, so no byte changes.
+``conv2d``'s weight vjp rebuilds its rows from the input, in the adjoint's
+dtype, so no GEMM rows outlive the forward.
 
 No broadcasting beyond what the model needs, no higher-order derivatives.
 """
@@ -24,6 +26,7 @@ import itertools
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -109,14 +112,9 @@ def _unbroadcast(adj: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _cast(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``a`` as an implicit mixed ``a @ g`` hands it to BLAS: itself, or a
-    C-ordered promoted copy, here built in cache-sized slabs of a transpose."""
+    C-ordered promoted copy."""
     dt = np.result_type(a, g)
-    if a.dtype == dt:
-        return a
-    out = np.empty(a.shape, dt)
-    for s in range(0, a.shape[-1], 4096):
-        out[..., s:s + 4096] = a[..., s:s + 4096]
-    return out
+    return a if a.dtype == dt else a.astype(dt, order="C")
 
 
 def _binary_shapes_ok(a: np.ndarray, b: np.ndarray) -> bool:
@@ -330,7 +328,10 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
     """Stride-1 2-D convolution, weight (F, C, kh, kw). The output is an NCHW
     view of channels-last GEMM rows; adjoints take the GEMMs' dtype. Rows are
     gathered by a cached tap index, vjps ``_cast`` first, and each vjp is one
-    GEMM: BLAS picks its kernel by size, so image blocks would change bytes."""
+    GEMM: BLAS picks its kernel by size, so image blocks would change bytes.
+    ``vjp_w`` rebuilds the rows from ``x``, so none outlive the forward: the
+    transposed gather when no cast is due, else one C-ordered copy of the
+    windows of the cast, padded x, the operand a mixed ``cols.T @ gmat`` makes."""
     n, c, h, ww = x.value.shape
     f, cw, kh, kw = w.value.shape
     if cw != c:
@@ -349,7 +350,15 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
 
     def vjp_w(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)
-        return (_cast(cols.T, gmat) @ gmat).T.reshape(f, c, kh, kw)
+        dt = np.result_type(x.value, gmat)
+        if dt == x.value.dtype:
+            rows = _im2col(x.value, kh, kw, pad)[0].T
+        else:
+            xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dt)
+            xp[:, :, pad:pad + h, pad:pad + ww] = x.value
+            rows = np.ascontiguousarray(sliding_window_view(xp, (kh, kw), axis=(2, 3))
+                                        .transpose(1, 4, 5, 0, 2, 3)).reshape(c * kh * kw, -1)
+        return (rows @ gmat).T.reshape(f, c, kh, kw)
 
     return Node(out, "conv2d", x.needs_grad or w.needs_grad or b.needs_grad, [
         (x, vjp_x),

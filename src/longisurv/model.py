@@ -10,7 +10,9 @@ temporal machinery.
 Checkpoints are a directory of two files: a JSON record whose "model"
 section is read by ``ModelConfig.from_dict``, and one little-endian binary
 blob of the tensors that section's ``init_params`` builds, in its order.
-Round trips are bit-exact.
+The record's "layout" names each tensor's shape, so a "model" section edited
+to another architecture of the same size does not load; a record written
+without it (older checkpoints) still does. Round trips are bit-exact.
 """
 from __future__ import annotations
 
@@ -265,8 +267,9 @@ def save_checkpoint(path: str, params: dict, record: dict) -> None:
     with open(os.path.join(path, BLOB_NAME), "wb") as fh:
         fh.write(b"".join(arr.astype(_DTYPE_TAGS[arr.dtype.name], copy=False).tobytes()
                           for arr in tensors))
+    shapes = {name: list(arr.shape) for name, arr in layout.items()}
     with open(os.path.join(path, RECORD_NAME), "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+        json.dump({**record, "layout": shapes}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -275,7 +278,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
 
     The record needs pixel statistics (one number per image channel), and
     ``params.bin`` exactly the values of the tensors ``init_params`` gives
-    its model config, which fixes their names, shapes, dtype and order.
+    its model config, which fixes their names, shapes, dtype and order. A
+    recorded layout must be that one; the returned record leaves it out.
     """
     blob_path, record_path = (os.path.join(path, name) for name in (BLOB_NAME, RECORD_NAME))
     if not os.path.isfile(blob_path):
@@ -283,6 +287,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
     with reading(record_path), open(record_path) as fh:
         record = json.load(fh)
         cfg = ModelConfig.from_dict(record["model"], "model")
+        written = record.pop("layout", None)
         for key in ("pixel_mean", "pixel_std"):
             values = record.get(key)
             if not (isinstance(values, list) and len(values) == cfg.image_channels
@@ -291,6 +296,9 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
     layout = init_params(cfg, 0)
     sizes = [arr.size for arr in layout.values()]
     with reading(blob_path), open(blob_path, "rb") as fh:
+        if written not in (None, {name: list(arr.shape) for name, arr in layout.items()}):
+            raise ValueError(f"written in another tensor layout than {RECORD_NAME}'s "
+                             f"{cfg.kind} model")
         values = np.frombuffer(fh.read(), dtype=_DTYPE_TAGS[cfg.dtype])
         if len(values) != sum(sizes):
             raise ValueError(f"{len(values)} {cfg.dtype} values, the {cfg.kind} "

@@ -6,7 +6,8 @@ minibatch so both kinds consume the same number of image slots), applies
 the composite loss, and takes Adam steps. The validation metric is the
 mean time-dependent concordance over the (t, dt) grid; the best epoch's
 weights are kept, the learning rate halves after three stagnant epochs,
-and training stops after ten epochs without improvement.
+and training stops after ten epochs without improvement. A step's graph,
+adjoints included, is freed after its Adam step, before the next forward.
 """
 from __future__ import annotations
 
@@ -226,6 +227,7 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
                 break
             dg.backward(loss_node)
             adam_step(params, _collect_grads(fp.leaves, params), state, schedule.lr)
+            del fp, loss_node   # the step's graph dies here, not at the next forward
             epoch_losses.append(loss_value)
         if diverged:
             stopped_epoch = epoch

@@ -142,16 +142,18 @@ class TestExitCodes:
         assert code == 3 and "config.json" in err
 
     @staticmethod
-    def _widen_conv(ckpt):
+    def _set_conv_widths(ckpt, widths):
         record = json.loads((ckpt / "config.json").read_text())
-        record["model"]["conv_widths"] = [4, 4, 4]
+        record["model"]["conv_widths"] = widths
         write_json(ckpt / "config.json", record)
 
     @pytest.mark.parametrize("damage", [
         lambda ckpt: (ckpt / "params.bin").write_bytes(
             (ckpt / "params.bin").read_bytes() + bytes(8)),
-        lambda ckpt: TestExitCodes._widen_conv(ckpt),
-    ], ids=["trailing_bytes", "other_model"])
+        lambda ckpt: TestExitCodes._set_conv_widths(ckpt, [4, 4, 4]),
+        # 1,943 values, as many as [2, 4, 4]
+        lambda ckpt: TestExitCodes._set_conv_widths(ckpt, [1, 5, 4]),
+    ], ids=["trailing_bytes", "other_model", "same_size_other_model"])
     def test_tensor_layout_mismatch_is_data_error(self, workspace, tmp_path, capsys,
                                                   damage):
         code, err = self._evaluate_broken_checkpoint(workspace, tmp_path, capsys, damage)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -324,10 +326,17 @@ class TestChannelsLastIsByteIdentical:
         # more than two 16-image blocks, should vjp_x ever be blocked
         self._check_conv2d(dtype, c, x_layout, g_layout, n=37, pad=pad)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("f", [2, 4])
+    @pytest.mark.parametrize("x_layout", sorted(LAYOUTS))
+    def test_conv2d_few_filters(self, dtype, f, x_layout):
+        # with at most 4 filters the weight adjoint's bytes depend on its
+        # row operand's memory order, so this pins both of vjp_w's operands
+        self._check_conv2d(dtype, 8, x_layout, "nchw", n=5, pad=1, f=f)
+
     @staticmethod
-    def _check_conv2d(dtype, c, x_layout, g_layout, n, pad):
+    def _check_conv2d(dtype, c, x_layout, g_layout, n, pad, f=8):
         rng = np.random.default_rng(c)
-        f = 8
         xv = rng.normal(size=(n, c, 12, 10)).astype(dtype)
         wv = rng.normal(size=(f, c, 3, 3)).astype(dtype)
         bv = rng.normal(size=f).astype(dtype)
@@ -392,6 +401,22 @@ class TestChannelsLastIsByteIdentical:
         b = dg.param(np.zeros(8, np.float32), "b")
         pooled = dg.avg_pool2(dg.relu(dg.conv2d(x, w, b)))
         assert pooled.value.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def test_conv2d_keeps_no_gemm_rows_past_its_forward():
+    rng = np.random.default_rng(0)
+    x = dg.constant(rng.normal(size=(64, 8, 16, 16)).astype(np.float32))
+    w = dg.param(rng.normal(size=(8, 8, 3, 3)).astype(np.float32), "w")
+    b = dg.param(np.zeros(8, np.float32), "b")
+    rows_nbytes = 64 * 16 * 16 * 8 * 3 * 3 * 4              # 4.7 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = dg.conv2d(x, w, b)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.value.nbytes <= retained < rows_nbytes
 
 
 class TestIm2col:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,21 @@ class TestCheckpoint:
         assert (tmp_path / "rev" / "params.bin").read_bytes() == blob
         loaded, _ = load_checkpoint(str(tmp_path / "rev"))
         assert list(loaded) == list(params)
+        for k in params:
+            np.testing.assert_array_equal(loaded[k], params[k])
+
+    def test_record_without_layout_still_loads(self, tmp_path):
+        # checkpoints written before config.json recorded the tensor layout
+        cfg = tiny_config()
+        params = init_params(cfg, seed=5)
+        save_checkpoint(str(tmp_path / "ck"), params, {
+            "model": cfg.to_dict(), "pixel_mean": [0.31], "pixel_std": [0.22]})
+        path = tmp_path / "ck" / "config.json"
+        record = json.loads(path.read_text())
+        assert record.pop("layout") == {k: list(p.shape) for k, p in params.items()}
+        path.write_text(json.dumps(record))
+        loaded, rec = load_checkpoint(str(tmp_path / "ck"))
+        assert "layout" not in rec
         for k in params:
             np.testing.assert_array_equal(loaded[k], params[k])
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,31 @@ class TestTrainLoop:
             train(train_eyes, val_eyes, smoke_model(),
                   TrainConfig(max_epochs=3, seed=1, **grid))
         assert steps == []
+
+    @pytest.mark.parametrize("kind, forward", [("longitudinal", "forward_sequences"),
+                                               ("baseline", "forward_single_images")])
+    def test_no_graph_outlives_its_step(self, splits, monkeypatch, kind, forward):
+        # the hazards array is the value of a graph node the loss reaches, so
+        # it dies only with the step's graph
+        (train_eyes, val_eyes, _), _ = splits
+        refs, alive = [], []
+        real_forward, real_scorer = getattr(tr, forward), tr.ModelScorer
+
+        def recording_forward(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            fp = real_forward(*args, **kwargs)
+            refs.extend((weakref.ref(fp), weakref.ref(fp.hazards)))
+            return fp
+
+        def recording_scorer(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return real_scorer(*args)
+
+        monkeypatch.setattr(tr, forward, recording_forward)
+        monkeypatch.setattr(tr, "ModelScorer", recording_scorer)
+        train(train_eyes, val_eyes, smoke_model(kind=kind),
+              TrainConfig(max_epochs=2, seed=6, batch_size_sequences=1))
+        assert len(alive) > 6 and alive == [0] * len(alive)
 
     def test_divergence_aborts_with_best_params(self, splits, monkeypatch):
         (train_eyes, val_eyes, _), _ = splits
