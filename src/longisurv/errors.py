@@ -4,7 +4,7 @@ CLI exit codes map onto these: ConfigError -> 2, DataError -> 3,
 NumericalError -> 4. EmptyCellError is a flow-control signal for metric
 cells with no comparable pairs, not a failure.
 
-Every TSV table (dataset manifest, truth, report, samples, history and
+Every TSV table (a dataset's eyes table, the report, samples, history and
 attention tables) goes through ``write_table``/``read_table``: a
 header line, one tab-joined line per row and a trailing newline; ``None`` is
 ``NA``, a float its ``repr`` and anything else its ``str``. A table with only

@@ -48,13 +48,12 @@ def concordance_td(risks: np.ndarray, event_steps: np.ndarray,
     anchor. Ties in risk contribute 0.5. Raises EmptyCellError when no
     comparable pair exists (distinct from a concordance of 0).
     """
-    anchors, table = pair_table(risks, event_steps, censored, horizon_step)
-    if len(anchors) == 0:
-        raise EmptyCellError("no uncensored event inside the horizon")
-    c = pair_concordance([(anchors, table)])(np.ones(table.shape[-1]))[0]
-    if np.isnan(c):
-        raise EmptyCellError("no comparable pairs")
-    return float(c)
+    return table_concordance(*pair_table(risks, event_steps, censored, horizon_step))
+
+
+def event_in_window(event_steps, censored, horizon_step: int) -> np.ndarray:
+    """Uncensored events before ``horizon_step``: a cell's anchors and Brier events."""
+    return ~np.asarray(censored, dtype=bool) & (np.asarray(event_steps) < horizon_step)
 
 
 def pair_table(risks: np.ndarray, event_steps: np.ndarray, censored: np.ndarray,
@@ -63,10 +62,20 @@ def pair_table(risks: np.ndarray, event_steps: np.ndarray, censored: np.ndarray,
     eyes) table: comparable pairs (the eye outlives the anchor), then pair
     scores, 1 if the anchor's risk is higher, 0.5 on a tie, else 0."""
     risks, event_steps = np.asarray(risks, dtype=float), np.asarray(event_steps)
-    anchors = np.flatnonzero(~np.asarray(censored, dtype=bool) & (event_steps < horizon_step))
+    anchors = np.flatnonzero(event_in_window(event_steps, censored, horizon_step))
     comparable = event_steps > event_steps[anchors][:, None]
     r_a = risks[anchors][:, None]
     return anchors, np.stack([comparable, comparable * ((r_a > risks) + 0.5 * (r_a == risks))])
+
+
+def table_concordance(anchors: np.ndarray, table: np.ndarray) -> float:
+    """The concordance of one ``pair_table``; EmptyCellError without a comparable pair."""
+    if len(anchors) == 0:
+        raise EmptyCellError("no uncensored event inside the horizon")
+    c = pair_concordance([(anchors, table)])(np.ones(table.shape[-1]))[0]
+    if np.isnan(c):
+        raise EmptyCellError("no comparable pairs")
+    return float(c)
 
 
 def pair_concordance(tables: list):
@@ -97,8 +106,7 @@ def brier_td(risks: np.ndarray, event_steps: np.ndarray, censored: np.ndarray,
     risks = np.asarray(risks, dtype=float)
     if risks.size == 0:
         raise EmptyCellError("empty risk set")
-    ind = ((np.asarray(event_steps) < horizon_step)
-           & ~np.asarray(censored, dtype=bool)).astype(float)
+    ind = event_in_window(event_steps, censored, horizon_step).astype(float)
     return float(((ind - risks) ** 2).mean())
 
 
@@ -276,6 +284,7 @@ class ModelScorer:
                                 < counts.max(axis=0)[:, None])
                 fp = forward_sequences(self.params, self.cfg, batch)
                 hazards = fp.hazards[j, counts[k, j] - 1]
+                del fp                    # the chunk's graph dies before the next forward
             else:
                 imgs = model_images(np.stack([part[jj].images[counts[kk, jj] - 1]
                                               for kk, jj in zip(k, j)]),
@@ -313,7 +322,7 @@ class RiskCell:
         return int(self.pairs[1][0].sum())
 
     def concordance(self) -> float:
-        return concordance_td(self.risks, self.event_steps, self.censored, self.horizon_step)
+        return table_concordance(*self.pairs)
 
     def brier(self, idx=slice(None)) -> float:
         return brier_td(self.risks[idx], self.event_steps[idx], self.censored[idx],

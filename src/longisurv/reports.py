@@ -166,8 +166,9 @@ def attention_analysis(params: dict, record: dict,
         batch = prepare_batch(part, max(e.n_visits for e in part), scorer.pixel_mean,
                               scorer.pixel_std, scorer.cfg.np_dtype)
         fp = forward_sequences(params, scorer.cfg, batch)
-        for i, eye in enumerate(part):
-            scores = extract_attention(fp, i)
+        per_eye = [extract_attention(fp, i) for i in range(len(part))]
+        del fp                            # the chunk's graph dies before the next forward
+        for eye, scores in zip(part, per_eye):
             j_i = len(scores)
             if scores[-1] == scores.max():
                 n_last_max += 1

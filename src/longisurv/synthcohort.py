@@ -27,13 +27,11 @@ eye, and the arithmetic runs in one numpy pass per eye, or per grid step over
 all eyes, with a scalar loop's per-element float operations. Digests in
 ``tests/test_synthcohort.py`` pin the bytes.
 
-On disk a dataset is a directory of four files. ``manifest.tsv`` has one row
-per visit (patient, eye, month, outcome step, censoring flag 0 or 1), each
-eye's rows consecutive and increasing in month. ``images.npy`` is one
-(rows, C, H, W) float32 array whose image k is row k's visit, so a loaded
-eye's images are a view of it. ``truth.tsv`` has one row per manifest eye:
-its hidden drift, its severity at each visit and its ``j_max`` hazards.
-``cohort.json`` holds the config.
+On disk a dataset is three files: ``cohort.json`` (the config), ``eyes.tsv``,
+one row per eye (patient, eye, ``;``-joined increasing visit months, outcome
+step, censoring flag 0 or 1, and the hidden drift, per-visit severities and
+``j_max`` hazards), and ``images.npy``, one (visits, C, H, W) float32 array of
+the eyes' images in row order, so a loaded eye's images are a view of it.
 
 This is the data layer: it imports nothing above ``survival``, and
 ``pad_and_batch`` builds the ``SequenceBatch`` the models read.
@@ -50,10 +48,9 @@ from .config import JsonConfig
 from .errors import ConfigError, DataError, read_table, reading, write_table
 from .survival import EventOutcome, TimeGrid
 
-MANIFEST_NAME = "manifest.tsv"
-TRUTH_NAME = "truth.tsv"
-MANIFEST_HEADER = ("patient_id", "eye_id", "visit_month", "event_step", "censored")
-TRUTH_HEADER = ("patient_id", "eye_id", "drift", "severities", "true_hazard")
+EYES_NAME = "eyes.tsv"
+EYES_HEADER = ("patient_id", "eye_id", "visit_months", "event_step", "censored", "drift",
+               "severities", "true_hazard")
 CONFIG_NAME = "cohort.json"
 IMAGES_NAME = "images.npy"
 
@@ -368,12 +365,10 @@ def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
     os.makedirs(path, exist_ok=True)
     np.save(os.path.join(path, IMAGES_NAME),
             np.concatenate([e.images for e in eyes], dtype=np.float32))
-    write_table(os.path.join(path, MANIFEST_NAME), MANIFEST_HEADER, (
-        (e.patient_id, e.eye_id, int(month), e.outcome.event_step, int(e.outcome.censored))
-        for e in eyes for month in e.visit_months))
-    write_table(os.path.join(path, TRUTH_NAME), TRUTH_HEADER, (
-        (e.patient_id, e.eye_id, e.drift, _fmt_list(e.severities), _fmt_list(e.true_hazard))
-        for e in eyes))
+    write_table(os.path.join(path, EYES_NAME), EYES_HEADER, (
+        (e.patient_id, e.eye_id, ";".join(str(int(m)) for m in e.visit_months),
+         e.outcome.event_step, int(e.outcome.censored), e.drift, _fmt_list(e.severities),
+         _fmt_list(e.true_hazard)) for e in eyes))
     with open(os.path.join(path, CONFIG_NAME), "w") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -381,62 +376,41 @@ def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
 
 def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
     """Read a dataset directory; a missing or malformed file is a DataError naming it."""
-    man_path = os.path.join(path, MANIFEST_NAME)
-    if not os.path.isfile(man_path):
-        raise DataError(f"no dataset manifest under {path}")
-    cfg_path, truth_path, img_path = (os.path.join(path, name)
-                                      for name in (CONFIG_NAME, TRUTH_NAME, IMAGES_NAME))
+    eyes_path, cfg_path, img_path = (os.path.join(path, name)
+                                     for name in (EYES_NAME, CONFIG_NAME, IMAGES_NAME))
+    rows = read_table(eyes_path, EYES_HEADER)
     with reading(cfg_path), open(cfg_path) as fh:
         cfg = CohortConfig.from_dict(json.load(fh), "cohort")
-    truth_rows = read_table(truth_path, TRUTH_HEADER)
-    truth = {}
-    with reading(truth_path):
-        for k, (_, eid, drift, sev, hz) in enumerate(truth_rows):
-            if eid in truth:
-                raise ValueError(f"row {k + 2}: a second row for eye {eid}")
-            truth[eid] = (float(drift), _parse_list(sev), _parse_list(hz))
-
-    by_eye: dict[str, dict] = {}              # each eye's first row, months, outcome
-    rows = read_table(man_path, MANIFEST_HEADER)
-    with reading(man_path):
-        for k, (pid, eid, month, step, cens) in enumerate(rows):
-            if cens not in ("0", "1"):
-                raise ValueError(f"row {k + 2}: censored flag {cens!r} is not 0 or 1")
-            rec = by_eye.setdefault(eid, {"fields": (pid, step, cens), "first": k, "months": [],
-                                          "outcome": EventOutcome(int(step), cens == "1")})
-            if (pid, step, cens) != rec["fields"]:
-                raise ValueError(f"row {k + 2}: eye {eid}'s patient, outcome step or "
-                                 f"censored flag differs from its first row's")
-            if (k != rec["first"] + len(rec["months"])
-                    or rec["months"] and int(month) <= rec["months"][-1]):
-                raise ValueError(f"row {k + 2}: eye {eid}'s visits are not consecutive "
-                                 f"rows in increasing month order")
-            rec["months"].append(int(month))
-        for rec in by_eye.values():
-            rec["outcome"].validate(cfg.grid)
+    eyes = {}
+    with reading(eyes_path):
+        for k, (pid, eid, months, step, cens, drift, sev, hz) in enumerate(rows, start=2):
+            try:
+                if eid in eyes:
+                    raise ValueError(f"a second row for eye {eid}")
+                visits = np.array([int(m) for m in months.split(";")])
+                outcome = EventOutcome(int(step), cens == "1")
+                eyes[eid] = eye = EyeRecord(pid, eid, visits, None, outcome, float(drift),
+                                            _parse_list(sev), _parse_list(hz))
+                if np.any(np.diff(visits) <= 0):
+                    raise ValueError(f"visit months {months} are not strictly increasing")
+                if cens not in ("0", "1"):
+                    raise ValueError(f"censored flag {cens!r} is not 0 or 1")
+                outcome.validate(cfg.grid)
+                if (len(eye.severities), len(eye.true_hazard)) != (len(visits), cfg.j_max):
+                    raise ValueError(f"{len(eye.severities)} severities for {len(visits)} visits"
+                                     f" and {len(eye.true_hazard)} hazards for j_max {cfg.j_max}")
+            except (ValueError, DataError) as ex:
+                raise ValueError(f"row {k}: {ex}")
     with reading(img_path):
         images = np.load(img_path, allow_pickle=False)
         if not isinstance(images, np.ndarray):
             raise ValueError("holds an .npz archive, not one .npy array")
-        want = (len(rows), cfg.image_channels, cfg.image_size, cfg.image_size)
+        want = (sum(e.n_visits for e in eyes.values()), cfg.image_channels, cfg.image_size,
+                cfg.image_size)
         if images.dtype != np.float32 or images.shape != want:
             raise ValueError(f"holds {images.dtype} {images.shape}, not float32 {want}, "
-                             f"one image per row of {man_path}")
-
-    eyes = []
-    for eid, rec in by_eye.items():
-        if eid not in truth:
-            raise DataError(f"{truth_path} has no row for eye {eid}")
-        first, n = rec["first"], len(rec["months"])
-        drift, sev, hz = truth.pop(eid)
-        if len(sev) != n or len(hz) != cfg.j_max:
-            raise DataError(f"{truth_path}: eye {eid} has {len(sev)} severities for {n} "
-                            f"visits and {len(hz)} hazards for j_max {cfg.j_max}")
-        eyes.append(EyeRecord(patient_id=rec["fields"][0], eye_id=eid,
-                              visit_months=np.array(rec["months"]),
-                              images=images[first:first + n], outcome=rec["outcome"],
-                              drift=drift, severities=sev, true_hazard=hz))
-    if truth:
-        raise DataError(f"{truth_path}: eyes with no rows in {man_path}: "
-                        f"{', '.join(sorted(truth))}")
-    return eyes, cfg
+                             f"one image per visit in {eyes_path}")
+    start = 0                                 # each eye's images, in row order
+    for e in eyes.values():
+        e.images, start = images[start:start + e.n_visits], start + e.n_visits
+    return list(eyes.values()), cfg

@@ -228,7 +228,7 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
             dg.backward(loss_node)
             adam_step(params, _collect_grads(fp.leaves, params), state, schedule.lr)
             del fp, loss_node   # the step's graph dies here, not at the next forward
-            epoch_losses.append(loss_value)
+            epoch_losses.append((loss_value, parts["surv"], parts["pred"]))
         if diverged:
             stopped_epoch = epoch
             break
@@ -242,12 +242,12 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
         except EmptyCellError:
             log.warning("validation grid entirely empty at epoch %d", epoch)
             val_metric = float("nan")
-        train_loss = float(np.mean(epoch_losses))
+        train_loss, surv, pred = (float(np.mean(v)) for v in zip(*epoch_losses))
         lr_used = schedule.lr
         if schedule.update(epoch, val_metric):
             best_params = copy.deepcopy(params)
-        history.append({"epoch": epoch, "train_loss": train_loss,
-                        "val_metric": val_metric, "lr": lr_used})
+        history.append({"epoch": epoch, "train_loss": train_loss, "val_metric": val_metric,
+                        "lr": lr_used, "surv": surv, "pred": pred})
         log.info("epoch %d: loss %.4f val %.4f lr %.2e (%.1fs)",
                  epoch, train_loss, val_metric, lr_used, time.time() - t_start)
         stopped_epoch = epoch
@@ -265,7 +265,7 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
                        stopped_epoch=stopped_epoch, diverged=diverged)
 
 
-HISTORY_HEADER = ("epoch", "train_loss", "val_metric", "lr")
+HISTORY_HEADER = ("epoch", "train_loss", "val_metric", "lr", "surv", "pred")
 
 
 def write_history(path: str, history: list) -> None:

@@ -28,7 +28,7 @@ from longisurv.reports import (RiskSource, attention_analysis, compare_sources,
                                source_from_token)
 from longisurv.metrics import ModelScorer, OracleScorer, build_risk_cells
 from longisurv.survival import EventOutcome
-from longisurv.synthcohort import (CohortConfig, EyeAnatomy, generate_cohort,
+from longisurv.synthcohort import (EYES_NAME, CohortConfig, EyeAnatomy, generate_cohort,
                                    render_image, split_patients, summary_stats,
                                    _stream)
 from longisurv.trainer import TrainConfig, train
@@ -405,8 +405,7 @@ def test_10_reproducibility(tmp_path):
                      "--samples", os.path.join(ev, "samples.tsv"),
                      "--out", str(root / "fig.svg")]) == 0
         outputs[run] = {
-            "manifest": open(os.path.join(ds, "manifest.tsv"), "rb").read(),
-            "truth": open(os.path.join(ds, "truth.tsv"), "rb").read(),
+            "eyes": open(os.path.join(ds, EYES_NAME), "rb").read(),
             "params": open(os.path.join(ck, "params.bin"), "rb").read(),
             "history": open(os.path.join(ck, "history.tsv"), "rb").read(),
             "report": open(os.path.join(ev, "report.tsv"), "rb").read(),

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from longisurv import cli
 from longisurv.cli import main
 from longisurv.model import load_checkpoint, save_checkpoint
-from longisurv.synthcohort import load_dataset, save_dataset
+from longisurv.synthcohort import (CONFIG_NAME, EYES_NAME, IMAGES_NAME, load_dataset,
+                                   save_dataset)
 
 
 SMOKE_COHORT = {"n_patients": 40, "target_censoring": 0.6,
@@ -92,7 +93,7 @@ class TestExitCodes:
         if command == "evaluate":
             args += ["--ckpt", "oracle", "--bootstrap", "2"]
         elif command == "plot":
-            with open(os.path.join(workspace["dataset"], "manifest.tsv")) as fh:
+            with open(os.path.join(workspace["dataset"], EYES_NAME)) as fh:
                 eye = fh.read().splitlines()[1].split("\t")[1]
             args += ["--ckpt", "oracle", "--eyes", eye]
         code = main(args)
@@ -166,23 +167,6 @@ class TestExitCodes:
             np.savez(fh, images=images)
 
     @staticmethod
-    def _swap_rows(path, same_eye):
-        """Swap the first two adjacent visit rows of one eye, or of two eyes."""
-        lines = path.read_text().splitlines()
-        eyes = [line.split("\t")[1] for line in lines]
-        k = next(k for k in range(2, len(eyes)) if (eyes[k] == eyes[k - 1]) == same_eye)
-        lines[k - 1], lines[k] = lines[k], lines[k - 1]
-        path.write_text("\n".join(lines) + "\n")
-
-    @staticmethod
-    def _drop_last_eye(d):
-        """Delete the last eye's manifest rows and images, keeping its truth row."""
-        lines = (d / "manifest.tsv").read_text().splitlines()
-        kept = [line for line in lines if line.split("\t")[1] != lines[-1].split("\t")[1]]
-        (d / "manifest.tsv").write_text("\n".join(kept) + "\n")
-        np.save(d / "images.npy", np.load(d / "images.npy")[:len(kept) - 1])
-
-    @staticmethod
     def _edit_row(path, line_index, edit):
         lines = path.read_text().splitlines()
         if edit is None:
@@ -199,56 +183,45 @@ class TestExitCodes:
             fh.write("\t".join(edit(fields)) + "\n")
 
     @staticmethod
-    def _edit_second_visit(path, edit):
-        """Edit the second row of the first eye with two visits."""
-        eyes = [line.split("\t")[1] for line in path.read_text().splitlines()]
-        k = next(k for k in range(2, len(eyes)) if eyes[k] == eyes[k - 1])
-        TestExitCodes._edit_row(path, k, edit)
+    def _edit_eye(d, edit, min_visits=1):
+        """Edit the eyes.tsv row of the first eye with at least ``min_visits`` visits."""
+        lines = (d / EYES_NAME).read_text().splitlines()
+        k = next(k for k in range(1, len(lines))
+                 if lines[k].split("\t")[2].count(";") + 1 >= min_visits)
+        TestExitCodes._edit_row(d / EYES_NAME, k, edit)
 
     @pytest.mark.parametrize("damage, named", [
-        (lambda d: os.remove(d / "truth.tsv"), "truth.tsv"),
-        (lambda d: os.remove(d / "cohort.json"), "cohort.json"),
-        (lambda d: TestExitCodes._edit_row(
-            d / "manifest.tsv", 1, lambda f: f[:2] + ["six"] + f[3:]), "manifest.tsv"),
-        (lambda d: TestExitCodes._edit_row(d / "manifest.tsv", 1, lambda f: f[:-1]),
-         "manifest.tsv"),
-        (lambda d: TestExitCodes._edit_row(d / "truth.tsv", 1, lambda f: f + ["0.5"]),
-         "truth.tsv"),
-        (lambda d: TestExitCodes._edit_row(d / "truth.tsv", 1, None), "truth.tsv"),
-        (lambda d: os.remove(d / "images.npy"), "images.npy"),
-        (lambda d: (d / "images.npy").write_bytes(b""), "images.npy"),
-        (lambda d: (d / "images.npy").write_bytes((d / "images.npy").read_bytes()[:-100]),
-         "images.npy"),
-        (lambda d: np.save(d / "images.npy", np.load(d / "images.npy")[:-1]), "images.npy"),
-        (lambda d: TestExitCodes._to_npz(d / "images.npy"), "images.npy"),
-        (lambda d: TestExitCodes._swap_rows(d / "manifest.tsv", False), "manifest.tsv"),
-        (lambda d: TestExitCodes._swap_rows(d / "manifest.tsv", True), "manifest.tsv"),
-        (lambda d: TestExitCodes._edit_row(
-            d / "manifest.tsv", 1, lambda f: f[:3] + ["99"] + f[4:]), "manifest.tsv"),
-        (lambda d: TestExitCodes._edit_row(
-            d / "manifest.tsv", 1, lambda f: f[:-1] + ["2"]), "manifest.tsv"),
-        (lambda d: TestExitCodes._drop_last_eye(d), "truth.tsv"),
-        (lambda d: TestExitCodes._edit_row(
-            d / "truth.tsv", 1, lambda f: f[:4] + [f[4].rsplit(";", 1)[0]]), "truth.tsv"),
-        (lambda d: TestExitCodes._edit_row(d / "truth.tsv", 1, lambda f: f[:4] + [""]),
-         "truth.tsv"),
-        (lambda d: TestExitCodes._edit_row(
-            d / "truth.tsv", 1, lambda f: f[:3] + [f[3] + ";0.5", f[4]]), "truth.tsv"),
+        (lambda d: os.remove(d / CONFIG_NAME), CONFIG_NAME),
+        (lambda d: os.rename(d / EYES_NAME, d / "manifest.tsv"), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:2] + ["six"] + f[3:]), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:2] + [""] + f[3:]), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:-1]), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f + ["0.5"]), EYES_NAME),
+        (lambda d: os.remove(d / IMAGES_NAME), IMAGES_NAME),
+        (lambda d: (d / IMAGES_NAME).write_bytes(b""), IMAGES_NAME),
+        (lambda d: (d / IMAGES_NAME).write_bytes((d / IMAGES_NAME).read_bytes()[:-100]),
+         IMAGES_NAME),
+        (lambda d: np.save(d / IMAGES_NAME, np.load(d / IMAGES_NAME)[:-1]), IMAGES_NAME),
+        (lambda d: TestExitCodes._edit_row(d / EYES_NAME, -1, None), IMAGES_NAME),
+        (lambda d: TestExitCodes._to_npz(d / IMAGES_NAME), IMAGES_NAME),
+        (lambda d: TestExitCodes._edit_eye(
+            d, lambda f: f[:2] + [";".join(f[2].split(";")[::-1])] + f[3:], 2), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:3] + ["99"] + f[4:]), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:3] + ["1.5"] + f[4:]), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:4] + ["2"] + f[5:]), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(
+            d, lambda f: f[:7] + [f[7].rsplit(";", 1)[0]]), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:7] + [""]), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:6] + [f[6] + ";0.5", f[7]]),
+         EYES_NAME),
         (lambda d: TestExitCodes._append_copy(
-            d / "truth.tsv", 1, lambda f: f[:2] + ["9.5"] + f[3:]), "truth.tsv"),
-        (lambda d: TestExitCodes._edit_second_visit(
-            d / "manifest.tsv", lambda f: ["p99"] + f[1:]), "manifest.tsv"),
-        (lambda d: TestExitCodes._edit_second_visit(
-            d / "manifest.tsv", lambda f: f[:3] + ["1", f[4]]), "manifest.tsv"),
-        (lambda d: TestExitCodes._edit_second_visit(
-            d / "manifest.tsv", lambda f: f[:4] + [str(1 - int(f[4]))]), "manifest.tsv"),
-    ], ids=["missing_truth", "missing_cohort_config", "visit_month", "manifest_field_count",
-            "truth_field_count", "eye_without_truth", "missing_image", "empty_images",
-            "truncated_images", "one_image_too_few", "npz_archive", "eye_rows_not_consecutive",
-            "months_out_of_order", "event_step_outside_grid", "censored_flag",
-            "truth_eye_without_rows", "short_hazard_list", "empty_hazard_list",
-            "severity_per_visit", "duplicate_truth_row", "eye_rows_disagree_on_patient",
-            "eye_rows_disagree_on_outcome_step", "eye_rows_disagree_on_censoring"])
+            d / EYES_NAME, 1, lambda f: f[:5] + ["9.5"] + f[6:]), EYES_NAME),
+    ], ids=["missing_cohort_config", "old_layout_without_eyes_tsv", "visit_month",
+            "no_visit_months", "short_row", "long_row", "missing_image", "empty_images",
+            "truncated_images", "one_image_too_few", "one_eye_row_fewer_than_images",
+            "npz_archive", "months_out_of_order", "event_step_outside_grid",
+            "event_step_not_integer", "censored_flag", "short_hazard_list",
+            "empty_hazard_list", "severity_per_visit", "duplicate_eye_row"])
     def test_malformed_dataset_is_data_error(self, workspace, tmp_path, capsys,
                                              damage, named):
         dataset = tmp_path / "dataset"
@@ -262,8 +235,8 @@ class TestExitCodes:
 
     # (directory, file, damage): "cut" truncates inside the content, "rows"
     # drops trailing table rows
-    CORRUPTIONS = [("dataset", "images.npy", "cut"), ("dataset", "cohort.json", "cut"),
-                   ("dataset", "manifest.tsv", "rows"), ("dataset", "truth.tsv", "rows"),
+    CORRUPTIONS = [("dataset", IMAGES_NAME, "cut"), ("dataset", CONFIG_NAME, "cut"),
+                   ("dataset", EYES_NAME, "rows"),
                    ("ckpt", "params.bin", "cut"), ("ckpt", "config.json", "cut")]
 
     @settings(max_examples=80, deadline=None,
@@ -333,14 +306,14 @@ class TestExitCodes:
     def test_misfit_cohort_config_is_data_error(self, workspace, tmp_path, capsys, edit):
         dataset = tmp_path / "dataset"
         shutil.copytree(workspace["dataset"], dataset)
-        cfg = json.loads((dataset / "cohort.json").read_text())
+        cfg = json.loads((dataset / CONFIG_NAME).read_text())
         edit(cfg)
-        write_json(dataset / "cohort.json", cfg)
+        write_json(dataset / CONFIG_NAME, cfg)
         code = main(["evaluate", "--seed", "1", "--ckpt", "oracle",
                      "--dataset", str(dataset), "--out", str(tmp_path / "ev"),
                      "--bootstrap", "2"])
         err = capsys.readouterr().err
-        assert code == 3 and "cohort.json" in err and "Traceback" not in err
+        assert code == 3 and CONFIG_NAME in err and "Traceback" not in err
 
     @pytest.mark.parametrize("edit", [
         lambda model: model.update(embed_dmi=model.pop("embed_dim")),  # unknown key
@@ -444,7 +417,7 @@ class TestSimulate:
         for name in ("a", "b"):
             assert main(["simulate", "--seed", "5", "--out",
                          str(tmp_path / name), "--config", cfg]) == 0
-        files = ["cohort.json", "images.npy", "manifest.tsv", "truth.tsv"]
+        files = sorted([CONFIG_NAME, EYES_NAME, IMAGES_NAME])
         assert sorted(os.listdir(tmp_path / "a")) == files
         for rel in files:
             assert (tmp_path / "a" / rel).read_bytes() == \
@@ -492,7 +465,7 @@ class TestTrain:
         assert os.path.isfile(os.path.join(workspace["ckpt"], "params.bin"))
         assert os.path.isfile(os.path.join(workspace["ckpt"], "config.json"))
         history = open(os.path.join(workspace["ckpt"], "history.tsv")).read()
-        assert history.startswith("epoch\ttrain_loss\tval_metric\tlr")
+        assert history.splitlines()[0] == "epoch\ttrain_loss\tval_metric\tlr\tsurv\tpred"
         assert len(history.strip().splitlines()) == 3
 
     def test_reproducible_training_bytes(self, workspace, tmp_path):

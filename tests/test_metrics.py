@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -493,3 +494,26 @@ def test_report_round_trip(tmp_path):
         "model\tmetric\tt_years\tdt_years\tsample_index\tvalue\n"
         "longitudinal\tconcordance\t1.0\t2.0\t0\t0.5\n"
         "longitudinal\tconcordance\t1.0\t2.0\t1\t0.3333333333333333\n")
+
+
+def test_no_chunk_graph_outlives_its_rows(monkeypatch):
+    """Each chunk's forward pass, graph included, is dead before the next chunk's
+    forward starts: the hazards array is a graph node's value."""
+    cohort_cfg = CohortConfig(n_patients=12, seed=5)
+    eyes = generate_cohort(cohort_cfg)
+    cfg_model = ModelConfig(kind="longitudinal", embed_dim=8, n_layers=1, n_heads=2,
+                            j_max=27, step_months=6, image_size=32, conv_widths=(2, 4, 4))
+    record = {"model": cfg_model.to_dict(), "pixel_mean": [0.2], "pixel_std": [0.2]}
+    refs, alive = [], []
+
+    def recording_forward(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        fp = forward_sequences(*args, **kwargs)
+        refs.extend((weakref.ref(fp), weakref.ref(fp.hazards)))
+        return fp
+
+    monkeypatch.setattr(metrics, "forward_sequences", recording_forward)
+    monkeypatch.setattr(metrics, "CHUNK_EYES", 4)
+    build_risk_cells(ModelScorer(init_params(cfg_model, seed=0), record), eyes,
+                     cohort_cfg.grid)
+    assert len(alive) > 2 and alive == [0] * len(alive)

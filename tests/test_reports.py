@@ -1,11 +1,13 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from longisurv import reports
+from longisurv import metrics, reports
 from longisurv.errors import ConfigError, EmptyCellError
 from longisurv.metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, bootstrap_ci,
                                brier_td, concordance_td)
-from longisurv.model import ModelConfig, init_params
+from longisurv.model import ModelConfig, forward_sequences, init_params
 from longisurv.reports import (AttentionReport, RiskSource, attention_analysis,
                                compare_sources, evaluate_source, source_from_token,
                                write_attention, write_attention_summary)
@@ -153,6 +155,25 @@ class TestSources:
         assert est is not None and 0.2 < est < 0.8
 
 
+def test_one_pair_table_per_cell_and_source(cohort, monkeypatch):
+    """Scoring a (cell, source) builds its pair table once, for the estimate,
+    the pair count and every bootstrap draw."""
+    eyes, cfg = cohort
+    sources = [source_from_token("oracle"), source_from_token("random", seed=5)]
+    n_cells = [sum(c is not None for c in s.cells(eyes, cfg.grid, DEFAULT_T_YEARS,
+                                                  DEFAULT_DT_YEARS).values())
+               for s in sources]
+    calls = []                                  # each call's cell, by its risks array
+    real = metrics.pair_table
+    monkeypatch.setattr(metrics, "pair_table", lambda *a: calls.append(id(a[0])) or real(*a))
+    evaluate_source(sources[0], eyes, cfg.grid, n_bootstrap=20, seed=1)
+    assert len(calls) == len(set(calls)) == n_cells[0]
+    calls.clear()
+    # a cell that A leaves without a concordance is not scored for B
+    compare_sources(*sources, eyes, cfg.grid, n_bootstrap=20, seed=1)
+    assert len(calls) == len(set(calls)) and n_cells[0] <= len(calls) <= sum(n_cells)
+
+
 @pytest.fixture(scope="module")
 def long_sequences():
     cfg = CohortConfig(n_patients=10, seed=9, target_censoring=1.0,
@@ -192,6 +213,22 @@ class TestAttentionAnalysis:
         scores = np.array([r[3] for r in report.rows])
         assert scores.max() == 1.0
         assert np.all((scores > 0) & (scores <= 1.0))
+
+    def test_no_chunk_graph_outlives_its_scores(self, long_sequences, monkeypatch):
+        # the hazards array is a graph node's value, so it dies only with the pass
+        params, record, eyes = long_sequences
+        refs, alive = [], []
+
+        def recording_forward(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            fp = forward_sequences(*args, **kwargs)
+            refs.extend((weakref.ref(fp), weakref.ref(fp.hazards)))
+            return fp
+
+        monkeypatch.setattr(reports, "forward_sequences", recording_forward)
+        monkeypatch.setattr(reports, "CHUNK_EYES", 3)
+        attention_analysis(params, record, eyes)
+        assert len(alive) > 2 and alive == [0] * len(alive)
 
     def test_baseline_record_rejected(self, cohort):
         model_cfg = ModelConfig(kind="baseline", embed_dim=8, n_heads=2,

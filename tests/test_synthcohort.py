@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from longisurv.cli import COHORT_PRESETS
 from longisurv.errors import ConfigError, DataError
 from longisurv.synthcohort import (CohortConfig, EyeAnatomy, _stream, generate_cohort,
                                    split_patients, pad_and_batch, render_image,
-                                   summary_stats, save_dataset, load_dataset)
+                                   summary_stats, save_dataset, load_dataset,
+                                   CONFIG_NAME, EYES_NAME, IMAGES_NAME)
 
 
 def small_cfg(**over):
@@ -195,16 +197,22 @@ class TestDatasetIO:
         loaded, cfg2 = load_dataset(str(tmp_path / "ds"))
         assert cfg2 == cfg
         assert [e.eye_id for e in loaded] == [e.eye_id for e in eyes]
-        stack = np.load(tmp_path / "ds" / "images.npy")
+        assert sorted(os.listdir(tmp_path / "ds")) == sorted([CONFIG_NAME, EYES_NAME, IMAGES_NAME])
+        stack = np.load(tmp_path / "ds" / IMAGES_NAME)
         assert stack.shape == (sum(e.n_visits for e in eyes), 1, 32, 32)
+        start = 0                     # an eye's images sit at its cumulative visit count
         for e, le in zip(eyes, loaded):
-            assert le.outcome == e.outcome
+            assert (le.patient_id, le.outcome) == (e.patient_id, e.outcome)
             np.testing.assert_array_equal(le.visit_months, e.visit_months)
             assert le.visit_months.dtype == e.visit_months.dtype
             assert le.images.dtype == np.float32 and le.images.tobytes() == e.images.tobytes()
+            assert le.images.tobytes() == stack[start:start + e.n_visits].tobytes()
+            start += e.n_visits
             assert le.images.base is not None and le.images.base is loaded[0].images.base
-            np.testing.assert_allclose(le.true_hazard, e.true_hazard, rtol=0)
-            np.testing.assert_allclose(le.severities, e.severities, rtol=0)
+            assert le.true_hazard.dtype == e.true_hazard.dtype
+            assert le.true_hazard.tobytes() == e.true_hazard.tobytes()
+            assert le.severities.dtype == e.severities.dtype
+            assert le.severities.tobytes() == e.severities.tobytes()
             assert le.drift == e.drift
 
     def test_byte_identical_rewrite(self, tmp_path):
@@ -212,10 +220,20 @@ class TestDatasetIO:
         eyes = generate_cohort(cfg)
         save_dataset(str(tmp_path / "a"), eyes, cfg)
         save_dataset(str(tmp_path / "b"), eyes, cfg)
-        for name in ("manifest.tsv", "truth.tsv", "cohort.json", "images.npy"):
+        for name in (EYES_NAME, CONFIG_NAME, IMAGES_NAME):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DataError):
+    def test_missing_eyes_table(self, tmp_path):
+        with pytest.raises(DataError, match=EYES_NAME):
+            load_dataset(str(tmp_path))
+
+    def test_bad_row_names_its_row(self, tmp_path):
+        cfg = small_cfg(n_patients=3)
+        save_dataset(str(tmp_path), generate_cohort(cfg), cfg)
+        lines = (tmp_path / EYES_NAME).read_text().splitlines()
+        fields = lines[2].split("\t")
+        lines[2] = "\t".join(fields[:4] + ["2"] + fields[5:])     # the second eye's flag
+        (tmp_path / EYES_NAME).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"{EYES_NAME}: row 3: censored flag '2'"):
             load_dataset(str(tmp_path))

@@ -115,7 +115,30 @@ class TestTrainLoop:
                   if np.isfinite(h["val_metric"])]
         assert res.best_metric == max(finite)
         assert res.record["best_epoch"] == res.best_epoch
-        assert set(res.history[0]) == {"epoch", "train_loss", "val_metric", "lr"}
+        assert set(res.history[0]) == {"epoch", "train_loss", "val_metric", "lr", "surv",
+                                       "pred"}
+
+    @pytest.mark.parametrize("kind", ["longitudinal", "baseline"])
+    def test_history_splits_the_loss_into_its_parts(self, splits, monkeypatch, kind):
+        (train_eyes, val_eyes, _), _ = splits
+        steps = []
+        loss_fn = "sequence_loss" if kind == "longitudinal" else "baseline_loss"
+        real = getattr(tr, loss_fn)
+
+        def recording(*args, **kwargs):
+            node, parts = real(*args, **kwargs)
+            steps.append(parts)
+            return node, parts
+
+        monkeypatch.setattr(tr, loss_fn, recording)
+        res = train(train_eyes, val_eyes, smoke_model(kind=kind),
+                    TrainConfig(max_epochs=2, seed=1))
+        per_epoch = len(steps) // 2
+        for h, epoch_steps in zip(res.history, (steps[:per_epoch], steps[per_epoch:])):
+            assert h["surv"] == float(np.mean([p["surv"] for p in epoch_steps]))
+            assert h["pred"] == float(np.mean([p["pred"] for p in epoch_steps]))
+            assert h["surv"] + h["pred"] == pytest.approx(h["train_loss"], rel=1e-5)
+            assert (h["pred"] > 0) == (kind == "longitudinal")
 
     def test_lr_sequence_nonincreasing(self, splits):
         (train_eyes, val_eyes, _), _ = splits
@@ -215,15 +238,18 @@ class TestTrainLoop:
 
 
 def test_history_writer_deterministic(tmp_path):
-    rows = [{"epoch": 1, "train_loss": 0.5, "val_metric": 0.71, "lr": 1e-4},
-            {"epoch": 2, "train_loss": 0.41, "val_metric": 0.74, "lr": 1e-4},
-            {"epoch": 3, "train_loss": 0.4, "val_metric": float("nan"), "lr": 1}]
+    rows = [{"epoch": 1, "train_loss": 0.5, "val_metric": 0.71, "lr": 1e-4, "surv": 0.3,
+             "pred": 0.2},
+            {"epoch": 2, "train_loss": 0.41, "val_metric": 0.74, "lr": 1e-4, "surv": 0.25,
+             "pred": 0.16},
+            {"epoch": 3, "train_loss": 0.4, "val_metric": float("nan"), "lr": 1, "surv": 0.4,
+             "pred": 0.0}]
     write_history(str(tmp_path / "a.tsv"), rows)
     write_history(str(tmp_path / "b.tsv"), rows)
     assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
     lines = (tmp_path / "a.tsv").read_text().splitlines()
-    assert lines[0] == "epoch\ttrain_loss\tval_metric\tlr"
+    assert lines[0] == "epoch\ttrain_loss\tval_metric\tlr\tsurv\tpred"
     # an empty validation grid is nan; an int lr from a --config stays an int
     assert (tmp_path / "a.tsv").read_text() == (
-        "epoch\ttrain_loss\tval_metric\tlr\n1\t0.5\t0.71\t0.0001\n"
-        "2\t0.41\t0.74\t0.0001\n3\t0.4\tnan\t1\n")
+        "epoch\ttrain_loss\tval_metric\tlr\tsurv\tpred\n1\t0.5\t0.71\t0.0001\t0.3\t0.2\n"
+        "2\t0.41\t0.74\t0.0001\t0.25\t0.16\n3\t0.4\tnan\t1\t0.4\t0.0\n")
