@@ -62,11 +62,13 @@ def _years_list(text: str) -> tuple:
         raise ConfigError(f"expected comma-separated years, got {text!r}")
 
 
-def _split_eyes(eyes, cohort_cfg, which: str):
-    if which == "all":
-        return eyes
-    train_eyes, val_eyes, test_eyes = split_patients(eyes, seed=cohort_cfg.seed)
-    return {"train": train_eyes, "val": val_eyes, "test": test_eyes}[which]
+def _load_split(args):
+    """The eyes of ``--dataset`` in ``--split``, and the dataset's config."""
+    eyes, cohort_cfg = load_dataset(args.dataset)
+    if args.split != "all":
+        train_eyes, val_eyes, test_eyes = split_patients(eyes, seed=cohort_cfg.seed)
+        eyes = {"train": train_eyes, "val": val_eyes, "test": test_eyes}[args.split]
+    return eyes, cohort_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +148,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    eyes, cohort_cfg = load_dataset(args.dataset)
-    subset = _split_eyes(eyes, cohort_cfg, args.split)
+    subset, cohort_cfg = _load_split(args)
     source = source_from_token(args.ckpt, seed=args.seed)
     rows = evaluate_source(source, subset, cohort_cfg.grid,
                            t_years=_years_list(args.t_years),
@@ -169,8 +170,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    eyes, cohort_cfg = load_dataset(args.dataset)
-    subset = _split_eyes(eyes, cohort_cfg, args.split)
+    subset, cohort_cfg = _load_split(args)
     source_a = source_from_token(args.ckpt_a, seed=args.seed)
     # a second random source gets its own stream so random-vs-random is a
     # genuine comparison, not an identity
@@ -195,8 +195,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_attention(args) -> int:
-    eyes, cohort_cfg = load_dataset(args.dataset)
-    subset = _split_eyes(eyes, cohort_cfg, args.split)
+    subset, cohort_cfg = _load_split(args)
     report = attention_analysis(*load_checkpoint(args.ckpt), subset)
     os.makedirs(args.out, exist_ok=True)
     write_attention(os.path.join(args.out, "attention.tsv"), report)
@@ -237,10 +236,10 @@ def cmd_plot(args) -> int:
         cells = sorted({c for _, c in groups})
         significance = {}
         with reading(args.report):
-            for _, metric, t, dt, *_, p_adjusted, stars, _, _ in rows:
-                cell = (float(t), float(dt))
-                if metric == args.metric and p_adjusted != "NA" and stars != "NA":
-                    significance[cell] = stars
+            for row in (dict(zip(REPORT_HEADER, fields)) for fields in rows):
+                stars = row["significance"]
+                if row["metric"] == args.metric and "NA" not in (row["p_adjusted"], stars):
+                    significance[(float(row["t_years"]), float(row["dt_years"]))] = stars
         svg = grid_box_figure(groups, cells, models, significance,
                               ylabel=f"time-dependent {args.metric}")
     elif args.curves:

@@ -250,7 +250,7 @@ def masked_softmax(scores: Node, additive_mask: np.ndarray) -> Node:
     return Node(out, "masked_softmax", scores.needs_grad, [(scores, vjp)])
 
 
-def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = LAYERNORM_EPS) -> Node:
+def layer_norm(x: Node, gamma: Node, beta: Node) -> Node:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     f = x.value.shape[-1]
     if gamma.value.shape != (f,) or beta.value.shape != (f,):
@@ -258,7 +258,7 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = LAYERNORM_EPS) -> 
     mu = x.value.mean(axis=-1, keepdims=True)
     xc = x.value - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     y = xc * inv
     out = y * gamma.value + beta.value
 

@@ -1,8 +1,8 @@
 """Per-visit feature encoders and the pixel pipeline that feeds them.
 
-Two sinusoidal time encodings (absolute months since enrollment, and the
-relative gap to the next visit) plus a small convolutional image encoder
-that maps each visit image to a d-dimensional embedding. Visit times are
+One sinusoidal time code (for months since enrollment and for the gap to
+the next visit) plus a small convolutional image encoder that maps each
+visit image to a d-dimensional embedding. Visit times are
 always in months here; year-to-month conversion happens at the CLI
 boundary.
 
@@ -20,33 +20,20 @@ from .errors import ConfigError, DataError
 from .synthcohort import EyeRecord, SequenceBatch, pad_and_batch
 
 
-def _sinusoid(values: np.ndarray, d: int) -> np.ndarray:
-    """Rows of interleaved sin/cos at geometric frequencies 10000^(2i/d)."""
+def temporal_encode(v_months, d: int) -> np.ndarray:
+    """Encode a time in months (a visit's, or the gap to the next visit) as a
+    length-d row of interleaved sin/cos at geometric frequencies 10000^(2i/d)."""
+    v = np.asarray(v_months, dtype=float)
+    if np.any(v < 0):
+        raise DataError("visit times must be nonnegative months")
     if d % 2 != 0 or d <= 0:
         raise ConfigError(f"encoding width must be a positive even number, got {d}")
-    v = np.asarray(values, dtype=float)
     i = np.arange(d // 2, dtype=float)
     angles = v[..., None] / np.power(10000.0, 2.0 * i / d)
     out = np.empty(v.shape + (d,), dtype=float)
     out[..., 0::2] = np.sin(angles)
     out[..., 1::2] = np.cos(angles)
     return out
-
-
-def temporal_encode(v_months, d: int) -> np.ndarray:
-    """Encode absolute visit time (months since enrollment) as a length-d row."""
-    v = np.asarray(v_months, dtype=float)
-    if np.any(v < 0):
-        raise DataError("visit times must be nonnegative months")
-    return _sinusoid(v, d)
-
-
-def relative_encode(r_months, d: int) -> np.ndarray:
-    """Encode the gap to the next visit (months) with the same sinusoid family."""
-    r = np.asarray(r_months, dtype=float)
-    if np.any(r < 0):
-        raise DataError("negative inter-visit gap: visits out of order")
-    return _sinusoid(r, d)
 
 
 # ---------------------------------------------------------------------------

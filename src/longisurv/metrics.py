@@ -12,7 +12,7 @@ cells; comparisons from a one-sided Welch t-test, Bonferroni-corrected.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +23,7 @@ from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images)
 from .encoders import model_images, prepare_batch
 from .survival import TimeGrid, hazard_to_survival, risk_window
-from .synthcohort import EyeRecord
+from .synthcohort import EyeRecord, stream
 
 log = logging.getLogger(__name__)
 
@@ -147,8 +147,7 @@ def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000, seed: int = 0,
         row = np.nan
         for attempt in range(max_redraws):
             redraws += attempt > 0
-            stream = np.random.SeedSequence(entropy=seed, spawn_key=(k, attempt))
-            idx = np.random.default_rng(stream).integers(0, n_units, size=n_units)
+            idx = stream(seed, k, attempt).integers(0, n_units, size=n_units)
             try:
                 values = np.asarray(statistic(idx), dtype=float)
             except EmptyCellError:
@@ -202,10 +201,10 @@ def welch_one_sided(a: np.ndarray, b: np.ndarray) -> float:
     return _student_t_sf(float(t), float(df))
 
 
-def bonferroni(raw_p: float, m: int = BONFERRONI_M) -> float:
+def bonferroni(raw_p: float) -> float:
     if not 0.0 <= raw_p <= 1.0:
         raise DataError(f"raw P-value {raw_p} outside [0, 1]")
-    return min(1.0, m * raw_p)
+    return min(1.0, BONFERRONI_M * raw_p)
 
 
 def stars(p_adjusted: float) -> str:
@@ -235,10 +234,7 @@ def visits_seen(eyes: list[EyeRecord], grid: TimeGrid, t_step: int) -> np.ndarra
 def window_risks(curves: np.ndarray, grid: TimeGrid, t_step: int,
                  dt_steps: int) -> np.ndarray:
     """Window risks from stacked survival curves, clamping the window end to the grid."""
-    end = min(t_step + dt_steps, grid.j_max)
-    if end <= t_step:
-        raise ConfigError(f"risk window collapsed: t_step {t_step} >= grid end")
-    return risk_window(curves, t_step, end - t_step)
+    return risk_window(curves, t_step, min(t_step + dt_steps, grid.j_max) - t_step)
 
 
 class OracleScorer:
@@ -370,9 +366,7 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
         cens = np.array([eyes[i].outcome.censored for i in idx])
         for dt, n_steps in zip(dt_years, dt_steps):
             if random_seed is not None:
-                risks = np.random.default_rng(np.random.SeedSequence(
-                    entropy=random_seed,
-                    spawn_key=(int(t * 12), int(dt * 12)))).random(len(idx))
+                risks = stream(random_seed, int(t * 12), int(dt * 12)).random(len(idx))
             else:
                 risks = window_risks(curves[k, idx], grid, t_step, n_steps)
                 if rng_anti:
@@ -422,15 +416,13 @@ class ReportRow:
     samples: np.ndarray | None = field(default=None, repr=False)
 
 
-REPORT_HEADER = ("model", "metric", "t_years", "dt_years", "estimate", "boot_mean", "ci_lo",
-                 "ci_hi", "p_adjusted", "significance", "n_pairs", "n_risk_set")
+REPORT_HEADER = tuple(f.name for f in fields(ReportRow) if f.name != "samples")
 SAMPLES_HEADER = ("model", "metric", "t_years", "dt_years", "sample_index", "value")
 
 
 def write_report(path: str, rows: list[ReportRow]) -> None:
-    write_table(path, REPORT_HEADER, (
-        (r.model, r.metric, r.t_years, r.dt_years, r.estimate, r.boot_mean, r.ci_lo,
-         r.ci_hi, r.p_adjusted, r.significance, r.n_pairs, r.n_risk_set) for r in rows))
+    write_table(path, REPORT_HEADER, ([getattr(r, name) for name in REPORT_HEADER]
+                                      for r in rows))
 
 
 def write_samples(path: str, rows: list[ReportRow]) -> None:

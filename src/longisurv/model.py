@@ -11,8 +11,8 @@ Checkpoints are a directory of two files: a JSON record whose "model"
 section is read by ``ModelConfig.from_dict``, and one little-endian binary
 blob of the tensors that section's ``init_params`` builds, in its order.
 The record's "layout" names each tensor's shape, so a "model" section edited
-to another architecture of the same size does not load; a record written
-without it (older checkpoints) still does. Round trips are bit-exact.
+to another architecture of the same size does not load. Round trips are
+bit-exact.
 """
 from __future__ import annotations
 
@@ -24,10 +24,9 @@ import numpy as np
 
 from . import diffgraph as dg
 from .config import JsonConfig
-from .encoders import (conv_encoder_param_shapes, encode_images,
-                       temporal_encode, relative_encode)
+from .encoders import conv_encoder_param_shapes, encode_images, temporal_encode
 from .errors import ConfigError, DataError, reading
-from .synthcohort import SequenceBatch
+from .synthcohort import SequenceBatch, stream
 
 KIND_LONGITUDINAL = "longitudinal"
 KIND_BASELINE = "baseline"
@@ -80,7 +79,7 @@ class ForwardPass:
 
 def init_params(cfg: ModelConfig, seed: int) -> dict:
     """Seeded parameter initialization; insertion order fixes checkpoint layout."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = stream(seed)
     dt = cfg.np_dtype
     params: dict[str, np.ndarray] = {}
 
@@ -171,7 +170,7 @@ def forward_sequences(params: dict, cfg: ModelConfig, batch: SequenceBatch,
         raise ConfigError("forward_sequences requires a longitudinal config")
     batch.validate()
     dt = cfg.np_dtype
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = stream(seed)
     leaves = {name: dg.param(arr, name) for name, arr in params.items()}
 
     b = len(batch.valid)
@@ -208,7 +207,7 @@ def forward_sequences(params: dict, cfg: ModelConfig, batch: SequenceBatch,
     if lt > 1:
         nxt = valid[:, 1:]
         gaps[:, :-1] = np.where(nxt, np.diff(months, axis=1), 0.0)
-    te_r = dg.constant(relative_encode(gaps, cfg.embed_dim).astype(dt))
+    te_r = dg.constant(temporal_encode(gaps, cfg.embed_dim).astype(dt))
     sp = dg.matmul(dg.dropout(x + te_r, cfg.dropout, rng, train),
                    leaves["head.step.w"]) + leaves["head.step.b"]
 
@@ -223,7 +222,7 @@ def forward_single_images(params: dict, cfg: ModelConfig, images: np.ndarray,
     if cfg.kind != KIND_BASELINE:
         raise ConfigError("forward_single_images requires a baseline config")
     dt = cfg.np_dtype
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = stream(seed)
     leaves = {name: dg.param(arr, name) for name, arr in params.items()}
     e = encode_images(dg.constant(np.asarray(images, dtype=dt)), leaves,
                       n_blocks=len(cfg.conv_widths))
@@ -276,10 +275,10 @@ def save_checkpoint(path: str, params: dict, record: dict) -> None:
 def load_checkpoint(path: str) -> tuple[dict, dict]:
     """Read a checkpoint directory; a malformed file is a DataError naming it.
 
-    The record needs pixel statistics (one number per image channel), and
-    ``params.bin`` exactly the values of the tensors ``init_params`` gives
-    its model config, which fixes their names, shapes, dtype and order. A
-    recorded layout must be that one; the returned record leaves it out.
+    The record needs pixel statistics (one number per image channel) and a
+    layout, and ``params.bin`` exactly the values of the tensors ``init_params``
+    gives its model config, which fixes their names, shapes, dtype and order.
+    The layout must be that one; the returned record leaves it out.
     """
     blob_path, record_path = (os.path.join(path, name) for name in (BLOB_NAME, RECORD_NAME))
     if not os.path.isfile(blob_path):
@@ -287,7 +286,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
     with reading(record_path), open(record_path) as fh:
         record = json.load(fh)
         cfg = ModelConfig.from_dict(record["model"], "model")
-        written = record.pop("layout", None)
+        written = record.pop("layout")
         for key in ("pixel_mean", "pixel_std"):
             values = record.get(key)
             if not (isinstance(values, list) and len(values) == cfg.image_channels
@@ -296,7 +295,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
     layout = init_params(cfg, 0)
     sizes = [arr.size for arr in layout.values()]
     with reading(blob_path), open(blob_path, "rb") as fh:
-        if written not in (None, {name: list(arr.shape) for name, arr in layout.items()}):
+        if written != {name: list(arr.shape) for name, arr in layout.items()}:
             raise ValueError(f"written in another tensor layout than {RECORD_NAME}'s "
                              f"{cfg.kind} model")
         values = np.frombuffer(fh.read(), dtype=_DTYPE_TAGS[cfg.dtype])

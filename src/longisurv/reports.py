@@ -16,7 +16,7 @@ import numpy as np
 
 from .encoders import prepare_batch
 from .errors import ConfigError, EmptyCellError, write_table
-from .metrics import (BONFERRONI_M, CHUNK_EYES, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
+from .metrics import (CHUNK_EYES, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
                       ModelScorer, OracleScorer, ReportRow, bonferroni, bootstrap_ci,
                       build_risk_cells, pair_concordance, stars, welch_one_sided)
 from .model import extract_attention, forward_sequences, load_checkpoint
@@ -112,8 +112,7 @@ def evaluate_source(source: RiskSource, eyes: list[EyeRecord], grid: TimeGrid,
 def compare_sources(source_a: RiskSource, source_b: RiskSource,
                     eyes: list[EyeRecord], grid: TimeGrid,
                     t_years=DEFAULT_T_YEARS, dt_years=DEFAULT_DT_YEARS,
-                    n_bootstrap: int = 1000, seed: int = 0,
-                    m_comparisons: int = BONFERRONI_M) -> list[ReportRow]:
+                    n_bootstrap: int = 1000, seed: int = 0) -> list[ReportRow]:
     """Concordance rows, A then B per cell; A's rows carry the adjusted P.
 
     P tests the alternative that A's mean bootstrapped concordance exceeds
@@ -123,8 +122,7 @@ def compare_sources(source_a: RiskSource, source_b: RiskSource,
                        n_bootstrap, seed, ("concordance",))
     for ra, rb in zip(rows[::2], rows[1::2]):
         if ra.samples is not None:
-            p_adj = bonferroni(welch_one_sided(ra.samples, rb.samples),
-                               m_comparisons)
+            p_adj = bonferroni(welch_one_sided(ra.samples, rb.samples))
             ra.p_adjusted, ra.significance = p_adj, stars(p_adj)
     return rows
 

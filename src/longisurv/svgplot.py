@@ -134,8 +134,7 @@ def grid_box_figure(groups: dict, cell_keys: list, model_names: list,
     return canvas.render()
 
 
-def survival_curves_figure(curves: dict, step_years: float,
-                           ylabel: str = "survival probability") -> str:
+def survival_curves_figure(curves: dict, step_years: float) -> str:
     """Step-style survival polylines keyed by (model, eye) labels."""
     if not curves:
         raise ConfigError("nothing to plot: no curves")
@@ -162,7 +161,7 @@ def survival_curves_figure(curves: dict, step_years: float,
         canvas.line(x_of(tick), margin_t + plot_h, x_of(tick), margin_t + plot_h + 4)
         canvas.text(x_of(tick), margin_t + plot_h + 16, str(tick))
     canvas.text(margin_l + plot_w / 2, height - 28, "years since enrollment")
-    canvas.text(14, margin_t + plot_h / 2, ylabel)
+    canvas.text(14, margin_t + plot_h / 2, "survival probability")
     canvas.parts[-1] = canvas.parts[-1].replace(
         "<text ", f'<text transform="rotate(-90 14 {_f(margin_t + plot_h / 2)})" ', 1)
 

@@ -16,7 +16,7 @@ Censoring combines an administrative end of follow-up with a random
 dropout whose per-step probability is tuned by bisection so the expected
 censoring rate hits a configurable target.
 
-Generation is deterministic from (config, seed). Stream ``_stream(seed, *key)``
+Generation is deterministic from (config, seed). Stream ``stream(seed, *key)``
 draws, in order: key ``(0, p)`` the patient's drift factor; ``(1, p, e)`` the
 eye's drift factor, initial severity, ``j_max`` step noises and ``j_max`` event
 uniforms, then its administrative end; ``(2, p, e)`` the dropout step (when
@@ -119,7 +119,8 @@ class EyeRecord:
         return len(self.visit_months)
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The package's one seeded generator: PCG64 on the ``SeedSequence`` of (seed, key)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
@@ -127,9 +128,9 @@ def _simulate_latents(cfg: CohortConfig):
     """Severity paths, hazards, candidate event steps and admin ends per eye."""
     draws = []                              # each eye's stream, in draw order
     for p in range(cfg.n_patients):
-        zp = float(_stream(cfg.seed, 0, p).standard_normal())
+        zp = float(stream(cfg.seed, 0, p).standard_normal())
         for e in range(cfg.eyes_per_patient):
-            rng = _stream(cfg.seed, 1, p, e)
+            rng = stream(cfg.seed, 1, p, e)
             draws.append((zp, rng.standard_normal(), rng.standard_normal(),
                           rng.normal(0.0, cfg.severity_noise_sd, size=cfg.j_max),
                           rng.random(cfg.j_max),
@@ -231,7 +232,7 @@ def generate_cohort(cfg: CohortConfig, render_images: bool = True) -> list[EyeRe
     for p in range(cfg.n_patients):
         for e in range(cfg.eyes_per_patient):
             i = p * cfg.eyes_per_patient + e
-            rng = _stream(cfg.seed, 2, p, e)
+            rng = stream(cfg.seed, 2, p, e)
             dropout = int(rng.geometric(p_drop)) if p_drop > 0.0 else cfg.j_max + 1
             end = min(int(admin_end[i]), dropout)
             tau_e = int(event_candidate[i])
@@ -247,9 +248,9 @@ def generate_cohort(cfg: CohortConfig, render_images: bool = True) -> list[EyeRe
 
             images = None
             if render_images:
-                anatomy = EyeAnatomy(_stream(cfg.seed, 3, p, e), cfg)
+                anatomy = EyeAnatomy(stream(cfg.seed, 3, p, e), cfg)
                 clean = render_image(anatomy, sev, cfg)
-                noisy = _stream(cfg.seed, 4, p, e).normal(0, cfg.obs_noise_sd, clean.shape)
+                noisy = stream(cfg.seed, 4, p, e).normal(0, cfg.obs_noise_sd, clean.shape)
                 noisy += clean
                 images = np.clip(noisy, 0.0, 1.0, out=noisy).astype(np.float32)
 
@@ -272,7 +273,7 @@ def split_patients(eyes: list[EyeRecord], fractions=(0.7, 0.1, 0.2),
     n_val = int(round(fractions[1] * n))
     if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
         raise ConfigError(f"too few patients ({n}) for split {fractions}")
-    order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
+    order = stream(seed).permutation(n)
     groups = (set(patients[i] for i in order[:n_train]),
               set(patients[i] for i in order[n_train:n_train + n_val]),
               set(patients[i] for i in order[n_train + n_val:]))

@@ -28,7 +28,7 @@ from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images, init_params)
 from . import diffgraph as dg
 from .survival import TimeGrid
-from .synthcohort import EyeRecord
+from .synthcohort import EyeRecord, stream
 
 log = logging.getLogger(__name__)
 
@@ -67,12 +67,14 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """In-place adaptive-moment update with bias correction."""
     state.t += 1
-    b1t = 1.0 - beta1 ** state.t
-    b2t = 1.0 - beta2 ** state.t
+    b1t = 1.0 - ADAM_BETA1 ** state.t
+    b2t = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -84,9 +86,9 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        p -= (lr / b1t) * m / (np.sqrt(v / b2t) + eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        p -= (lr / b1t) * m / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 @dataclass
@@ -198,12 +200,11 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
 
     for epoch in range(1, train_cfg.max_epochs + 1):
         t_start = time.time()
-        order = np.random.default_rng(train_cfg.seed ^ epoch).permutation(len(train_eyes))
+        order = stream(train_cfg.seed ^ epoch).permutation(len(train_eyes))
         epoch_losses = []
         for bi, start in enumerate(range(0, len(order), batch_eyes)):
             part = [train_eyes[i] for i in order[start:start + batch_eyes]]
-            aug_rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=train_cfg.seed, spawn_key=(epoch, bi, 0)))
+            aug_rng = stream(train_cfg.seed, epoch, bi, 0)
             fwd_seed = _derive_seed(train_cfg.seed, epoch, bi, 1)
             if is_sequence:
                 batch = prepare_batch(part, l_max, px_mean, px_std, dt, aug_rng)

@@ -30,7 +30,7 @@ from longisurv.metrics import ModelScorer, OracleScorer, build_risk_cells
 from longisurv.survival import EventOutcome
 from longisurv.synthcohort import (EYES_NAME, CohortConfig, EyeAnatomy, generate_cohort,
                                    render_image, split_patients, summary_stats,
-                                   _stream)
+                                   stream)
 from longisurv.trainer import TrainConfig, train
 
 ACCEPT_SEED = 2024
@@ -348,7 +348,7 @@ def test_08_attention_analysis(pipeline):
 
     # trained encoder separates severities (embedding norms differ)
     cfg = ModelConfig.from_dict(ltsa.record["model"])
-    anatomy = EyeAnatomy(_stream(1234, 3, 0, 0), DESK_COHORT)
+    anatomy = EyeAnatomy(stream(1234, 3, 0, 0), DESK_COHORT)
     imgs = np.stack([render_image(anatomy, s, DESK_COHORT)
                      for s in (1.0, 7.0)])
     imgs = standardize(imgs, ltsa.record["pixel_mean"],

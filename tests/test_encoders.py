@@ -3,7 +3,7 @@ import pytest
 
 from longisurv import diffgraph as dg
 from longisurv.encoders import (AUG_MAX_SHIFT, AUG_NOISE_SIGMA, temporal_encode,
-                                relative_encode, encode_images,
+                                encode_images,
                                 conv_encoder_param_shapes, augment_images,
                                 pixel_stats, standardize)
 from longisurv.errors import ConfigError, DataError
@@ -49,21 +49,21 @@ class TestTemporalEncode:
             temporal_encode(-1.0, 4)
 
 
-class TestRelativeEncode:
+class TestGapEncoding:
     def test_zero_gap(self):
-        np.testing.assert_allclose(relative_encode(0.0, 6), [0, 1, 0, 1, 0, 1])
+        np.testing.assert_allclose(temporal_encode(0.0, 6), [0, 1, 0, 1, 0, 1])
 
     def test_twelve_month_gap(self):
-        row = relative_encode(12.0, 4)
+        row = temporal_encode(12.0, 4)
         np.testing.assert_allclose(
             row, [np.sin(12), np.cos(12), np.sin(0.12), np.cos(0.12)], rtol=1e-12)
 
     def test_gaps_distinguishable(self):
-        assert not np.allclose(relative_encode(6.0, 4), relative_encode(12.0, 4))
+        assert not np.allclose(temporal_encode(6.0, 4), temporal_encode(12.0, 4))
 
     def test_negative_gap_is_data_error(self):
         with pytest.raises(DataError):
-            relative_encode(-6.0, 4)
+            temporal_encode(-6.0, 4)
 
 
 class TestImageEncoder:

@@ -186,8 +186,7 @@ class TestCheckpoint:
         for k in params:
             np.testing.assert_array_equal(loaded[k], params[k])
 
-    def test_record_without_layout_still_loads(self, tmp_path):
-        # checkpoints written before config.json recorded the tensor layout
+    def test_record_without_layout_is_data_error(self, tmp_path):
         cfg = tiny_config()
         params = init_params(cfg, seed=5)
         save_checkpoint(str(tmp_path / "ck"), params, {
@@ -196,10 +195,8 @@ class TestCheckpoint:
         record = json.loads(path.read_text())
         assert record.pop("layout") == {k: list(p.shape) for k, p in params.items()}
         path.write_text(json.dumps(record))
-        loaded, rec = load_checkpoint(str(tmp_path / "ck"))
-        assert "layout" not in rec
-        for k in params:
-            np.testing.assert_array_equal(loaded[k], params[k])
+        with pytest.raises(DataError, match="config.json"):
+            load_checkpoint(str(tmp_path / "ck"))
 
     def test_missing_directory_is_data_error(self, tmp_path):
         with pytest.raises(DataError):

@@ -7,7 +7,7 @@ from scipy.stats import spearmanr
 
 from longisurv.cli import COHORT_PRESETS
 from longisurv.errors import ConfigError, DataError
-from longisurv.synthcohort import (CohortConfig, EyeAnatomy, _stream, generate_cohort,
+from longisurv.synthcohort import (CohortConfig, EyeAnatomy, stream, generate_cohort,
                                    split_patients, pad_and_batch, render_image,
                                    summary_stats, save_dataset, load_dataset,
                                    CONFIG_NAME, EYES_NAME, IMAGES_NAME)
@@ -114,7 +114,7 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("channels", [1, 3])
     def test_array_render_equals_stacked_scalar_renders(self, channels):
         cfg = CohortConfig(image_channels=channels)
-        anatomy = EyeAnatomy(_stream(5, 3, 0, 0), cfg)
+        anatomy = EyeAnatomy(stream(5, 3, 0, 0), cfg)
         # from no lit blob through every blob lit
         severities = np.array([0.0, 0.3, 1.7, 2.25, 4.0, 6.5, 9.0, 14.0]) + anatomy.offset
         batch = render_image(anatomy, severities, cfg)
