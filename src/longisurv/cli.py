@@ -20,8 +20,8 @@ from .errors import (ConfigError, DataError, LongisurvError, NumericalError, rea
 from .losses import LossConfig
 from .metrics import (REPORT_HEADER, SAMPLES_HEADER, visits_seen, write_report,
                       write_samples)
-from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .reports import (SPECIAL_SOURCES, attention_analysis, compare_sources,
+from .model import RECORD_NAME, ModelConfig, load_checkpoint, save_checkpoint
+from .reports import (SPECIAL_SOURCES, RiskSource, attention_analysis, compare_sources,
                       evaluate_source, source_from_token, write_attention,
                       write_attention_summary)
 from .svgplot import grid_box_figure, survival_curves_figure
@@ -31,6 +31,8 @@ from .trainer import TrainConfig, train, write_history
 
 log = logging.getLogger(__name__)
 
+# the model settings its dataset fixes: the time grid and the image shape
+DATASET_KEYS = ("step_months", "j_max", "image_size", "image_channels")
 COHORT_PRESETS = {
     # 6-month grid, 13-year horizon, high censoring
     "areds_like": {},
@@ -62,6 +64,15 @@ def _years_list(text: str) -> tuple:
         raise ConfigError(f"expected comma-separated years, got {text!r}")
 
 
+def _agreeing(path: str, section: dict, fixed: dict, where: str) -> dict:
+    """A ``--config`` section over what the dataset or a flag sets, which it must agree with."""
+    clash = [f"{where}{k} {section[k]!r} is not {v!r}" for k, v in fixed.items()
+             if section.get(k, v) != v]
+    if clash:
+        raise ConfigError(f"{path}: {', '.join(clash)}, which the dataset or a flag sets")
+    return {**fixed, **section}
+
+
 def _load_split(args):
     """The eyes of ``--dataset`` in ``--split``, and the dataset's config."""
     eyes, cohort_cfg = load_dataset(args.dataset)
@@ -71,17 +82,26 @@ def _load_split(args):
     return eyes, cohort_cfg
 
 
+def _source(token: str, seed: int, cohort_cfg) -> RiskSource:
+    """``source_from_token``; a checkpoint must have the dataset's time grid and image shape."""
+    source = source_from_token(token, seed=seed)
+    cfg = getattr(source.scorer, "cfg", None)           # None but for a checkpoint
+    misfit = [f"{k} {getattr(cfg, k)}, the dataset's {getattr(cohort_cfg, k)}"
+              for k in DATASET_KEYS if cfg and getattr(cfg, k) != getattr(cohort_cfg, k)]
+    if misfit:
+        raise DataError(f"{os.path.join(token, RECORD_NAME)} has {'; '.join(misfit)}")
+    return source
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    overrides = dict(COHORT_PRESETS[args.preset])
-    if args.config:
-        overrides.update(_read_json(args.config))
+    overrides = {**COHORT_PRESETS[args.preset], **_agreeing(
+        args.config, _read_json(args.config) if args.config else {}, {"seed": args.seed}, "")}
     if args.patients is not None:
         overrides["n_patients"] = args.patients
-    overrides["seed"] = args.seed
     cfg = CohortConfig.from_dict(overrides, "cohort")
     eyes = generate_cohort(cfg)
     save_dataset(args.out, eyes, cfg)
@@ -108,16 +128,10 @@ def cmd_train(args) -> int:
         raise ConfigError(f"{args.config}: unknown or non-object config section(s): "
                           f"{', '.join(bad)}")
 
-    model_over = {"kind": args.kind, "j_max": cohort_cfg.j_max,
-                  "step_months": cohort_cfg.step_months,
-                  "image_size": cohort_cfg.image_size,
-                  "image_channels": cohort_cfg.image_channels,
-                  "dtype": args.dtype}
-    model_over.update(file_cfg.get("model", {}))
-    model_cfg = ModelConfig.from_dict(model_over, "model")
-
-    train_over = {"seed": args.seed}
-    train_over.update(file_cfg.get("train", {}))
+    fixed = {k: getattr(cohort_cfg, k) for k in DATASET_KEYS}
+    model_cfg = ModelConfig.from_dict(_agreeing(args.config, file_cfg.get("model", {}), {
+        **fixed, "kind": args.kind, "dtype": args.dtype}, "model."), "model")
+    train_over = _agreeing(args.config, file_cfg.get("train", {}), {"seed": args.seed}, "train.")
     if args.max_epochs is not None:
         train_over["max_epochs"] = args.max_epochs
     if args.lr is not None:
@@ -149,7 +163,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     subset, cohort_cfg = _load_split(args)
-    source = source_from_token(args.ckpt, seed=args.seed)
+    source = _source(args.ckpt, args.seed, cohort_cfg)
     rows = evaluate_source(source, subset, cohort_cfg.grid,
                            t_years=_years_list(args.t_years),
                            dt_years=_years_list(args.dt_years),
@@ -171,11 +185,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     subset, cohort_cfg = _load_split(args)
-    source_a = source_from_token(args.ckpt_a, seed=args.seed)
+    source_a = _source(args.ckpt_a, args.seed, cohort_cfg)
     # a second random source gets its own stream so random-vs-random is a
     # genuine comparison, not an identity
     seed_b = args.seed + 1 if args.ckpt_b == "random" else args.seed
-    source_b = source_from_token(args.ckpt_b, seed=seed_b)
+    source_b = _source(args.ckpt_b, seed_b, cohort_cfg)
     if source_a.name == source_b.name:
         source_a.name += "_a"
         source_b.name += "_b"
@@ -196,7 +210,7 @@ def cmd_compare(args) -> int:
 
 def cmd_attention(args) -> int:
     subset, cohort_cfg = _load_split(args)
-    report = attention_analysis(*load_checkpoint(args.ckpt), subset)
+    report = attention_analysis(_source(args.ckpt, args.seed, cohort_cfg).scorer, subset)
     os.makedirs(args.out, exist_ok=True)
     write_attention(os.path.join(args.out, "attention.tsv"), report)
     write_attention_summary(os.path.join(args.out, "attention_summary.tsv"), report)
@@ -259,7 +273,7 @@ def cmd_plot(args) -> int:
             raise DataError(f"no visit by year {args.at_years:g} for eyes {unseen}")
         curves = {}
         for token in args.ckpt:
-            source = source_from_token(token, seed=args.seed)
+            source = _source(token, args.seed, cohort_cfg)
             if source.scorer is None:
                 raise ConfigError("random source has no survival curves")
             for eye_id, s in zip(wanted, source.scorer.curves(chosen, seen)[0]):

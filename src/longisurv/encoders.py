@@ -42,16 +42,16 @@ def temporal_encode(v_months, d: int) -> np.ndarray:
 
 def conv_encoder_param_shapes(channels: int, image_size: int, d: int,
                               widths=(8, 16, 32)) -> dict:
-    """Parameter name -> shape for the 3-block conv stack plus final linear map."""
-    if image_size % 8 != 0:
-        raise ConfigError(f"image size must be divisible by 8, got {image_size}")
+    """Parameter shapes: one conv block per width, each halving the image, then a linear map."""
+    if image_size % 2 ** len(widths) != 0:
+        raise ConfigError(f"image size {image_size} is not divisible by 2 ** {len(widths)}")
     shapes = {}
     c_in = channels
     for i, c_out in enumerate(widths):
         shapes[f"enc.conv{i}.w"] = (c_out, c_in, 3, 3)
         shapes[f"enc.conv{i}.b"] = (c_out,)
         c_in = c_out
-    flat = widths[-1] * (image_size // 8) ** 2
+    flat = widths[-1] * (image_size >> len(widths)) ** 2
     shapes["enc.fc.w"] = (flat, d)
     shapes["enc.fc.b"] = (d,)
     return shapes

@@ -50,8 +50,15 @@ class ModelConfig(JsonConfig):
     def __post_init__(self):
         if self.kind not in (KIND_LONGITUDINAL, KIND_BASELINE):
             raise ConfigError(f"unknown model kind {self.kind!r}")
-        if self.n_heads < 1 or not self.conv_widths:
-            raise ConfigError("a model needs at least one head and one conv width")
+        ints = ("embed_dim", "n_layers", "n_heads", "ff_mult", "j_max", "step_months",
+                "image_size", "image_channels")
+        small = [k for k in ints if getattr(self, k) < 1]
+        if min(self.conv_widths, default=0) < 1:
+            small.append("conv_widths")
+        if small:
+            raise ConfigError(f"model {', '.join(small)} must be at least 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"model dropout must lie in [0, 1), got {self.dropout}")
         if self.embed_dim % (2 * self.n_heads) != 0:
             raise ConfigError("embed_dim must be divisible by 2 * n_heads")
         if self.dtype not in ("float64", "float32"):

@@ -19,7 +19,7 @@ from .errors import ConfigError, EmptyCellError, write_table
 from .metrics import (CHUNK_EYES, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
                       ModelScorer, OracleScorer, ReportRow, bonferroni, bootstrap_ci,
                       build_risk_cells, pair_concordance, stars, welch_one_sided)
-from .model import extract_attention, forward_sequences, load_checkpoint
+from .model import KIND_LONGITUDINAL, extract_attention, forward_sequences, load_checkpoint
 from .survival import TimeGrid
 from .synthcohort import EyeRecord
 
@@ -144,8 +144,7 @@ class AttentionReport:
     pearson_r: float | None
 
 
-def attention_analysis(params: dict, record: dict,
-                       eyes: list[EyeRecord]) -> AttentionReport:
+def attention_analysis(scorer: ModelScorer, eyes: list[EyeRecord]) -> AttentionReport:
     """Normalized attention scores per visit plus the recency summary.
 
     Scores come from the final layer at each eye's last visit, head-averaged
@@ -154,8 +153,7 @@ def attention_analysis(params: dict, record: dict,
     correlation is computed between offsets 0..9 and their median scores,
     using multi-visit eyes only.
     """
-    scorer = ModelScorer(params, record)
-    if scorer.cfg.kind != "longitudinal":
+    if not isinstance(scorer, ModelScorer) or scorer.cfg.kind != KIND_LONGITUDINAL:
         raise ConfigError("attention analysis needs a longitudinal checkpoint")
     rows = []
     n_last_max = 0
@@ -163,7 +161,7 @@ def attention_analysis(params: dict, record: dict,
         part = eyes[start:start + CHUNK_EYES]
         batch = prepare_batch(part, max(e.n_visits for e in part), scorer.pixel_mean,
                               scorer.pixel_std, scorer.cfg.np_dtype)
-        fp = forward_sequences(params, scorer.cfg, batch)
+        fp = forward_sequences(scorer.params, scorer.cfg, batch)
         per_eye = [extract_attention(fp, i) for i in range(len(part))]
         del fp                            # the chunk's graph dies before the next forward
         for eye, scores in zip(part, per_eye):

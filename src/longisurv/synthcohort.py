@@ -227,7 +227,7 @@ def generate_cohort(cfg: CohortConfig, render_images: bool = True) -> list[EyeRe
     p_drop = _tune_dropout(cfg, event_candidate, admin_end)
 
     eyes = []
-    pad = len(str(cfg.n_patients))
+    pad, eye_pad = len(str(cfg.n_patients)), len(str(cfg.eyes_per_patient - 1))
     gaps = (cfg.min_gap_steps, cfg.max_gap_steps + 1)
     for p in range(cfg.n_patients):
         for e in range(cfg.eyes_per_patient):
@@ -256,8 +256,8 @@ def generate_cohort(cfg: CohortConfig, render_images: bool = True) -> list[EyeRe
 
             pid = f"p{p:0{pad}d}"
             eyes.append(EyeRecord(
-                patient_id=pid, eye_id=f"{pid}_e{e}", visit_months=visit_steps * cfg.step_months,
-                images=images, outcome=outcome, drift=float(drifts[i]),
+                patient_id=pid, eye_id=f"{pid}_e{e:0{eye_pad}d}", images=images, outcome=outcome,
+                visit_months=visit_steps * cfg.step_months, drift=float(drifts[i]),
                 severities=sev.astype(float), true_hazard=hazards[i].astype(float)))
     return eyes
 
@@ -363,6 +363,8 @@ def _parse_list(text: str) -> np.ndarray:
 def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
     if any(e.images is None for e in eyes):
         raise DataError("cannot save a cohort generated without images")
+    if any(a.eye_id >= b.eye_id for a, b in zip(eyes, eyes[1:])):
+        raise DataError("a dataset's eyes must be in increasing eye id order")
     os.makedirs(path, exist_ok=True)
     np.save(os.path.join(path, IMAGES_NAME),
             np.concatenate([e.images for e in eyes], dtype=np.float32))
@@ -382,18 +384,21 @@ def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
     rows = read_table(eyes_path, EYES_HEADER)
     with reading(cfg_path), open(cfg_path) as fh:
         cfg = CohortConfig.from_dict(json.load(fh), "cohort")
-    eyes = {}
+    eyes = []
     with reading(eyes_path):
         for k, (pid, eid, months, step, cens, drift, sev, hz) in enumerate(rows, start=2):
             try:
-                if eid in eyes:
-                    raise ValueError(f"a second row for eye {eid}")
+                if eyes and eid <= eyes[-1].eye_id:
+                    raise ValueError(f"eye id {eid} does not follow {eyes[-1].eye_id}")
                 visits = np.array([int(m) for m in months.split(";")])
                 outcome = EventOutcome(int(step), cens == "1")
-                eyes[eid] = eye = EyeRecord(pid, eid, visits, None, outcome, float(drift),
-                                            _parse_list(sev), _parse_list(hz))
-                if np.any(np.diff(visits) <= 0):
-                    raise ValueError(f"visit months {months} are not strictly increasing")
+                eyes.append(eye := EyeRecord(pid, eid, visits, None, outcome, float(drift),
+                                             _parse_list(sev), _parse_list(hz)))
+                if (visits[0] < 0 or np.any(np.diff(visits) <= 0)
+                        or np.any(visits % cfg.step_months)
+                        or visits[-1] >= outcome.event_step * cfg.step_months):
+                    raise ValueError(f"visit months {months} are not increasing multiples of "
+                                     f"{cfg.step_months} before outcome step {step}")
                 if cens not in ("0", "1"):
                     raise ValueError(f"censored flag {cens!r} is not 0 or 1")
                 outcome.validate(cfg.grid)
@@ -406,12 +411,12 @@ def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
         images = np.load(img_path, allow_pickle=False)
         if not isinstance(images, np.ndarray):
             raise ValueError("holds an .npz archive, not one .npy array")
-        want = (sum(e.n_visits for e in eyes.values()), cfg.image_channels, cfg.image_size,
+        want = (sum(e.n_visits for e in eyes), cfg.image_channels, cfg.image_size,
                 cfg.image_size)
         if images.dtype != np.float32 or images.shape != want:
             raise ValueError(f"holds {images.dtype} {images.shape}, not float32 {want}, "
                              f"one image per visit in {eyes_path}")
     start = 0                                 # each eye's images, in row order
-    for e in eyes.values():
+    for e in eyes:
         e.images, start = images[start:start + e.n_visits], start + e.n_visits
-    return list(eyes.values()), cfg
+    return eyes, cfg

@@ -334,7 +334,7 @@ def test_07_statistical_protocol():
 def test_08_attention_analysis(pipeline):
     ltsa = pipeline["ltsa"]
     test_eyes = pipeline["test_eyes"]
-    rep = attention_analysis(ltsa.params, ltsa.record, test_eyes)
+    rep = attention_analysis(ModelScorer(ltsa.params, ltsa.record), test_eyes)
     per_eye: dict = {}
     for eye_id, j_i, offset, score in rep.rows:
         per_eye.setdefault(eye_id, []).append(score)

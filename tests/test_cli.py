@@ -43,6 +43,15 @@ def workspace(tmp_path_factory):
             "cohort_cfg": cohort_cfg, "train_cfg": train_cfg}
 
 
+@pytest.fixture(scope="module")
+def annual_dataset(tmp_path_factory):
+    """A small ``ohts_like`` dataset: annual grid, 15 steps."""
+    dataset = str(tmp_path_factory.mktemp("annual") / "dataset")
+    assert main(["simulate", "--seed", "13", "--preset", "ohts_like", "--patients", "20",
+                 "--out", dataset]) == 0
+    return dataset
+
+
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["simulate", "train", "evaluate", "compare",
                                      "attention", "plot"])
@@ -183,6 +192,12 @@ class TestExitCodes:
             fh.write("\t".join(edit(fields)) + "\n")
 
     @staticmethod
+    def _swap_rows(path, i, j):
+        lines = path.read_text().splitlines()
+        lines[i], lines[j] = lines[j], lines[i]
+        path.write_text("\n".join(lines) + "\n")
+
+    @staticmethod
     def _edit_eye(d, edit, min_visits=1):
         """Edit the eyes.tsv row of the first eye with at least ``min_visits`` visits."""
         lines = (d / EYES_NAME).read_text().splitlines()
@@ -216,12 +231,19 @@ class TestExitCodes:
          EYES_NAME),
         (lambda d: TestExitCodes._append_copy(
             d / EYES_NAME, 1, lambda f: f[:5] + ["9.5"] + f[6:]), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:2] + [";".join(
+            [m if k != 1 else str(int(m) + 1) for k, m in enumerate(f[2].split(";"))])]
+            + f[3:], 2), EYES_NAME),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:2] + [";".join(
+            f[2].split(";")[:-1] + [str(int(f[3]) * 6)])] + f[3:]), EYES_NAME),
+        (lambda d: TestExitCodes._swap_rows(d / EYES_NAME, 1, 2), EYES_NAME),
     ], ids=["missing_cohort_config", "old_layout_without_eyes_tsv", "visit_month",
             "no_visit_months", "short_row", "long_row", "missing_image", "empty_images",
             "truncated_images", "one_image_too_few", "one_eye_row_fewer_than_images",
             "npz_archive", "months_out_of_order", "event_step_outside_grid",
             "event_step_not_integer", "censored_flag", "short_hazard_list",
-            "empty_hazard_list", "severity_per_visit", "duplicate_eye_row"])
+            "empty_hazard_list", "severity_per_visit", "duplicate_eye_row",
+            "visit_month_off_the_grid", "visit_at_the_outcome_step", "rows_out_of_eye_order"])
     def test_malformed_dataset_is_data_error(self, workspace, tmp_path, capsys,
                                              damage, named):
         dataset = tmp_path / "dataset"
@@ -324,8 +346,9 @@ class TestExitCodes:
         lambda model: model.update(dropout=True),                       # bool for a float
         lambda model: model.update(conv_widths=8),                      # scalar for a tuple
         lambda model: model.update(conv_widths=[2.5, 4, 4]),            # float in an int tuple
+        lambda model: model.update(dropout=1.0),                        # same tensor layout
     ], ids=["unknown_key", "wrong_type", "float_n_layers", "no_heads", "no_conv_widths",
-            "bool", "scalar_for_tuple", "float_in_tuple"])
+            "bool", "scalar_for_tuple", "float_in_tuple", "dropout_one"])
     def test_misfit_model_config_is_data_error(self, workspace, tmp_path, capsys, edit):
         def damage(ckpt):
             record = json.loads((ckpt / "config.json").read_text())
@@ -353,9 +376,14 @@ class TestExitCodes:
         ("train", {"train": {"plateau_factor": -1.0, "plateau_patience": 1,
                              "improvement_epsilon": 1.0}}, "plateau_factor"),
         ("train", {"train": {"improvement_epsilon": -1.0}}, "improvement_epsilon"),
+        ("train", {"model": {"embed_dim": 0}}, "embed_dim"),
+        ("train", {"model": {"conv_widths": [0, 4, 4]}}, "conv_widths"),
+        ("train", {"model": {"n_layers": -1}, "train": {"max_epochs": 1}}, "n_layers"),
+        ("train", {"model": {"dropout": 1.0}, "train": {"max_epochs": 1}}, "dropout"),
     ], ids=["non_object_file", "non_object_section", "float_in_tuple",
             "plateau_patience_zero", "plateau_factor_negative",
-            "improvement_epsilon_negative"])
+            "improvement_epsilon_negative", "embed_dim_zero", "conv_width_zero",
+            "n_layers_negative", "dropout_one"])
     def test_misfit_config_file_is_config_error(self, workspace, tmp_path, capsys,
                                                 command, payload, named):
         cfg = write_json(tmp_path / "c.json", payload)
@@ -364,6 +392,44 @@ class TestExitCodes:
                      "--config", cfg] + args)
         err = capsys.readouterr().err
         assert code == 2 and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flags, payload, named", [
+        ("train", [], {"train": {"seed": 5, "max_epochs": 1}}, "train.seed"),
+        ("train", ["--kind", "baseline"], {"model": {"kind": "longitudinal", "dtype": "float64"},
+                                           "train": {"max_epochs": 1}}, "model.kind"),
+        ("train", [], {"model": {"step_months": 12}, "train": {"max_epochs": 1}},
+         "model.step_months"),
+        ("train", [], {"model": {"image_size": 16}, "train": {"max_epochs": 1}},
+         "model.image_size"),
+        ("simulate", ["--patients", "10"], {"seed": 5, "n_patients": 12}, "seed"),
+    ], ids=["train_seed", "kind_and_dtype", "step_months", "image_size", "simulate_seed"])
+    def test_config_key_against_dataset_or_flag_is_config_error(self, workspace, tmp_path,
+                                                               capsys, command, flags,
+                                                               payload, named):
+        cfg = write_json(tmp_path / "c.json", payload)
+        args = ["--dataset", workspace["dataset"]] if command == "train" else []
+        code = main([command, "--seed", "1", "--out", str(tmp_path / "x"),
+                     "--config", cfg] + args + flags)
+        err = capsys.readouterr().err
+        assert code == 2 and named in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "attention", "plot"])
+    def test_checkpoint_of_another_grid_is_data_error(self, workspace, annual_dataset,
+                                                      tmp_path, capsys, command):
+        ckpt = workspace["ckpt"]              # 27 six-month steps; the dataset's are annual
+        with open(os.path.join(annual_dataset, EYES_NAME)) as fh:
+            eye = fh.read().splitlines()[1].split("\t")[1]
+        args = {"evaluate": ["--ckpt", ckpt, "--seed", "1", "--bootstrap", "2"],
+                "compare": ["--ckpt-a", "oracle", "--ckpt-b", ckpt, "--seed", "1",
+                            "--bootstrap", "2"],
+                "attention": ["--ckpt", ckpt],
+                "plot": ["--curves", "--ckpt", ckpt, "--eyes", eye]}[command]
+        code = main([command, "--dataset", annual_dataset, "--out", str(tmp_path / "out")]
+                    + args)
+        err = capsys.readouterr().err
+        assert code == 3 and os.path.join(ckpt, "config.json") in err
+        assert "step_months" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["evaluate", "attention"])
     @pytest.mark.parametrize("edit", [

@@ -20,6 +20,7 @@ CONSTRAINED = {
     ModelConfig: {"kind": st.sampled_from(["longitudinal", "baseline"]),
                   "embed_dim": st.sampled_from([8, 16, 24, 48]),
                   "n_heads": st.sampled_from([1, 2, 4]),
+                  "dropout": st.floats(0.0, 0.99),
                   "conv_widths": st.lists(st.integers(1, 16), min_size=1,
                                           max_size=4).map(tuple),
                   "dtype": st.sampled_from(["float32", "float64"])},

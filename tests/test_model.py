@@ -203,6 +203,22 @@ class TestCheckpoint:
             load_checkpoint(str(tmp_path / "nope"))
 
 
+class TestEncoderDepth:
+    @pytest.mark.parametrize("widths", [(4, 8), (4, 4, 8, 8)], ids=["two_blocks", "four_blocks"])
+    @pytest.mark.parametrize("kind", ["longitudinal", "baseline"])
+    def test_any_block_count_builds_and_runs(self, rng, kind, widths):
+        cfg = tiny_config(kind=kind, conv_widths=widths)        # 16-pixel images
+        params = init_params(cfg, seed=2)
+        assert params["enc.fc.w"].shape == (widths[-1] * (16 >> len(widths)) ** 2, 16)
+        batch = random_batch(rng, cfg, [3, 1])
+        if kind == "longitudinal":
+            hz = forward_sequences(params, cfg, batch).hazards
+        else:
+            hz = forward_single_images(params, cfg, batch.images[:, 0]).hazards
+        assert hz.shape[0] == 2 and hz.shape[-1] == cfg.j_max
+        assert np.all((hz > 0.0) & (hz < 1.0))
+
+
 class TestConfigValidation:
     def test_bad_kind(self):
         with pytest.raises(ConfigError):
@@ -211,6 +227,16 @@ class TestConfigValidation:
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
             ModelConfig(embed_dim=30, n_heads=4)
+
+    @pytest.mark.parametrize("over, named", [
+        ({"embed_dim": 0}, "embed_dim"), ({"n_layers": -1}, "n_layers"),
+        ({"ff_mult": 0}, "ff_mult"), ({"j_max": 0}, "j_max"), ({"step_months": 0}, "step_months"),
+        ({"image_size": 0}, "image_size"), ({"image_channels": 0}, "image_channels"),
+        ({"conv_widths": (0, 4, 4)}, "conv_widths"), ({"dropout": 1.0}, "dropout"),
+        ({"dropout": -0.1}, "dropout")])
+    def test_unbuildable_values_named(self, over, named):
+        with pytest.raises(ConfigError, match=named):
+            ModelConfig(**over)
 
 
 class TestInitialization:

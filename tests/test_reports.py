@@ -5,7 +5,7 @@ import pytest
 
 from longisurv import metrics, reports
 from longisurv.errors import ConfigError, EmptyCellError
-from longisurv.metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, bootstrap_ci,
+from longisurv.metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, ModelScorer, bootstrap_ci,
                                brier_td, concordance_td)
 from longisurv.model import ModelConfig, forward_sequences, init_params
 from longisurv.reports import (AttentionReport, RiskSource, attention_analysis,
@@ -192,7 +192,7 @@ def long_sequences():
 class TestAttentionAnalysis:
     def test_offsets_binned_at_ten(self, long_sequences):
         params, record, eyes = long_sequences
-        report = attention_analysis(params, record, eyes)
+        report = attention_analysis(ModelScorer(params, record), eyes)
         assert report.offset_labels[-1] == "10+"
         assert report.offset_labels[:3] == ["0", "1", "2"]
         assert 0.0 <= report.fraction_last_max <= 1.0
@@ -202,13 +202,13 @@ class TestAttentionAnalysis:
         # with random weights the max lands at the last visit about as often
         # as anywhere else (~1/J per eye), far below a trained recency bias
         params, record, eyes = long_sequences
-        report = attention_analysis(params, record, eyes)
+        report = attention_analysis(ModelScorer(params, record), eyes)
         mean_inverse_j = float(np.mean([1.0 / e.n_visits for e in eyes]))
         assert report.fraction_last_max <= mean_inverse_j + 0.3
 
     def test_rows_cover_every_visit(self, long_sequences):
         params, record, eyes = long_sequences
-        report = attention_analysis(params, record, eyes)
+        report = attention_analysis(ModelScorer(params, record), eyes)
         assert len(report.rows) == sum(e.n_visits for e in eyes)
         scores = np.array([r[3] for r in report.rows])
         assert scores.max() == 1.0
@@ -227,7 +227,7 @@ class TestAttentionAnalysis:
 
         monkeypatch.setattr(reports, "forward_sequences", recording_forward)
         monkeypatch.setattr(reports, "CHUNK_EYES", 3)
-        attention_analysis(params, record, eyes)
+        attention_analysis(ModelScorer(params, record), eyes)
         assert len(alive) > 2 and alive == [0] * len(alive)
 
     def test_baseline_record_rejected(self, cohort):
@@ -235,11 +235,11 @@ class TestAttentionAnalysis:
                                 conv_widths=(2, 4, 4))
         record = {"model": model_cfg.to_dict(), "pixel_mean": [0], "pixel_std": [1]}
         with pytest.raises(ConfigError):
-            attention_analysis({}, record, [])
+            attention_analysis(ModelScorer({}, record), [])
 
     def test_summary_writer_deterministic(self, long_sequences, tmp_path):
         params, record, eyes = long_sequences
-        report = attention_analysis(params, record, eyes)
+        report = attention_analysis(ModelScorer(params, record), eyes)
         write_attention_summary(str(tmp_path / "a.tsv"), report)
         write_attention_summary(str(tmp_path / "b.tsv"), report)
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()

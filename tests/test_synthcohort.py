@@ -224,6 +224,18 @@ class TestDatasetIO:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
+    def test_eye_ids_sort_in_generation_order(self):
+        eyes = generate_cohort(small_cfg(n_patients=3, eyes_per_patient=11), render_images=False)
+        ids = [e.eye_id for e in eyes]
+        assert ids == sorted(set(ids)) and ids[:2] == ["p0_e00", "p0_e01"]
+
+    def test_eyes_out_of_id_order_are_not_saved(self, tmp_path):
+        cfg = small_cfg(n_patients=3)
+        eyes = generate_cohort(cfg)
+        with pytest.raises(DataError, match="eye id order"):
+            save_dataset(str(tmp_path), eyes[::-1], cfg)
+        assert not os.path.exists(tmp_path / EYES_NAME)
+
     def test_missing_eyes_table(self, tmp_path):
         with pytest.raises(DataError, match=EYES_NAME):
             load_dataset(str(tmp_path))
