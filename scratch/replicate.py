@@ -19,9 +19,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from longisurv import losses, trainer
 from longisurv.metrics import ModelScorer, OracleScorer, build_risk_cells
 from longisurv.model import ModelConfig
 from longisurv.reports import RiskSource, compare_sources
@@ -32,35 +29,12 @@ T_GRID = (1.0, 2.0, 3.0, 5.0, 8.0)
 DT_GRID = (1.0, 2.0, 5.0, 8.0)
 
 
-def _logged(fn, sink):
-    def wrapper(*args, **kwargs):
-        node, parts = fn(*args, **kwargs)
-        sink.append(parts)
-        return node, parts
-    return wrapper
-
-
 def train_logged(kind, train_eyes, val_eyes, train_cfg):
-    """Train one kind; return the result and per-epoch mean loss parts."""
-    parts = []
-    originals = trainer.sequence_loss, trainer.baseline_loss
-    trainer.sequence_loss = _logged(losses.sequence_loss, parts)
-    trainer.baseline_loss = _logged(losses.baseline_loss, parts)
-    try:
-        t0 = time.time()
-        res = train(train_eyes, val_eyes, ModelConfig(kind=kind, dtype="float32"),
-                    train_cfg)
-        seconds = time.time() - t0
-    finally:
-        trainer.sequence_loss, trainer.baseline_loss = originals
-    per_epoch = len(parts) // max(1, len(res.history))
-    epochs = []
-    for k, row in enumerate(res.history):
-        chunk = parts[k * per_epoch:(k + 1) * per_epoch]
-        epochs.append({**row,
-                       "surv": float(np.mean([p["surv"] for p in chunk])),
-                       "pred": float(np.mean([p["pred"] for p in chunk]))})
-    return res, epochs, seconds
+    """Train one kind; return the result, its per-epoch history (mean loss
+    parts included) and the seconds it took."""
+    t0 = time.time()
+    res = train(train_eyes, val_eyes, ModelConfig(kind=kind, dtype="float32"), train_cfg)
+    return res, res.history, time.time() - t0
 
 
 def _summary(res, epochs, seconds):

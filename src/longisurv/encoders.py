@@ -44,7 +44,7 @@ def conv_encoder_param_shapes(channels: int, image_size: int, d: int,
                               widths=(8, 16, 32)) -> dict:
     """Parameter shapes: one conv block per width, each halving the image, then a linear map."""
     if image_size % 2 ** len(widths) != 0:
-        raise ConfigError(f"image size {image_size} is not divisible by 2 ** {len(widths)}")
+        raise ConfigError(f"{len(widths)} conv widths halve image size {image_size} too often")
     shapes = {}
     c_in = channels
     for i, c_out in enumerate(widths):

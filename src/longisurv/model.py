@@ -299,7 +299,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
             if not (isinstance(values, list) and len(values) == cfg.image_channels
                     and all(type(v) in (int, float) for v in values)):
                 raise ValueError(f"{key} needs one number per image channel, got {values!r}")
-    layout = init_params(cfg, 0)
+        layout = init_params(cfg, 0)
     sizes = [arr.size for arr in layout.values()]
     with reading(blob_path), open(blob_path, "rb") as fh:
         if written != {name: list(arr.shape) for name, arr in layout.items()}:

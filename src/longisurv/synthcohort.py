@@ -28,10 +28,10 @@ all eyes, with a scalar loop's per-element float operations. Digests in
 ``tests/test_synthcohort.py`` pin the bytes.
 
 On disk a dataset is three files: ``cohort.json`` (the config), ``eyes.tsv``,
-one row per eye (patient, eye, ``;``-joined increasing visit months, outcome
-step, censoring flag 0 or 1, and the hidden drift, per-visit severities and
-``j_max`` hazards), and ``images.npy``, one (visits, C, H, W) float32 array of
-the eyes' images in row order, so a loaded eye's images are a view of it.
+one row per eye in eye id order (patient, eye, ``;``-joined visit months, rising
+on the step grid before the outcome step, that step, censoring flag 0 or 1, and
+the hidden drift, per-visit severities and ``j_max`` hazards), and ``images.npy``,
+the eyes' (visits, C, H, W) float32 images in row order, viewed by loaded eyes.
 
 This is the data layer: it imports nothing above ``survival``, and
 ``pad_and_batch`` builds the ``SequenceBatch`` the models read.

@@ -347,8 +347,9 @@ class TestExitCodes:
         lambda model: model.update(conv_widths=8),                      # scalar for a tuple
         lambda model: model.update(conv_widths=[2.5, 4, 4]),            # float in an int tuple
         lambda model: model.update(dropout=1.0),                        # same tensor layout
+        lambda model: model.update(conv_widths=[2, 4, 4, 4, 4, 4]),     # 32 px halve 5 times
     ], ids=["unknown_key", "wrong_type", "float_n_layers", "no_heads", "no_conv_widths",
-            "bool", "scalar_for_tuple", "float_in_tuple", "dropout_one"])
+            "bool", "scalar_for_tuple", "float_in_tuple", "dropout_one", "too_deep"])
     def test_misfit_model_config_is_data_error(self, workspace, tmp_path, capsys, edit):
         def damage(ckpt):
             record = json.loads((ckpt / "config.json").read_text())
@@ -380,10 +381,11 @@ class TestExitCodes:
         ("train", {"model": {"conv_widths": [0, 4, 4]}}, "conv_widths"),
         ("train", {"model": {"n_layers": -1}, "train": {"max_epochs": 1}}, "n_layers"),
         ("train", {"model": {"dropout": 1.0}, "train": {"max_epochs": 1}}, "dropout"),
+        ("train", {"model": {"conv_widths": [2, 4, 4, 4, 4, 4]}}, "conv width"),
     ], ids=["non_object_file", "non_object_section", "float_in_tuple",
             "plateau_patience_zero", "plateau_factor_negative",
             "improvement_epsilon_negative", "embed_dim_zero", "conv_width_zero",
-            "n_layers_negative", "dropout_one"])
+            "n_layers_negative", "dropout_one", "too_deep"])
     def test_misfit_config_file_is_config_error(self, workspace, tmp_path, capsys,
                                                 command, payload, named):
         cfg = write_json(tmp_path / "c.json", payload)
