@@ -82,7 +82,7 @@ def main(argv=None):
         if t < 2.0:
             continue
         for dt in DT_GRID:
-            anchors = 0 if truth[(t, dt)] is None else truth[(t, dt)].n_anchors
+            anchors = truth[(t, dt)].n_anchors
             lt, bs = by_cell[(t, dt)]["longitudinal"], by_cell[(t, dt)]["baseline"]
             cell = {"t": t, "dt": dt, "anchors": anchors, "ltsa": lt.boot_mean,
                     "baseline": bs.boot_mean, "p_adjusted": lt.p_adjusted}

@@ -56,15 +56,9 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def __repr__(self):
-        return f"Node({self.op}, shape={self.value.shape}, grad={self.needs_grad})"
-
     # operator sugar; non-Node operands become constants
     def __add__(self, other):
         return add(self, as_node(other))
-
-    def __radd__(self, other):
-        return add(as_node(other), self)
 
     def __sub__(self, other):
         return add(self, scale(as_node(other), -1.0))
@@ -75,14 +69,8 @@ class Node:
     def __mul__(self, other):
         return mul(self, as_node(other))
 
-    def __rmul__(self, other):
-        return mul(as_node(other), self)
-
     def __neg__(self):
         return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, as_node(other))
 
 
 def constant(value) -> Node:

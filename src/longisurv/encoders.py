@@ -57,9 +57,11 @@ def conv_encoder_param_shapes(channels: int, image_size: int, d: int,
     return shapes
 
 
-def encode_images(images: dg.Node, leaves: dict, n_blocks: int = 3) -> dg.Node:
-    """Map a batch of images (N, C, H, W) to embeddings (N, d)."""
+def encode_images(images: dg.Node, leaves: dict) -> dg.Node:
+    """Map a batch of images (N, C, H, W) to embeddings (N, d), one conv block
+    per ``enc.conv{i}.w`` leaf."""
     x = images
+    n_blocks = sum(name.startswith("enc.conv") and name.endswith(".w") for name in leaves)
     for i in range(n_blocks):
         x = dg.conv2d(x, leaves[f"enc.conv{i}.w"], leaves[f"enc.conv{i}.b"], pad=1)
         x = dg.relu(x)

@@ -142,8 +142,8 @@ def shifted_targets(fp: ForwardPass) -> np.ndarray:
 
 
 def step_ahead_loss_node(fp: ForwardPass,
-                         frozen_targets: np.ndarray | None = None) -> tuple[dg.Node, int]:
-    """Graph normalized step-ahead error over valid pairs; (constant 0, 0) when skipped.
+                         frozen_targets: np.ndarray | None = None) -> dg.Node:
+    """Graph normalized step-ahead error over valid pairs; a constant 0 without a pair.
 
     The target side is gradient-stopped. ``frozen_targets`` pins the targets
     to values from a reference forward pass, which is what a central
@@ -155,12 +155,12 @@ def step_ahead_loss_node(fp: ForwardPass,
         pair[:, :-1] = fp.valid[:, :-1] & fp.valid[:, 1:]
     n_pairs = int(pair.sum())
     if n_pairs == 0:
-        return dg.constant(np.zeros((), dtype=fp.node_step.value.dtype)), 0
+        return dg.constant(np.zeros((), dtype=fp.node_step.value.dtype))
     targets = shifted_targets(fp) if frozen_targets is None else frozen_targets
     mask = pair[:, :, None].astype(fp.node_step.value.dtype)
     diff = dg.l2_normalize(fp.node_step, UNIT_FLOOR) - dg.constant(_unit(targets))
     sq = diff * diff * dg.constant(mask)
-    return dg.scale(dg.sum_all(sq), 1.0 / n_pairs), n_pairs
+    return dg.scale(dg.sum_all(sq), 1.0 / n_pairs)
 
 
 def sequence_loss(fp: ForwardPass, outcomes: list, cfg: LossConfig,
@@ -175,11 +175,8 @@ def sequence_loss(fp: ForwardPass, outcomes: list, cfg: LossConfig,
     cens = np.array([outcomes[i].censored for i in eye_of_row])
     l_surv = survival_loss_rows(rows, steps, cens, cfg,
                                 fp.visit_steps.reshape(-1)[flat_idx])
-    l_pred, n_pairs = step_ahead_loss_node(fp, frozen_targets)
-    total = l_surv + l_pred
-    parts = {"surv": float(l_surv.value), "pred": float(l_pred.value),
-             "n_rows": len(flat_idx), "n_pairs": n_pairs}
-    return total, parts
+    l_pred = step_ahead_loss_node(fp, frozen_targets)
+    return l_surv + l_pred, {"surv": float(l_surv.value), "pred": float(l_pred.value)}
 
 
 def baseline_loss(fp: ForwardPass, outcomes: list, cfg: LossConfig,
@@ -191,5 +188,4 @@ def baseline_loss(fp: ForwardPass, outcomes: list, cfg: LossConfig,
     steps = np.array([o.event_step for o in outcomes])
     cens = np.array([o.censored for o in outcomes])
     l_surv = survival_loss_rows(fp.node_hazards, steps, cens, cfg, visit_steps)
-    return l_surv, {"surv": float(l_surv.value), "pred": 0.0,
-                    "n_rows": len(outcomes), "n_pairs": 0}
+    return l_surv, {"surv": float(l_surv.value), "pred": 0.0}

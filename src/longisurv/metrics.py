@@ -31,6 +31,7 @@ DEFAULT_T_YEARS = (1.0, 2.0, 3.0, 5.0, 8.0)
 DEFAULT_DT_YEARS = (1.0, 2.0, 5.0, 8.0)
 BONFERRONI_M = 40        # family size the correction assumes: two 20-cell grids
 CHUNK_EYES = 64          # eyes per forward pass when scoring
+MAX_REDRAWS = 100        # bootstrap attempts per sample before a value is undefined
 
 STAR_LEVELS = ((1e-4, "****"), (1e-3, "***"), (1e-2, "**"), (5e-2, "*"))
 
@@ -123,8 +124,8 @@ class BootstrapResult:
     n_redraws: int = 0
 
 
-def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000, seed: int = 0,
-                 max_redraws: int = 100) -> BootstrapResult:
+def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000,
+                 seed: int = 0) -> BootstrapResult:
     """Percentile bootstrap of ``statistic`` over resampled unit indices.
 
     The statistic receives an index array of length ``n_units`` drawn with
@@ -134,7 +135,7 @@ def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000, seed: int = 0,
     then k-tuples and samples is (n_samples, k). A NaN value is undefined on
     that draw alone, and raising EmptyCellError leaves every value undefined.
     Each value's sample k comes from its first defined attempt of up to
-    ``max_redraws``, as in a scalar run of it; a value with none gets NaN
+    ``MAX_REDRAWS``, as in a scalar run of it; a value with none gets NaN
     mean, bounds and samples, and EmptyCellError once all have none.
     ``n_redraws`` counts the extra draws, the tally logged.
     """
@@ -145,7 +146,7 @@ def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000, seed: int = 0,
     draws, dead, redraws = [], np.False_, 0
     for k in range(n_samples):
         row = np.nan
-        for attempt in range(max_redraws):
+        for attempt in range(MAX_REDRAWS):
             redraws += attempt > 0
             idx = stream(seed, k, attempt).integers(0, n_units, size=n_units)
             try:
@@ -157,7 +158,7 @@ def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000, seed: int = 0,
                 break
         dead = dead | np.isnan(row)
         if np.all(dead):
-            raise EmptyCellError(f"statistic undefined on {max_redraws} consecutive redraws")
+            raise EmptyCellError(f"statistic undefined on {MAX_REDRAWS} consecutive redraws")
         draws.append(row)
     if redraws:
         log.info("bootstrap redrew %d resamples with undefined statistic", redraws)
@@ -340,7 +341,8 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
                      t_years=DEFAULT_T_YEARS, dt_years=DEFAULT_DT_YEARS,
                      rng_anti: bool = False,
                      random_seed: int | None = None) -> dict:
-    """Window risks for every grid cell, from one scorer call for the whole grid.
+    """A ``RiskCell`` of window risks for every grid cell, from one scorer call
+    for the whole grid; a cell with no eye at risk has empty arrays.
 
     Each prediction time's risk set and each eye's visits seen by then go to
     the scorer together, so a model scores every time from one causal pass
@@ -352,21 +354,17 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
     for k, t_step in enumerate(t_steps):
         idx = risk_set(eyes, grid, t_step)
         seen[k, idx] = visits_seen([eyes[i] for i in idx], grid, t_step)
-    curves = None
-    if random_seed is None and seen.any():
-        curves = scorer.curves(eyes, seen)
+    curves = scorer.curves(eyes, seen) if random_seed is None and eyes else None
     cells = {}
     for k, (t, t_step) in enumerate(zip(t_years, t_steps)):
         idx = np.flatnonzero(seen[k])
-        if len(idx) == 0:
-            for dt in dt_years:
-                cells[(t, dt)] = None
-            continue
-        steps = np.array([eyes[i].outcome.event_step for i in idx])
-        cens = np.array([eyes[i].outcome.censored for i in idx])
+        steps = np.array([eyes[i].outcome.event_step for i in idx], dtype=int)
+        cens = np.array([eyes[i].outcome.censored for i in idx], dtype=bool)
         for dt, n_steps in zip(dt_years, dt_steps):
             if random_seed is not None:
                 risks = stream(random_seed, int(t * 12), int(dt * 12)).random(len(idx))
+            elif len(idx) == 0:               # no eye at risk, as at a time past the grid
+                risks = np.zeros(0)
             else:
                 risks = window_risks(curves[k, idx], grid, t_step, n_steps)
                 if rng_anti:
@@ -381,9 +379,6 @@ def mean_grid_concordance(cells: dict) -> tuple[float, int]:
     """Mean point-estimate concordance over non-empty cells, skipped count."""
     values, skipped = [], 0
     for cell in cells.values():
-        if cell is None:
-            skipped += 1
-            continue
         try:
             values.append(cell.concordance())
         except EmptyCellError:

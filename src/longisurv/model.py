@@ -9,7 +9,7 @@ temporal machinery.
 
 Checkpoints are a directory of two files: a JSON record whose "model"
 section is read by ``ModelConfig.from_dict``, and one little-endian binary
-blob of the tensors that section's ``init_params`` builds, in its order.
+blob of the tensors that section's ``param_shapes`` lists, in its order.
 The record's "layout" names each tensor's shape, so a "model" section edited
 to another architecture of the same size does not load. Round trips are
 bit-exact.
@@ -17,6 +17,7 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -84,58 +85,54 @@ class ForwardPass:
     visit_steps: np.ndarray = None      # (B, l) grid step of each visit
 
 
-def init_params(cfg: ModelConfig, seed: int) -> dict:
-    """Seeded parameter initialization; insertion order fixes checkpoint layout."""
-    rng = stream(seed)
-    dt = cfg.np_dtype
-    params: dict[str, np.ndarray] = {}
-
-    def he(shape, fan_in):
-        return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dt)
-
-    def glorot(shape):
-        limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-limit, limit, size=shape).astype(dt)
-
-    for name, shape in conv_encoder_param_shapes(
-            cfg.image_channels, cfg.image_size, cfg.embed_dim, cfg.conv_widths).items():
-        if name.endswith(".b"):
-            params[name] = np.zeros(shape, dtype=dt)
-        elif len(shape) == 4:
-            params[name] = he(shape, shape[1] * shape[2] * shape[3])
-        else:
-            params[name] = glorot(shape)
-
-    d = cfg.embed_dim
+def param_shapes(cfg: ModelConfig) -> dict:
+    """Each tensor's shape, in checkpoint and initialization order: the image
+    encoder, the transformer layers, then the heads."""
+    d, f = cfg.embed_dim, cfg.ff_mult * cfg.embed_dim
+    shapes = conv_encoder_param_shapes(cfg.image_channels, cfg.image_size, d,
+                                       cfg.conv_widths)
     if cfg.kind == KIND_LONGITUDINAL:
         for layer in range(cfg.n_layers):
             p = f"tr{layer}"
             for proj in ("q", "k", "v", "o"):
-                params[f"{p}.attn.{proj}.w"] = glorot((d, d))
+                shapes[f"{p}.attn.{proj}.w"] = (d, d)
                 # no key bias: it adds the same q.b to every score of a query,
                 # which the softmax cancels, so it would never get a gradient
                 if proj != "k":
-                    params[f"{p}.attn.{proj}.b"] = np.zeros(d, dtype=dt)
-            params[f"{p}.norm1.g"] = np.ones(d, dtype=dt)
-            params[f"{p}.norm1.b"] = np.zeros(d, dtype=dt)
-            params[f"{p}.ff.w1"] = glorot((d, cfg.ff_mult * d))
-            params[f"{p}.ff.b1"] = np.zeros(cfg.ff_mult * d, dtype=dt)
-            params[f"{p}.ff.w2"] = glorot((cfg.ff_mult * d, d))
-            params[f"{p}.ff.b2"] = np.zeros(d, dtype=dt)
-            params[f"{p}.norm2.g"] = np.ones(d, dtype=dt)
-            params[f"{p}.norm2.b"] = np.zeros(d, dtype=dt)
+                    shapes[f"{p}.attn.{proj}.b"] = (d,)
+            shapes.update({f"{p}.norm1.g": (d,), f"{p}.norm1.b": (d,),
+                           f"{p}.ff.w1": (d, f), f"{p}.ff.b1": (f,),
+                           f"{p}.ff.w2": (f, d), f"{p}.ff.b2": (d,),
+                           f"{p}.norm2.g": (d,), f"{p}.norm2.b": (d,)})
+    shapes.update({"head.surv.w": (d, cfg.j_max), "head.surv.b": (cfg.j_max,)})
+    if cfg.kind == KIND_LONGITUDINAL:
+        shapes.update({"head.step.w": (d, d), "head.step.b": (d,)})
+    return shapes
 
+
+def init_params(cfg: ModelConfig, seed: int) -> dict:
+    """Seeded initialization, drawn in ``param_shapes`` order: He for conv
+    kernels, Glorot for matrices, ones for norm gains, zeros for other vectors."""
+    rng = stream(seed)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) == 4:
+            value = rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[1:]))
+        elif len(shape) == 2:
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            value = rng.uniform(-limit, limit, size=shape)
+        elif name == "head.surv.b":
+            # start below the cohort's per-step event rate: hazards must default low so
+            # training raises them where events occur rather than carving down a high prior
+            value = np.full(shape, -5.5)
+        else:
+            value = np.full(shape, 1.0 if name.endswith(".g") else 0.0)
+        params[name] = value.astype(cfg.np_dtype)
     # one Glorot column shared by every step: each step's logit starts as the
     # same linear risk score of the features plus its own bias. Independent
     # columns would give each step its own fixed random projection of the
     # features, which the few events at late steps never train away.
-    params["head.surv.w"] = np.repeat(glorot((d, cfg.j_max))[:, :1], cfg.j_max, axis=1)
-    # start below the cohort's per-step event rate: hazards must default low so
-    # training raises them where events occur rather than carving down a high prior
-    params["head.surv.b"] = np.full(cfg.j_max, -5.5, dtype=dt)
-    if cfg.kind == KIND_LONGITUDINAL:
-        params["head.step.w"] = glorot((d, d))
-        params["head.step.b"] = np.zeros(d, dtype=dt)
+    params["head.surv.w"] = np.repeat(params["head.surv.w"][:, :1], cfg.j_max, axis=1)
     return params
 
 
@@ -189,8 +186,7 @@ def forward_sequences(params: dict, cfg: ModelConfig, batch: SequenceBatch,
     # encode only real visits; padded rows stay exactly zero
     flat_idx = np.flatnonzero(valid.reshape(-1))
     imgs_flat = images.reshape((-1,) + images.shape[2:])
-    e_valid = encode_images(dg.constant(imgs_flat[flat_idx]), leaves,
-                            n_blocks=len(cfg.conv_widths))
+    e_valid = encode_images(dg.constant(imgs_flat[flat_idx]), leaves)
     e_img = dg.reshape(dg.scatter_rows(e_valid, flat_idx, b * lt),
                        (b, lt, cfg.embed_dim))
 
@@ -231,8 +227,7 @@ def forward_single_images(params: dict, cfg: ModelConfig, images: np.ndarray,
     dt = cfg.np_dtype
     rng = stream(seed)
     leaves = {name: dg.param(arr, name) for name, arr in params.items()}
-    e = encode_images(dg.constant(np.asarray(images, dtype=dt)), leaves,
-                      n_blocks=len(cfg.conv_widths))
+    e = encode_images(dg.constant(np.asarray(images, dtype=dt)), leaves)
     hz = dg.sigmoid(dg.matmul(dg.dropout(e, cfg.dropout, rng, train),
                               leaves["head.surv.w"]) + leaves["head.surv.b"])
     return ForwardPass(hazards=hz.value, step_ahead=None, attention=[],
@@ -266,14 +261,14 @@ _DTYPE_TAGS = {"float64": "<f8", "float32": "<f4"}
 
 def save_checkpoint(path: str, params: dict, record: dict) -> None:
     """Write ``config.json`` and ``params.bin``, the little-endian tensors in the
-    ``init_params`` order of the record's model config."""
-    layout = init_params(ModelConfig.from_dict(record["model"], "model"), 0)
+    ``param_shapes`` order of the record's model config."""
+    layout = param_shapes(ModelConfig.from_dict(record["model"], "model"))
     os.makedirs(path, exist_ok=True)
     tensors = (params[name] for name in layout)
     with open(os.path.join(path, BLOB_NAME), "wb") as fh:
         fh.write(b"".join(arr.astype(_DTYPE_TAGS[arr.dtype.name], copy=False).tobytes()
                           for arr in tensors))
-    shapes = {name: list(arr.shape) for name, arr in layout.items()}
+    shapes = {name: list(shape) for name, shape in layout.items()}
     with open(os.path.join(path, RECORD_NAME), "w") as fh:
         json.dump({**record, "layout": shapes}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -283,7 +278,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
     """Read a checkpoint directory; a malformed file is a DataError naming it.
 
     The record needs pixel statistics (one number per image channel) and a
-    layout, and ``params.bin`` exactly the values of the tensors ``init_params``
+    layout, and ``params.bin`` exactly the values of the tensors ``param_shapes``
     gives its model config, which fixes their names, shapes, dtype and order.
     The layout must be that one; the returned record leaves it out.
     """
@@ -299,10 +294,10 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
             if not (isinstance(values, list) and len(values) == cfg.image_channels
                     and all(type(v) in (int, float) for v in values)):
                 raise ValueError(f"{key} needs one number per image channel, got {values!r}")
-        layout = init_params(cfg, 0)
-    sizes = [arr.size for arr in layout.values()]
+        layout = param_shapes(cfg)
+    sizes = [math.prod(shape) for shape in layout.values()]
     with reading(blob_path), open(blob_path, "rb") as fh:
-        if written != {name: list(arr.shape) for name, arr in layout.items()}:
+        if written != {name: list(shape) for name, shape in layout.items()}:
             raise ValueError(f"written in another tensor layout than {RECORD_NAME}'s "
                              f"{cfg.kind} model")
         values = np.frombuffer(fh.read(), dtype=_DTYPE_TAGS[cfg.dtype])
@@ -310,6 +305,6 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
             raise ValueError(f"{len(values)} {cfg.dtype} values, the {cfg.kind} "
                              f"model has {sum(sizes)}")
     chunks = np.split(values, np.cumsum(sizes)[:-1])
-    params = {name: chunk.astype(cfg.np_dtype).reshape(arr.shape)
-              for (name, arr), chunk in zip(layout.items(), chunks)}
+    params = {name: chunk.astype(cfg.np_dtype).reshape(shape)
+              for (name, shape), chunk in zip(layout.items(), chunks)}
     return params, record

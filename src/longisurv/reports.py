@@ -69,11 +69,8 @@ def _score_rows(sources: list[RiskSource], eyes, grid, t_years, dt_years,
             cells = [c[(t, dt)] for c in per_source]
             for metric in metrics:
                 group = [ReportRow(model=s.name, metric=metric, t_years=t, dt_years=dt,
-                                   n_risk_set=0 if c is None else c.n_risk_set)
-                         for s, c in zip(sources, cells)]
+                                   n_risk_set=c.n_risk_set) for s, c in zip(sources, cells)]
                 rows.extend(group)
-                if cells[0] is None:
-                    continue
                 try:
                     for row, cell in zip(group, cells):
                         row.estimate, row.n_pairs = getattr(cell, metric)(), cell.n_pairs
@@ -102,11 +99,10 @@ def _score_rows(sources: list[RiskSource], eyes, grid, t_years, dt_years,
 
 def evaluate_source(source: RiskSource, eyes: list[EyeRecord], grid: TimeGrid,
                     t_years=DEFAULT_T_YEARS, dt_years=DEFAULT_DT_YEARS,
-                    n_bootstrap: int = 1000, seed: int = 0,
-                    metrics: tuple = ("concordance", "brier")) -> list[ReportRow]:
-    """Point estimates plus bootstrap CIs for every grid cell and metric."""
+                    n_bootstrap: int = 1000, seed: int = 0) -> list[ReportRow]:
+    """Point estimates plus bootstrap CIs for every grid cell, concordance then Brier."""
     return _score_rows([source], eyes, grid, t_years, dt_years, n_bootstrap,
-                       seed, metrics)
+                       seed, ("concordance", "brier"))
 
 
 def compare_sources(source_a: RiskSource, source_b: RiskSource,

@@ -53,6 +53,7 @@ EYES_HEADER = ("patient_id", "eye_id", "visit_months", "event_step", "censored",
                "severities", "true_hazard")
 CONFIG_NAME = "cohort.json"
 IMAGES_NAME = "images.npy"
+SPLIT_FRACTIONS = (0.7, 0.1, 0.2)     # train, validation and test shares of the patients
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ def render_image(anatomy: EyeAnatomy, severity: float | np.ndarray,
     return np.repeat(img[..., None, :, :], cfg.image_channels, axis=-3).astype(np.float32)
 
 
-def generate_cohort(cfg: CohortConfig, render_images: bool = True) -> list[EyeRecord]:
+def generate_cohort(cfg: CohortConfig) -> list[EyeRecord]:
     """Simulate a full cohort; deterministic for a given (config, seed)."""
     drifts, severities, hazards, event_candidate, admin_end = _simulate_latents(cfg)
     p_drop = _tune_dropout(cfg, event_candidate, admin_end)
@@ -246,13 +247,11 @@ def generate_cohort(cfg: CohortConfig, render_images: bool = True) -> list[EyeRe
             visit_steps = np.array(steps, dtype=int)
             sev = severities[i][visit_steps]
 
-            images = None
-            if render_images:
-                anatomy = EyeAnatomy(stream(cfg.seed, 3, p, e), cfg)
-                clean = render_image(anatomy, sev, cfg)
-                noisy = stream(cfg.seed, 4, p, e).normal(0, cfg.obs_noise_sd, clean.shape)
-                noisy += clean
-                images = np.clip(noisy, 0.0, 1.0, out=noisy).astype(np.float32)
+            anatomy = EyeAnatomy(stream(cfg.seed, 3, p, e), cfg)
+            clean = render_image(anatomy, sev, cfg)
+            noisy = stream(cfg.seed, 4, p, e).normal(0, cfg.obs_noise_sd, clean.shape)
+            noisy += clean
+            images = np.clip(noisy, 0.0, 1.0, out=noisy).astype(np.float32)
 
             pid = f"p{p:0{pad}d}"
             eyes.append(EyeRecord(
@@ -262,17 +261,14 @@ def generate_cohort(cfg: CohortConfig, render_images: bool = True) -> list[EyeRe
     return eyes
 
 
-def split_patients(eyes: list[EyeRecord], fractions=(0.7, 0.1, 0.2),
-                   seed: int = 0) -> tuple[list, list, list]:
-    """Patient-level split; both eyes of a patient travel together."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {fractions}")
+def split_patients(eyes: list[EyeRecord], seed: int = 0) -> tuple[list, list, list]:
+    """Patient-level split by ``SPLIT_FRACTIONS``; both eyes of a patient travel together."""
     patients = sorted({e.patient_id for e in eyes})
     n = len(patients)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(SPLIT_FRACTIONS[0] * n))
+    n_val = int(round(SPLIT_FRACTIONS[1] * n))
     if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
-        raise ConfigError(f"too few patients ({n}) for split {fractions}")
+        raise ConfigError(f"too few patients ({n}) for split {SPLIT_FRACTIONS}")
     order = stream(seed).permutation(n)
     groups = (set(patients[i] for i in order[:n_train]),
               set(patients[i] for i in order[n_train:n_train + n_val]),
@@ -308,8 +304,6 @@ def pad_and_batch(eyes: list[EyeRecord], l: int) -> SequenceBatch:
     """Zero-pad visit sequences to length l with prefix validity masks."""
     if not eyes:
         raise DataError("cannot batch an empty list of eyes")
-    if any(e.images is None for e in eyes):
-        raise DataError("eyes were generated without images")
     longest = max(e.n_visits for e in eyes)
     if longest > l:
         raise DataError(f"sequence of {longest} visits exceeds padded length {l}")
@@ -361,8 +355,6 @@ def _parse_list(text: str) -> np.ndarray:
 
 
 def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
-    if any(e.images is None for e in eyes):
-        raise DataError("cannot save a cohort generated without images")
     if any(a.eye_id >= b.eye_id for a, b in zip(eyes, eyes[1:])):
         raise DataError("a dataset's eyes must be in increasing eye id order")
     os.makedirs(path, exist_ok=True)

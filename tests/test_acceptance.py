@@ -81,7 +81,7 @@ def test_01_directional_replication(pipeline):
     lines, empty, behind, n_significant = [], [], [], 0
     for cell in late_cells:
         lt, bs = by_cell[cell]["longitudinal"], by_cell[cell]["baseline"]
-        anchors = 0 if truth[cell] is None else truth[cell].n_anchors
+        anchors = truth[cell].n_anchors
         if lt.boot_mean is None or bs.boot_mean is None:
             empty.append(cell)
             lines.append(f"  {cell}: empty, {anchors} anchors")
@@ -119,8 +119,6 @@ def test_02_oracle_sandwich(pipeline):
     checked = 0
     for key, oc in oracle_cells.items():
         lc = ltsa_cells[key]
-        if oc is None or lc is None:
-            continue
         try:
             oracle_c = oc.concordance()
             ltsa_c = lc.concordance()
@@ -355,8 +353,7 @@ def test_08_attention_analysis(pipeline):
                        ltsa.record["pixel_std"]).astype(np.float32)
     from longisurv.encoders import encode_images
     leaves = {k: dg.param(v, k) for k, v in ltsa.params.items()}
-    emb = encode_images(dg.constant(imgs), leaves,
-                        n_blocks=len(cfg.conv_widths)).value
+    emb = encode_images(dg.constant(imgs), leaves).value
     n1, n7 = np.linalg.norm(emb[0]), np.linalg.norm(emb[1])
     assert abs(n7 - n1) / max(n1, n7) > 0.02
     print(f"\n    fraction last-visit max {rep.fraction_last_max:.3f}, "
@@ -366,7 +363,7 @@ def test_08_attention_analysis(pipeline):
 
 def test_09_simulator_calibration():
     cfg = CohortConfig(n_patients=2500, seed=ACCEPT_SEED)
-    stats = summary_stats(generate_cohort(cfg, render_images=False), cfg.grid)
+    stats = summary_stats(generate_cohort(cfg), cfg.grid)
     assert stats["n_eyes"] == 5000
     assert 85.8 <= stats["censored_pct"] <= 89.8, stats["censored_pct"]
     assert 6.34 * 0.85 <= stats["visits_mean"] <= 6.34 * 1.15, stats["visits_mean"]

@@ -69,8 +69,7 @@ class TestGapEncoding:
 class TestImageEncoder:
     def _embed(self, images, cfg, params):
         leaves = {k: dg.param(v, k) for k, v in params.items()}
-        return encode_images(dg.constant(images), leaves,
-                             n_blocks=len(cfg.conv_widths)).value
+        return encode_images(dg.constant(images), leaves).value
 
     def test_eval_mode_is_pure(self, rng):
         cfg = tiny_config()

@@ -195,12 +195,13 @@ class TestBootstrap:
         res = bootstrap_ci(10, statistic, n_samples=20, seed=2)
         assert res.n_redraws > 0 and len(res.samples) == 20
 
-    def test_gives_up_after_max_redraws(self):
+    def test_gives_up_after_max_redraws(self, monkeypatch):
         def statistic(idx):
             raise EmptyCellError("always")
 
+        monkeypatch.setattr(metrics, "MAX_REDRAWS", 4)
         with pytest.raises(EmptyCellError):
-            bootstrap_ci(10, statistic, n_samples=5, seed=3, max_redraws=4)
+            bootstrap_ci(10, statistic, n_samples=5, seed=3)
 
     def test_values_share_draws_and_match_scalar_runs(self):
         data = np.random.default_rng(4).normal(size=12)
@@ -250,7 +251,7 @@ class TestBootstrap:
                    (alone.mean, alone.lo95, alone.hi95)
         assert bootstrap_ci(9, spread, n_samples=300, seed=11).n_redraws == 0
 
-    def test_a_value_never_defined_is_nan_and_the_rest_still_match(self):
+    def test_a_value_never_defined_is_nan_and_the_rest_still_match(self, monkeypatch):
         data = np.random.default_rng(6).normal(size=40)
 
         def needs_unit_0(idx):
@@ -263,9 +264,10 @@ class TestBootstrap:
 
         # unit 0 is missing from a draw of 40 with probability ~0.36, so
         # some sample finds it in none of 2 attempts
-        joint = bootstrap_ci(40, both, n_samples=200, seed=3, max_redraws=2)
+        monkeypatch.setattr(metrics, "MAX_REDRAWS", 2)
+        joint = bootstrap_ci(40, both, n_samples=200, seed=3)
         with pytest.raises(EmptyCellError):
-            bootstrap_ci(40, needs_unit_0, n_samples=200, seed=3, max_redraws=2)
+            bootstrap_ci(40, needs_unit_0, n_samples=200, seed=3)
         assert np.isnan([joint.mean[0], joint.lo95[0], joint.hi95[0]]).all()
         assert np.isnan(joint.samples[:, 0]).all()
         alone = bootstrap_ci(40, lambda idx: float(data[idx].std()), n_samples=200, seed=3)
@@ -351,7 +353,7 @@ class TestBonferroni:
 @pytest.fixture(scope="module")
 def cohort():
     cfg = CohortConfig(n_patients=150, seed=21)
-    return generate_cohort(cfg, render_images=False), cfg
+    return generate_cohort(cfg), cfg
 
 
 class TestRiskCells:
@@ -369,8 +371,6 @@ class TestRiskCells:
         cells = build_risk_cells(OracleScorer(), eyes, cfg.grid)
         assert len(cells) == 20
         for cell in cells.values():
-            if cell is None:
-                continue
             assert np.all((cell.risks >= 0) & (cell.risks <= 1))
 
     def test_window_clamps_to_grid_end(self, cohort):
@@ -465,7 +465,7 @@ class TestRiskCells:
             monkeypatch.undo()
             assert len(calls) == math.ceil(n_at_risk / metrics.CHUNK_EYES)
             for cell in cells.values():
-                assert cell is not None
+                assert cell.n_risk_set > 0
                 assert np.all((cell.risks > 0) & (cell.risks < 1))
 
 

@@ -18,7 +18,7 @@ from longisurv.synthcohort import CohortConfig, generate_cohort
 def cohort():
     cfg = CohortConfig(n_patients=80, seed=31, target_censoring=0.7,
                        hazard_intercept=-11.0)
-    return generate_cohort(cfg, render_images=False), cfg
+    return generate_cohort(cfg), cfg
 
 
 class TestSources:
@@ -64,8 +64,8 @@ class TestSources:
                 caplog.clear()
                 rows = compare_sources(*sources, eyes, cfg.grid, n_bootstrap=40, seed=7)
             assert "redrew" in caplog.text        # some cells redraw
-            alone = {s.name: evaluate_source(s, eyes, cfg.grid, n_bootstrap=40, seed=7,
-                                             metrics=("concordance",))
+            alone = {s.name: [r for r in evaluate_source(s, eyes, cfg.grid, n_bootstrap=40,
+                                                          seed=7) if r.metric == "concordance"]
                      for s in sources}
             assert len(rows) == 2 * len(alone[sources[0].name])
             for k, row in enumerate(rows):
@@ -104,7 +104,7 @@ class TestSources:
             undefined = 0
             for row in rows:
                 cell = cells_of[row.model][(row.t_years, row.dt_years)]
-                estimate, boot = (None, None) if cell is None else reference(cell, row.metric)
+                estimate, boot = reference(cell, row.metric)
                 assert row.estimate == estimate
                 if boot is None:
                     undefined += 1
@@ -129,8 +129,8 @@ class TestSources:
             rows = evaluate_source(source, eyes, cfg.grid, n_bootstrap=40, seed=7)
             assert {r.metric for r in rows} == {"concordance", "brier"}
             assert 0 < check(rows, cells_of) < len(rows)
-            check(evaluate_source(source, eyes, cfg.grid, n_bootstrap=40, seed=7,
-                                  metrics=("brier",)), cells_of)
+            check([r for r in evaluate_source(source, eyes, cfg.grid, n_bootstrap=40, seed=7)
+                   if r.metric == "brier"], cells_of)
 
     def test_evaluate_keeps_a_row_whose_bootstrap_fails(self, cohort, monkeypatch):
         def no_defined_draw(*args, **kwargs):
@@ -149,9 +149,8 @@ class TestSources:
         eyes, cfg = cohort
         rows = evaluate_source(RiskSource(name="random", random_seed=3),
                                eyes, cfg.grid, t_years=(1.0,), dt_years=(8.0,),
-                               n_bootstrap=30, seed=3,
-                               metrics=("concordance",))
-        est = rows[0].estimate
+                               n_bootstrap=30, seed=3)
+        est = [r for r in rows if r.metric == "concordance"][0].estimate
         assert est is not None and 0.2 < est < 0.8
 
 
@@ -160,9 +159,9 @@ def test_one_pair_table_per_cell_and_source(cohort, monkeypatch):
     the pair count and every bootstrap draw."""
     eyes, cfg = cohort
     sources = [source_from_token("oracle"), source_from_token("random", seed=5)]
-    n_cells = [sum(c is not None for c in s.cells(eyes, cfg.grid, DEFAULT_T_YEARS,
-                                                  DEFAULT_DT_YEARS).values())
+    n_cells = [len(s.cells(eyes, cfg.grid, DEFAULT_T_YEARS, DEFAULT_DT_YEARS))
                for s in sources]
+    assert n_cells == [20, 20]
     calls = []                                  # each call's cell, by its risks array
     real = metrics.pair_table
     monkeypatch.setattr(metrics, "pair_table", lambda *a: calls.append(id(a[0])) or real(*a))

@@ -31,7 +31,7 @@ class TestGeneration:
             np.testing.assert_array_equal(x.true_hazard, y.true_hazard)
 
     def test_visits_precede_outcome_and_are_increasing(self):
-        for e in generate_cohort(small_cfg(), render_images=False):
+        for e in generate_cohort(small_cfg()):
             assert e.n_visits >= 1
             assert np.all(np.diff(e.visit_months) > 0)
             last_step = int(e.visit_months[-1]) // small_cfg().step_months
@@ -40,14 +40,14 @@ class TestGeneration:
     def test_zero_hazard_means_all_censored(self):
         cfg = small_cfg(hazard_slope=0.0, hazard_intercept=-40.0,
                         target_censoring=1.0)
-        eyes = generate_cohort(cfg, render_images=False)
+        eyes = generate_cohort(cfg)
         assert all(e.outcome.censored for e in eyes)
         assert summary_stats(eyes, cfg.grid)["n_events"] == 0
 
     def test_certain_first_step_event(self):
         cfg = small_cfg(hazard_slope=0.0, hazard_intercept=40.0,
                         target_censoring=None)
-        for e in generate_cohort(cfg, render_images=False):
+        for e in generate_cohort(cfg):
             assert e.outcome == e.outcome.__class__(event_step=1, censored=False)
             np.testing.assert_array_equal(e.visit_months, [0])
 
@@ -55,16 +55,15 @@ class TestGeneration:
         cfg = small_cfg(hazard_slope=0.0, hazard_intercept=-40.0,
                         target_censoring=0.5)
         with pytest.raises(ConfigError, match="unsatisfiable"):
-            generate_cohort(cfg, render_images=False)
+            generate_cohort(cfg)
 
     def test_censoring_near_target(self):
         cfg = CohortConfig(n_patients=1200, seed=5)
-        stats = summary_stats(generate_cohort(cfg, render_images=False), cfg.grid)
+        stats = summary_stats(generate_cohort(cfg), cfg.grid)
         assert 85.8 <= stats["censored_pct"] <= 89.8
 
     def test_faster_drift_means_earlier_events(self):
-        eyes = generate_cohort(CohortConfig(n_patients=500, seed=9),
-                               render_images=False)
+        eyes = generate_cohort(CohortConfig(n_patients=500, seed=9))
         drift = np.array([e.drift for e in eyes])
         cens = np.array([e.outcome.censored for e in eyes])
         step = np.array([e.outcome.event_step for e in eyes])
@@ -86,10 +85,9 @@ def cohort_digest(eyes) -> str:
         h.update(e.eye_id.encode())
         h.update(repr((e.outcome.event_step, e.outcome.censored, e.drift)).encode())
         for a in (e.visit_months, e.severities, e.true_hazard, e.images):
-            if a is not None:
-                h.update(a.dtype.str.encode())
-                h.update(repr(a.shape).encode())
-                h.update(np.ascontiguousarray(a).tobytes())
+            h.update(a.dtype.str.encode())
+            h.update(repr(a.shape).encode())
+            h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
 
@@ -98,18 +96,19 @@ class TestGoldenBytes:
     simulator (numpy 2.4, x86-64). A change here changes every cohort, so it
     has to say so and re-pin them."""
 
-    @pytest.mark.parametrize("over, render, digest", [
-        (dict(n_patients=40, seed=11), True,
+    @pytest.mark.parametrize("over, digest", [
+        (dict(n_patients=40, seed=11),
          "17b183afd56a663b0aa1c949618b16f82d3688fa4331040c697e158bd2362f85"),
-        (dict(COHORT_PRESETS["ohts_like"], n_patients=40, seed=5), True,
+        (dict(COHORT_PRESETS["ohts_like"], n_patients=40, seed=5),
          "23f2fcf45c73d8cebef218f374fd9af32295fb659cde31580c96a38e63936e20"),
-        (dict(n_patients=30, seed=3, image_channels=3, image_size=16), True,
+        (dict(n_patients=30, seed=3, image_channels=3, image_size=16),
          "4220976b9444682a0e58c421a646445efc1cd6e54672fd000fd3e2270c2060a8"),
-        (dict(n_patients=60, seed=9), False,
-         "9a85af84c08e5ee159cffb15ccda4c6b7f71304cd29885e8a391239fc045edf3"),
+        # the case once generated without images; it is rendered like the rest
+        (dict(n_patients=60, seed=9),
+         "e2d25e37c028594362ce06950cf4f8841de28774d51255464e03271498985d5d"),
     ], ids=["areds_like", "ohts_like", "three_channels_16px", "no_images"])
-    def test_cohort_digest(self, over, render, digest):
-        assert cohort_digest(generate_cohort(CohortConfig(**over), render)) == digest
+    def test_cohort_digest(self, over, digest):
+        assert cohort_digest(generate_cohort(CohortConfig(**over))) == digest
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_array_render_equals_stacked_scalar_renders(self, channels):
@@ -126,20 +125,20 @@ class TestGoldenBytes:
 
 class TestSplit:
     def test_ten_patients_split_7_1_2(self):
-        eyes = generate_cohort(small_cfg(n_patients=10), render_images=False)
+        eyes = generate_cohort(small_cfg(n_patients=10))
         tr, va, te = split_patients(eyes, seed=0)
         counts = [len({e.patient_id for e in part}) for part in (tr, va, te)]
         assert counts == [7, 1, 2]
 
     def test_same_seed_same_split(self):
-        eyes = generate_cohort(small_cfg(), render_images=False)
+        eyes = generate_cohort(small_cfg())
         a = split_patients(eyes, seed=4)
         b = split_patients(eyes, seed=4)
         for pa, pb in zip(a, b):
             assert [e.eye_id for e in pa] == [e.eye_id for e in pb]
 
     def test_patient_disjointness_and_eye_pairing(self):
-        eyes = generate_cohort(small_cfg(seed=8), render_images=False)
+        eyes = generate_cohort(small_cfg(seed=8))
         parts = split_patients(eyes, seed=1)
         patient_sets = [{e.patient_id for e in part} for part in parts]
         assert not (patient_sets[0] & patient_sets[1])
@@ -149,14 +148,10 @@ class TestSplit:
             assert len(part) == 2 * len(pats)        # both eyes travel together
 
     def test_too_few_patients(self):
-        eyes = generate_cohort(small_cfg(n_patients=2), render_images=False)
+        eyes = generate_cohort(small_cfg(n_patients=2))
         with pytest.raises(ConfigError):
             split_patients(eyes)
 
-    def test_bad_fractions(self):
-        eyes = generate_cohort(small_cfg(n_patients=10), render_images=False)
-        with pytest.raises(ConfigError):
-            split_patients(eyes, fractions=(0.5, 0.2, 0.2))
 
 
 class TestPadding:
@@ -182,11 +177,6 @@ class TestPadding:
         eyes = generate_cohort(small_cfg(seed=2))[:4]
         with pytest.raises(DataError):
             pad_and_batch(eyes, max(e.n_visits for e in eyes) - 1)
-
-    def test_imageless_cohort_rejected(self):
-        eyes = generate_cohort(small_cfg(), render_images=False)[:2]
-        with pytest.raises(DataError):
-            pad_and_batch(eyes, 10)
 
 
 class TestDatasetIO:
@@ -225,7 +215,7 @@ class TestDatasetIO:
                    (tmp_path / "b" / name).read_bytes()
 
     def test_eye_ids_sort_in_generation_order(self):
-        eyes = generate_cohort(small_cfg(n_patients=3, eyes_per_patient=11), render_images=False)
+        eyes = generate_cohort(small_cfg(n_patients=3, eyes_per_patient=11))
         ids = [e.eye_id for e in eyes]
         assert ids == sorted(set(ids)) and ids[:2] == ["p0_e00", "p0_e01"]
 

@@ -226,8 +226,7 @@ class TestTrainLoop:
         def exploding(fp, outcomes, cfg, frozen_targets=None):
             calls["n"] += 1
             if calls["n"] >= 2:
-                return dg.constant(np.array(np.inf)), {"surv": np.inf, "pred": 0.0,
-                                                       "n_rows": 1, "n_pairs": 0}
+                return dg.constant(np.array(np.inf)), {"surv": np.inf, "pred": 0.0}
             return real(fp, outcomes, cfg, frozen_targets)
 
         monkeypatch.setattr(tr, "sequence_loss", exploding)
