@@ -216,7 +216,9 @@ def cmd_attention(args) -> int:
     write_attention_summary(os.path.join(args.out, "attention_summary.tsv"), report)
     print(f"attention tables written to {args.out}")
     print(f"  eyes analyzed                  {len(subset)}")
-    print(f"  last visit holds max score in  {100 * report.fraction_last_max:.1f}%")
+    frac = report.fraction_last_max
+    share = "NA" if frac is None else f"{100 * frac:.1f}%"
+    print(f"  last visit holds max score in  {share} of multi-visit eyes")
     for label, med in zip(report.offset_labels, report.offset_medians):
         print(f"  median score, {label:>3} visits back  {med:.3f}")
     r = "NA" if report.pearson_r is None else f"{report.pearson_r:.3f}"

@@ -346,7 +346,8 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
 
     Each prediction time's risk set and each eye's visits seen by then go to
     the scorer together, so a model scores every time from one causal pass
-    per eye. ``rng_anti`` negates risks (an anti-oracle); ``random_seed``
+    per eye. ``rng_anti`` takes 1 - r for each risk r (an anti-oracle: the
+    ranking reversed, each risk still a probability); ``random_seed``
     replaces risks with seeded uniform noise.
     """
     t_steps, dt_steps = grid_steps(grid, t_years, dt_years)
@@ -368,7 +369,7 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
             else:
                 risks = window_risks(curves[k, idx], grid, t_step, n_steps)
                 if rng_anti:
-                    risks = -risks
+                    risks = 1.0 - risks
             cells[(t, dt)] = RiskCell(
                 t_years=t, dt_years=dt, risks=risks, event_steps=steps,
                 censored=cens, horizon_step=t_step + n_steps)

@@ -4,8 +4,9 @@ Evaluation and comparison rows come from one row builder. One set of
 bootstrap draws per prediction time scores every cell, metric and source
 of it, so a checkpoint compared with itself gets identical samples and a
 flat Welch P of 0.5 in every cell. The tokens "oracle", "anti-oracle" and
-"random" score the simulator's hidden ground truth, its negation and seeded
-uniform noise through the same pipeline as model checkpoints.
+"random" score the simulator's hidden ground truth, its complement (1 - r for
+each window risk r) and seeded uniform noise through the same pipeline as
+model checkpoints.
 """
 from __future__ import annotations
 
@@ -133,7 +134,7 @@ OFFSET_BIN_START = 10   # offsets this far back are pooled into one bin
 @dataclass
 class AttentionReport:
     rows: list                      # (eye_id, n_visits, offset, score)
-    fraction_last_max: float
+    fraction_last_max: float | None     # over multi-visit eyes; None without one
     offset_labels: list
     offset_medians: list
     offset_counts: list
@@ -145,14 +146,15 @@ def attention_analysis(scorer: ModelScorer, eyes: list[EyeRecord]) -> AttentionR
 
     Scores come from the final layer at each eye's last visit, head-averaged
     and normalized to a max of 1. Offsets count visits back from the last
-    one; offsets >= 10 are pooled into a single display bin. The Pearson
-    correlation is computed between offsets 0..9 and their median scores,
-    using multi-visit eyes only.
+    one; offsets >= 10 are pooled into a single display bin. The share of
+    eyes whose last visit holds the top score, the offset medians and the
+    Pearson correlation between offsets 0..9 and their medians all use
+    multi-visit eyes only: a single visit trivially scores 1.
     """
     if not isinstance(scorer, ModelScorer) or scorer.cfg.kind != KIND_LONGITUDINAL:
         raise ConfigError("attention analysis needs a longitudinal checkpoint")
     rows = []
-    n_last_max = 0
+    n_multi = n_last_max = 0
     for start in range(0, len(eyes), CHUNK_EYES):
         part = eyes[start:start + CHUNK_EYES]
         batch = prepare_batch(part, max(e.n_visits for e in part), scorer.pixel_mean,
@@ -162,15 +164,16 @@ def attention_analysis(scorer: ModelScorer, eyes: list[EyeRecord]) -> AttentionR
         del fp                            # the chunk's graph dies before the next forward
         for eye, scores in zip(part, per_eye):
             j_i = len(scores)
-            if scores[-1] == scores.max():
-                n_last_max += 1
+            if j_i > 1:
+                n_multi += 1
+                n_last_max += int(scores[-1] == scores.max())
             for k, s in enumerate(scores):
                 rows.append((eye.eye_id, j_i, j_i - 1 - k, float(s)))
 
     by_bin: dict[int, list] = {}
     for eye_id, j_i, offset, score in rows:
         if j_i < 2:
-            continue                      # single-visit eyes trivially score 1
+            continue
         by_bin.setdefault(min(offset, OFFSET_BIN_START), []).append(score)
     labels, medians, counts = [], [], []
     for b in sorted(by_bin):
@@ -185,7 +188,8 @@ def attention_analysis(scorer: ModelScorer, eyes: list[EyeRecord]) -> AttentionR
         ys = np.array([m for _, m in unbinned], dtype=float)
         if ys.std() > 0:
             pearson = float(np.corrcoef(xs, ys)[0, 1])
-    return AttentionReport(rows=rows, fraction_last_max=n_last_max / len(eyes),
+    return AttentionReport(rows=rows,
+                           fraction_last_max=n_last_max / n_multi if n_multi else None,
                            offset_labels=labels, offset_medians=medians,
                            offset_counts=counts, pearson_r=pearson)
 

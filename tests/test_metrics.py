@@ -403,6 +403,50 @@ class TestRiskCells:
         mean_a, _ = mean_grid_concordance(anti)
         assert mean_o > 0.65 > 0.5 > mean_a
 
+    def test_anti_oracle_brier_worse_without_an_event(self, cohort):
+        """The anti-oracle's risk is 1 - r: with no event in the window its
+        Brier score is worse than the oracle's, where -r would square to r^2."""
+        eyes, cfg = cohort
+        cells = build_risk_cells(OracleScorer(), eyes, cfg.grid)
+        anti = build_risk_cells(OracleScorer(), eyes, cfg.grid, rng_anti=True)
+        quiet = [key for key, c in cells.items() if c.n_risk_set and not metrics.event_in_window(
+            c.event_steps, c.censored, c.horizon_step).any()]
+        assert quiet
+        for key in quiet:
+            np.testing.assert_array_equal(anti[key].risks, 1.0 - cells[key].risks)
+            assert anti[key].brier() > cells[key].brier()
+
+    def test_every_cell_is_a_risk_cell(self, cohort):
+        """A prediction time with no eye at risk still gets its cells, with
+        empty arrays, whose metrics raise EmptyCellError."""
+        eyes, cfg = cohort
+        t_step = cfg.grid.time_to_step(DEFAULT_T_YEARS[-1])
+        early = [e for e in eyes if e.outcome.event_step <= t_step]
+        cells = build_risk_cells(OracleScorer(), early, cfg.grid)
+        assert len(cells) == 20
+        assert all(isinstance(c, metrics.RiskCell) for c in cells.values())
+        empty = [c for (t, _), c in cells.items() if t == DEFAULT_T_YEARS[-1]]
+        assert len(empty) == 4
+        for cell in empty:
+            assert cell.n_risk_set == cell.n_anchors == cell.n_pairs == 0
+            with pytest.raises(EmptyCellError):
+                cell.concordance()
+            with pytest.raises(EmptyCellError):
+                cell.brier()
+        # past the grid's 13.5 years no window exists, and no eye is at risk
+        past = build_risk_cells(OracleScorer(), eyes, cfg.grid, t_years=(14.0,))
+        assert len(past) == 4 and all(c.n_risk_set == 0 for c in past.values())
+
+    def test_no_eye_at_risk_runs_no_forward_pass(self, cohort, monkeypatch):
+        eyes, _ = cohort
+        cfg_model = ModelConfig(embed_dim=8, n_layers=1, n_heads=2, conv_widths=(2, 4, 4))
+        record = {"model": cfg_model.to_dict(), "pixel_mean": [0.2], "pixel_std": [0.2]}
+        scorer = ModelScorer(init_params(cfg_model, seed=0), record)
+        monkeypatch.setattr(metrics, "forward_sequences",
+                            lambda *a, **kw: pytest.fail("a forward pass"))
+        curves = scorer.curves(eyes[:3], np.zeros((5, 3), dtype=int))
+        assert curves.shape == (5, 3, cfg_model.j_max) and np.isnan(curves).all()
+
     def test_untrained_model_scorer_runs(self, monkeypatch):
         """One causal pass per chunk of eyes scores every prediction time.
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from longisurv import model
 from longisurv.errors import ConfigError, DataError
-from longisurv.model import (ModelConfig, SequenceBatch, ForwardPass, init_params,
+from longisurv.model import (ModelConfig, SequenceBatch, ForwardPass, init_params, param_shapes,
                              forward_sequences, forward_single_images,
                              extract_attention, save_checkpoint, load_checkpoint,
                              KIND_BASELINE)
@@ -198,6 +199,15 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="config.json"):
             load_checkpoint(str(tmp_path / "ck"))
 
+    def test_checkpoint_io_draws_nothing(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=4)
+        monkeypatch.setattr(model, "stream", lambda *a: pytest.fail("a seeded draw"))
+        save_checkpoint(str(tmp_path / "ck"), params, {
+            "model": cfg.to_dict(), "pixel_mean": [0.31], "pixel_std": [0.22]})
+        loaded, _ = load_checkpoint(str(tmp_path / "ck"))
+        assert list(loaded) == list(params)
+
     def test_missing_directory_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_checkpoint(str(tmp_path / "nope"))
@@ -252,6 +262,15 @@ class TestInitialization:
         dg.backward(total)
         for name, leaf in fp.leaves.items():
             assert leaf.adjoint is not None and np.abs(leaf.adjoint).max() > 1e-12, name
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("widths", [(8,), (4, 8), (2, 4, 4, 8)],
+                             ids=["one_block", "two_blocks", "four_blocks"])
+    @pytest.mark.parametrize("kind", ["longitudinal", "baseline"])
+    def test_param_shapes_are_the_initialized_layout(self, kind, widths, n_layers):
+        cfg = tiny_config(kind=kind, conv_widths=widths, n_layers=n_layers)
+        params = init_params(cfg, seed=1)
+        assert list(param_shapes(cfg).items()) == [(k, v.shape) for k, v in params.items()]
 
     def test_survival_head_starts_with_one_shared_column(self):
         for kind in ("longitudinal", "baseline"):

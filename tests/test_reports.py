@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -204,6 +205,30 @@ class TestAttentionAnalysis:
         report = attention_analysis(ModelScorer(params, record), eyes)
         mean_inverse_j = float(np.mean([1.0 / e.n_visits for e in eyes]))
         assert report.fraction_last_max <= mean_inverse_j + 0.3
+
+    def test_last_visit_share_counts_multi_visit_eyes(self, long_sequences, tmp_path):
+        """A single visit is trivially its own top score, so the share of eyes
+        whose last visit scores highest leaves single-visit eyes out; with
+        none left it is NA."""
+        params, record, eyes = long_sequences
+        scorer = ModelScorer(params, record)
+
+        def first_visit(e):
+            return dataclasses.replace(e, visit_months=e.visit_months[:1], images=e.images[:1])
+
+        mixed = [first_visit(e) if k % 2 else e for k, e in enumerate(eyes)]
+        report = attention_analysis(scorer, mixed)
+        last_max = {}
+        for eye_id, j_i, offset, score in report.rows:
+            if j_i > 1 and offset == 0:
+                last_max[eye_id] = score == max(s for e, _, _, s in report.rows if e == eye_id)
+        assert len(last_max) == len(eyes) // 2
+        assert report.fraction_last_max == sum(last_max.values()) / len(last_max) < 1.0
+
+        report = attention_analysis(scorer, [first_visit(e) for e in eyes])
+        assert report.fraction_last_max is None
+        write_attention_summary(str(tmp_path / "single.tsv"), report)
+        assert "fraction_last_visit_max\tNA\n" in (tmp_path / "single.tsv").read_text()
 
     def test_rows_cover_every_visit(self, long_sequences):
         params, record, eyes = long_sequences

@@ -103,7 +103,6 @@ class TestGoldenBytes:
          "23f2fcf45c73d8cebef218f374fd9af32295fb659cde31580c96a38e63936e20"),
         (dict(n_patients=30, seed=3, image_channels=3, image_size=16),
          "4220976b9444682a0e58c421a646445efc1cd6e54672fd000fd3e2270c2060a8"),
-        # the case once generated without images; it is rendered like the rest
         (dict(n_patients=60, seed=9),
          "e2d25e37c028594362ce06950cf4f8841de28774d51255464e03271498985d5d"),
     ], ids=["areds_like", "ohts_like", "three_channels_16px", "no_images"])
