@@ -15,7 +15,9 @@ dtype its vjp yields and is never written in place, so it may be a view.
 one GEMM. A vjp casts a float32 operand of a float64 adjoint first (``_cast``),
 into the same operand numpy's implicit mixed ``@`` makes, so no byte changes.
 ``conv2d``'s weight vjp rebuilds its rows from the input, in the adjoint's
-dtype, so no GEMM rows outlive the forward.
+dtype. All GEMM rows live in one reused buffer (``_gemm_rows``), which is not
+re-entrant and lives until ``release_gemm_rows``. ``backward`` keeps adjoints
+only on leaves (params).
 
 No broadcasting beyond what the model needs, no higher-order derivatives.
 """
@@ -303,12 +305,36 @@ def _taps(c: int, h: int, w: int, kh: int, kw: int, pad: int):
     return idx.reshape(oh * ow, c * kh * kw), oh, ow
 
 
+_rows_buffer = np.empty(0, np.uint8)
+
+
+def _gemm_rows(shape: tuple, dtype) -> np.ndarray:
+    """A C-ordered ``shape`` array on the one module-level buffer of GEMM rows,
+    which only grows: reusing touched pages spares a fresh mapping's page
+    faults and zero-fill per gather. Not re-entrant: the next call overwrites
+    the array, so a caller uses it as one GEMM operand and keeps no view."""
+    global _rows_buffer
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    if _rows_buffer.nbytes < nbytes:
+        release_gemm_rows()                           # free the old one first
+        _rows_buffer = np.empty(nbytes, np.uint8)
+    return _rows_buffer[:nbytes].view(dtype).reshape(shape)
+
+
+def release_gemm_rows() -> None:
+    """Free the GEMM-row buffer, so that it adds nothing to the memory peak of
+    work that follows a pass of convolutions; the next gather grows it anew."""
+    global _rows_buffer
+    _rows_buffer = np.empty(0, np.uint8)
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, pad: int):
     """GEMM rows (n*oh*ow, c*kh*kw) of x's zero-padded windows, one gather."""
     n, c, h, w = x.shape
     idx, oh, ow = _taps(c, h, w, kh, kw, pad)
     flat = np.concatenate([x.transpose(0, 2, 3, 1).reshape(n, -1), np.zeros((n, 1), x.dtype)], 1)
-    cols = np.take(flat, idx, axis=1, mode="wrap")   # in range: skips the bounds check
+    cols = _gemm_rows((n,) + idx.shape, x.dtype)
+    np.take(flat, idx, axis=1, out=cols, mode="wrap")   # in range: skips the bounds check
     return cols.reshape(n * oh * ow, c * kh * kw), oh, ow
 
 
@@ -317,9 +343,10 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
     view of channels-last GEMM rows; adjoints take the GEMMs' dtype. Rows are
     gathered by a cached tap index, vjps ``_cast`` first, and each vjp is one
     GEMM: BLAS picks its kernel by size, so image blocks would change bytes.
-    ``vjp_w`` rebuilds the rows from ``x``, so none outlive the forward: the
-    transposed gather when no cast is due, else one C-ordered copy of the
-    windows of the cast, padded x, the operand a mixed ``cols.T @ gmat`` makes."""
+    ``vjp_w`` rebuilds the rows from ``x``: the transposed gather when no cast
+    is due, else one C-ordered copy of the windows of the cast, padded x, the
+    operand a mixed ``cols.T @ gmat`` makes. All three GEMMs' rows go to the
+    reused, non-re-entrant ``_gemm_rows``; no output or adjoint shares it."""
     n, c, h, ww = x.value.shape
     f, cw, kh, kw = w.value.shape
     if cw != c:
@@ -344,8 +371,10 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
         else:
             xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dt)
             xp[:, :, pad:pad + h, pad:pad + ww] = x.value
-            rows = np.ascontiguousarray(sliding_window_view(xp, (kh, kw), axis=(2, 3))
-                                        .transpose(1, 4, 5, 0, 2, 3)).reshape(c * kh * kw, -1)
+            windows = sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
+            rows = _gemm_rows(windows.shape, dt)
+            np.copyto(rows, windows)
+            rows = rows.reshape(c * kh * kw, -1)
         return (rows @ gmat).T.reshape(f, c, kh, kw)
 
     return Node(out, "conv2d", x.needs_grad or w.needs_grad or b.needs_grad, [
@@ -373,7 +402,9 @@ def avg_pool2(x: Node) -> Node:
 
 
 def backward(loss: Node) -> None:
-    """Populate adjoints of every grad-requiring node reachable from a scalar loss."""
+    """Populate adjoints of every grad-requiring leaf reachable from a scalar
+    loss. An interior node's adjoint is dropped once its vjps have run, so
+    only leaves (params) keep theirs."""
     if loss.value.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
     # reachable subgraph along grad-requiring edges
@@ -394,6 +425,8 @@ def backward(loss: Node) -> None:
                 continue
             contrib = vjp(node.adjoint)
             parent.adjoint = contrib if parent.adjoint is None else parent.adjoint + contrib
+        if node._vjps:
+            node.adjoint = None
 
 
 def grad_check(f, params: dict, seed: int = 0, n_coords: int = 30,

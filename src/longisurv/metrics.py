@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import betainc
 
+from . import diffgraph as dg
 from .errors import ConfigError, DataError, EmptyCellError, write_table
 from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images)
@@ -263,6 +264,7 @@ class ModelScorer:
         ``seen[k, i]`` counts eye i's visits by the k-th time, 0 outside that
         time's risk set (whose curves are NaN). The curve comes from position
         seen[k, i] - 1 of one causal pass, or for the baseline from that visit.
+        The conv GEMM-row buffer is released when the pass ends.
         """
         out = np.full(seen.shape + (self.cfg.j_max,), np.nan)
         at_risk = np.flatnonzero(seen.any(axis=0))
@@ -288,6 +290,7 @@ class ModelScorer:
                                     self.pixel_mean, self.pixel_std, self.cfg.np_dtype)
                 hazards = forward_single_images(self.params, self.cfg, imgs).hazards
             out[k, cols[j]] = hazard_to_survival(hazards)
+        dg.release_gemm_rows()    # the pass's conv rows would add to the bootstrap's peak
         return out
 
 

@@ -88,22 +88,46 @@ class TestBackwardBasics:
         dg.backward(y)
         assert x.adjoint == pytest.approx(7.0)
 
-    @pytest.mark.parametrize("view", ["reshape", "transpose"])
+    @pytest.mark.parametrize("view", ["add", "reshape", "transpose"])
     def test_first_adjoint_may_alias_and_is_never_written(self, view):
-        # x's first contribution is a view of y's adjoint; its second must
-        # not be added into that shared memory
+        # the first contributions to x and z are one array (add), or x's is a
+        # view of z's (reshape, transpose); x's second contribution must not
+        # be added into that shared memory
         x = dg.param(np.arange(6.0).reshape(2, 3), "x")
         c2 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         c1 = np.array([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
-        a = dg.mul(x, dg.constant(c2))
-        if view == "reshape":
+        a = dg.mul(x, dg.constant(c2))        # created first, so it runs last
+        if view == "add":
+            y, c1 = x, c1.reshape(2, 3)
+            c1_as_x = c1
+        elif view == "reshape":
             y, c1_as_x = dg.reshape(x, (3, 2)), c1.reshape(2, 3)
         else:
             y, c1_as_x = dg.transpose(x, (1, 0)), c1.T
-        b = dg.mul(y, dg.constant(c1))
+        z = dg.param(np.ones(y.shape), "z")
+        b = dg.mul(dg.add(y, z), dg.constant(c1))
         dg.backward(dg.add(dg.sum_all(b), dg.sum_all(a)))
-        np.testing.assert_array_equal(y.adjoint, c1)
+        np.testing.assert_array_equal(z.adjoint, c1)
         np.testing.assert_array_equal(x.adjoint, c1_as_x + c2)
+
+    def test_only_leaves_keep_adjoints(self):
+        rng = np.random.default_rng(4)
+        x = dg.constant(rng.normal(size=(2, 1, 4, 4)))
+        w, b = dg.param(rng.normal(size=(3, 1, 3, 3)), "w"), dg.param(np.zeros(3), "b")
+        v = dg.param(rng.normal(size=(12, 1)), "v")
+        h = dg.reshape(dg.avg_pool2(dg.relu(dg.conv2d(x, w, b))), (2, 12))
+        loss = dg.sum_all(dg.log(dg.sigmoid(dg.add(dg.matmul(h, v), dg.matmul(h, v)))))
+        dg.backward(loss)
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            nodes[id(node)] = node
+            stack.extend(p for p, _ in node._vjps if id(p) not in nodes)
+        leaves = [n for n in nodes.values() if not n._vjps]
+        interior = [n for n in nodes.values() if n._vjps]
+        assert {n.op for n in leaves} == {"w", "b", "v", "const"} and len(interior) == 10
+        assert all((n.adjoint is not None) == n.needs_grad for n in leaves)
+        assert all(n.adjoint is None for n in interior)
 
     def test_masked_softmax_adjoint_exactly_zero_at_masked(self):
         x = dg.param(RNG.normal(size=(2, 4)), "x")
@@ -409,6 +433,7 @@ def test_conv2d_keeps_no_gemm_rows_past_its_forward():
     w = dg.param(rng.normal(size=(8, 8, 3, 3)).astype(np.float32), "w")
     b = dg.param(np.zeros(8, np.float32), "b")
     rows_nbytes = 64 * 16 * 16 * 8 * 3 * 3 * 4              # 4.7 MB
+    dg.conv2d(x, w, b)      # the first conv of a process may grow the shared rows buffer
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -417,6 +442,32 @@ def test_conv2d_keeps_no_gemm_rows_past_its_forward():
     finally:
         tracemalloc.stop()
     assert out.value.nbytes <= retained < rows_nbytes
+
+
+@pytest.mark.parametrize("x_dtype, g_dtype", [(np.float32, np.float32),
+                                              (np.float64, np.float64),
+                                              (np.float32, np.float64)])
+def test_reused_gemm_rows_give_the_reference_bytes(monkeypatch, x_dtype, g_dtype):
+    # large, small, then large again: the buffer grows, is reused with stale
+    # rows past the small batch's, and is reused again; float32 under a
+    # float64 adjoint runs the promoted weight-vjp copy
+    monkeypatch.setattr(dg, "_rows_buffer", np.empty(0, np.uint8))
+    rng = np.random.default_rng(9)
+    wv = rng.normal(size=(8, 4, 3, 3)).astype(x_dtype)
+    bv = rng.normal(size=8).astype(x_dtype)
+    for n in (24, 3, 24):
+        xv = rng.normal(size=(n, 4, 10, 10)).astype(x_dtype)
+        gv = rng.normal(size=(n, 8, 10, 10)).astype(g_dtype)
+        want = _ref_conv2d(xv, wv, bv, gv)
+        x, w, b = dg.param(_channels_last(xv), "x"), dg.param(wv, "w"), dg.param(bv, "b")
+        out = dg.conv2d(x, w, b)
+        _same_bytes(out.value, want[0])
+        dg.backward(dg.sum_all(dg.mul(out, dg.constant(_channels_last(gv)))))
+        _same_bytes(x.adjoint, want[1])
+        _same_bytes(w.adjoint, want[2])
+        assert dg._rows_buffer.nbytes >= 24 * 100 * 36 * np.dtype(g_dtype).itemsize
+        for arr in (out.value, x.adjoint, w.adjoint, b.adjoint):
+            assert not np.shares_memory(arr, dg._rows_buffer)
 
 
 class TestIm2col:

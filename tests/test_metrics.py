@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from longisurv import metrics
+from longisurv import diffgraph, metrics
 from longisurv.encoders import standardize
 from longisurv.errors import DataError, EmptyCellError
 from longisurv.metrics import (DEFAULT_T_YEARS, concordance_td, brier_td,
@@ -561,3 +561,18 @@ def test_no_chunk_graph_outlives_its_rows(monkeypatch):
     build_risk_cells(ModelScorer(init_params(cfg_model, seed=0), record), eyes,
                      cohort_cfg.grid)
     assert len(alive) > 2 and alive == [0] * len(alive)
+
+
+@pytest.mark.parametrize("kind", ["longitudinal", "baseline"])
+def test_scoring_pass_releases_the_gemm_rows(kind):
+    """The conv GEMM-row buffer a scoring pass grows is freed when it ends,
+    so it adds nothing to the memory peak of the bootstrap that follows."""
+    cohort_cfg = CohortConfig(n_patients=12, seed=5)
+    eyes = generate_cohort(cohort_cfg)
+    cfg_model = ModelConfig(kind=kind, embed_dim=8, n_layers=1, n_heads=2,
+                            j_max=27, step_months=6, image_size=32, conv_widths=(2, 4, 4))
+    record = {"model": cfg_model.to_dict(), "pixel_mean": [0.2], "pixel_std": [0.2]}
+    cells = build_risk_cells(ModelScorer(init_params(cfg_model, seed=0), record), eyes,
+                             cohort_cfg.grid)
+    assert any(cell.n_risk_set for cell in cells.values())
+    assert diffgraph._rows_buffer.nbytes == 0
