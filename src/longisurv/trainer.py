@@ -20,10 +20,10 @@ import numpy as np
 
 from .config import JsonConfig
 from .encoders import model_images, pixel_stats, prepare_batch
-from .errors import ConfigError, EmptyCellError, NumericalError, write_table
+from .errors import ConfigError, DataError, NumericalError, write_table
 from .losses import LossConfig, sequence_loss, baseline_loss
 from .metrics import (DEFAULT_T_YEARS, DEFAULT_DT_YEARS, ModelScorer,
-                      build_risk_cells, grid_steps, mean_grid_concordance)
+                      build_risk_cells, mean_grid_concordance)
 from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images, init_params)
 from . import diffgraph as dg
@@ -164,11 +164,18 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
     """Full training run; returns the best-validation-epoch weights.
 
     ``warm_start`` replaces the seeded initialization with weights loaded
-    from a checkpoint of the same architecture.
+    from a checkpoint of the same architecture. A validation split with no
+    comparable pair in any grid cell is a ``DataError`` before the first step.
     """
     loss_cfg = loss_cfg or LossConfig()
     grid = TimeGrid(model_cfg.step_months, model_cfg.j_max)
-    grid_steps(grid, train_cfg.val_t_years, train_cfg.val_dt_years)   # fail before epoch 1
+    # fail before epoch 1: which cells have a comparable pair is decided by
+    # the validation eyes' outcomes alone, not by the model's risks
+    if not any(cell.n_pairs for cell in build_risk_cells(
+            None, val_eyes, grid, train_cfg.val_t_years, train_cfg.val_dt_years,
+            random_seed=0).values()):
+        raise DataError(f"the validation split ({len(val_eyes)} eyes) has no comparable "
+                        "pair in any cell of the validation grid")
     l_max = max(e.n_visits for e in train_eyes + val_eyes)
     dt = model_cfg.np_dtype
 
@@ -238,11 +245,7 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
         cells = build_risk_cells(scorer, val_eyes, grid,
                                  t_years=train_cfg.val_t_years,
                                  dt_years=train_cfg.val_dt_years)
-        try:
-            val_metric, _ = mean_grid_concordance(cells)
-        except EmptyCellError:
-            log.warning("validation grid entirely empty at epoch %d", epoch)
-            val_metric = float("nan")
+        val_metric, _ = mean_grid_concordance(cells)
         train_loss, surv, pred = (float(np.mean(v)) for v in zip(*epoch_losses))
         lr_used = schedule.lr
         if schedule.update(epoch, val_metric):

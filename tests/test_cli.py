@@ -570,6 +570,17 @@ class TestTrain:
                      "--init-from", workspace["ckpt"], "--max-epochs", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["longitudinal", "baseline"])
+    def test_empty_validation_grid_is_data_error(self, tmp_path, capsys, kind):
+        # 4 validation patients whose eyes give no comparable pair in any cell
+        dataset, out = str(tmp_path / "d"), tmp_path / "ckpt"
+        assert main(["simulate", "--seed", "7", "--patients", "40", "--out", dataset]) == 0
+        code = main(["train", "--seed", "7", "--kind", kind, "--dataset", dataset,
+                     "--out", str(out), "--max-epochs", "2"])
+        err = capsys.readouterr().err
+        assert code == 3 and "validation split" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSmokeTiming:
     def test_hundred_patient_train_under_five_minutes(self, tmp_path):
