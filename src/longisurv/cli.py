@@ -276,8 +276,8 @@ def cmd_plot(args) -> int:
         curves = {}
         for token in args.ckpt:
             source = _source(token, args.seed, cohort_cfg)
-            if source.scorer is None:
-                raise ConfigError("random source has no survival curves")
+            if source.scorer is None or source.anti:   # anti-oracle: 1 - r, window risks only
+                raise ConfigError(f"{source.name} source has no survival curves")
             for eye_id, s in zip(wanted, source.scorer.curves(chosen, seen)[0]):
                 curves[f"{source.name}: {eye_id}"] = s
         svg = survival_curves_figure(curves,

@@ -379,21 +379,6 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
     return cells
 
 
-def mean_grid_concordance(cells: dict) -> tuple[float, int]:
-    """Mean point-estimate concordance over non-empty cells, skipped count."""
-    values, skipped = [], 0
-    for cell in cells.values():
-        try:
-            values.append(cell.concordance())
-        except EmptyCellError:
-            skipped += 1
-    if not values:
-        raise EmptyCellError("every grid cell was empty")
-    if skipped:
-        log.info("validation grid skipped %d empty cells", skipped)
-    return float(np.mean(values)), skipped
-
-
 # ---------------------------------------------------------------------------
 # report rows
 # ---------------------------------------------------------------------------

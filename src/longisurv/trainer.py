@@ -4,10 +4,12 @@ Each epoch shuffles the training eyes (epoch index XOR run seed), walks
 minibatches of 32 sequences (the baseline sees 32 * l single images per
 minibatch so both kinds consume the same number of image slots), applies
 the composite loss, and takes Adam steps. The validation metric is the
-mean time-dependent concordance over the (t, dt) grid; the best epoch's
-weights are kept, the learning rate halves after three stagnant epochs,
-and training stops after ten epochs without improvement. A step's graph,
-adjoints included, is freed after its Adam step, before the next forward.
+mean concordance over the cells of the fixed grid ``metrics.DEFAULT_T_YEARS``
+x ``DEFAULT_DT_YEARS`` with a comparable pair; the best epoch's weights are
+kept, the learning rate is multiplied by ``PLATEAU_FACTOR`` after
+``PLATEAU_PATIENCE`` stagnant epochs, and training stops after ``patience``
+epochs without a gain of ``IMPROVEMENT_EPSILON``. A step's graph, adjoints
+included, is freed after its Adam step, before the next forward.
 """
 from __future__ import annotations
 
@@ -22,8 +24,7 @@ from .config import JsonConfig
 from .encoders import model_images, pixel_stats, prepare_batch
 from .errors import ConfigError, DataError, NumericalError, write_table
 from .losses import LossConfig, sequence_loss, baseline_loss
-from .metrics import (DEFAULT_T_YEARS, DEFAULT_DT_YEARS, ModelScorer,
-                      build_risk_cells, mean_grid_concordance)
+from .metrics import ModelScorer, build_risk_cells
 from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images, init_params)
 from . import diffgraph as dg
@@ -32,32 +33,22 @@ from .synthcohort import EyeRecord, stream
 
 log = logging.getLogger(__name__)
 
+PLATEAU_PATIENCE, PLATEAU_FACTOR, IMPROVEMENT_EPSILON = 3, 0.5, 1e-6
+
 
 @dataclass(frozen=True)
 class TrainConfig(JsonConfig):
     max_epochs: int = 50
     patience: int = 10
     lr: float = 1e-4
-    plateau_patience: int = 3
-    plateau_factor: float = 0.5
     batch_size_sequences: int = 32
-    improvement_epsilon: float = 1e-6
     seed: int = 0
-    val_t_years: tuple[float, ...] = DEFAULT_T_YEARS
-    val_dt_years: tuple[float, ...] = DEFAULT_DT_YEARS
 
     def __post_init__(self):
-        if min(self.max_epochs, self.patience, self.plateau_patience,
-               self.batch_size_sequences) < 1:
-            raise ConfigError("max_epochs, patience, plateau_patience and "
-                              "batch_size_sequences must be positive")
+        if min(self.max_epochs, self.patience, self.batch_size_sequences) < 1:
+            raise ConfigError("max_epochs, patience and batch_size_sequences must be positive")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"learning rate must be finite and positive, got {self.lr}")
-        if not 0 < self.plateau_factor <= 1:
-            raise ConfigError(f"plateau_factor must lie in (0, 1], got {self.plateau_factor}")
-        if not (np.isfinite(self.improvement_epsilon) and self.improvement_epsilon >= 0):
-            raise ConfigError("improvement_epsilon must be finite and non-negative, "
-                              f"got {self.improvement_epsilon}")
 
 
 @dataclass
@@ -106,10 +97,10 @@ class TrainingSchedule:
     """Best-epoch tracking, plateau-based halving, and early stopping.
 
     An epoch improves when its metric exceeds the best by at least
-    ``improvement_epsilon`` (ties are non-improvements). The learning rate
-    halves once ``plateau_patience`` consecutive stagnant epochs accumulate
-    (the counter then resets); training stops after ``patience`` epochs
-    without a new best.
+    ``IMPROVEMENT_EPSILON`` (ties are non-improvements). The learning rate is
+    multiplied by ``PLATEAU_FACTOR`` once ``PLATEAU_PATIENCE`` consecutive
+    stagnant epochs accumulate (the counter then resets); training stops
+    after ``cfg.patience`` epochs without a new best.
     """
 
     def __init__(self, cfg: TrainConfig):
@@ -124,7 +115,7 @@ class TrainingSchedule:
     def update(self, epoch: int, metric: float) -> bool:
         """Record one epoch's validation metric; True if it is a new best."""
         improved = (np.isfinite(metric)
-                    and metric - self.best_metric >= self.cfg.improvement_epsilon)
+                    and metric - self.best_metric >= IMPROVEMENT_EPSILON)
         if improved:
             self.best_metric = metric
             self.best_epoch = epoch
@@ -133,8 +124,8 @@ class TrainingSchedule:
         else:
             self.epochs_since_best += 1
             self._plateau_count += 1
-            if self._plateau_count >= self.cfg.plateau_patience:
-                self.lr *= self.cfg.plateau_factor
+            if self._plateau_count >= PLATEAU_PATIENCE:
+                self.lr *= PLATEAU_FACTOR
                 self._plateau_count = 0
                 log.info("plateau: halving learning rate to %.2e", self.lr)
         if self.epochs_since_best >= self.cfg.patience:
@@ -171,11 +162,13 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
     grid = TimeGrid(model_cfg.step_months, model_cfg.j_max)
     # fail before epoch 1: which cells have a comparable pair is decided by
     # the validation eyes' outcomes alone, not by the model's risks
-    if not any(cell.n_pairs for cell in build_risk_cells(
-            None, val_eyes, grid, train_cfg.val_t_years, train_cfg.val_dt_years,
-            random_seed=0).values()):
+    val_cells = build_risk_cells(None, val_eyes, grid, random_seed=0).values()
+    n_empty = sum(not cell.n_pairs for cell in val_cells)
+    if n_empty == len(val_cells):
         raise DataError(f"the validation split ({len(val_eyes)} eyes) has no comparable "
                         "pair in any cell of the validation grid")
+    if n_empty:
+        log.info("validation metric skips %d grid cells without a comparable pair", n_empty)
     l_max = max(e.n_visits for e in train_eyes + val_eyes)
     dt = model_cfg.np_dtype
 
@@ -242,10 +235,8 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
             break
 
         scorer = ModelScorer(params, record)
-        cells = build_risk_cells(scorer, val_eyes, grid,
-                                 t_years=train_cfg.val_t_years,
-                                 dt_years=train_cfg.val_dt_years)
-        val_metric, _ = mean_grid_concordance(cells)
+        cells = build_risk_cells(scorer, val_eyes, grid).values()
+        val_metric = float(np.mean([c.concordance() for c in cells if c.n_pairs]))
         train_loss, surv, pred = (float(np.mean(v)) for v in zip(*epoch_losses))
         lr_used = schedule.lr
         if schedule.update(epoch, val_metric):

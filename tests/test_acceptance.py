@@ -67,6 +67,7 @@ def pipeline():
             "rows": rows, "elapsed": elapsed, "src_l": src_l}
 
 
+@pytest.mark.slow
 def test_01_directional_replication(pipeline):
     rows = pipeline["rows"]
     by_cell = {}
@@ -110,6 +111,7 @@ def test_01_directional_replication(pipeline):
     report(1, "directional replication, t >= 2 years")
 
 
+@pytest.mark.slow
 def test_02_oracle_sandwich(pipeline):
     test_eyes = pipeline["test_eyes"]
     grid = DESK_COHORT.grid
@@ -329,6 +331,7 @@ def test_07_statistical_protocol():
     report(7, "Welch matches quadrature oracle; Bonferroni stars exact")
 
 
+@pytest.mark.slow
 def test_08_attention_analysis(pipeline):
     ltsa = pipeline["ltsa"]
     test_eyes = pipeline["test_eyes"]

@@ -373,18 +373,15 @@ class TestExitCodes:
         ("simulate", [1], "c.json"),
         ("train", {"model": [1]}, "non-object config section(s): model"),
         ("train", {"model": {"conv_widths": [2.5, 4, 4]}}, "model.conv_widths"),
-        ("train", {"train": {"plateau_patience": 0}}, "plateau_patience"),
-        ("train", {"train": {"plateau_factor": -1.0, "plateau_patience": 1,
-                             "improvement_epsilon": 1.0}}, "plateau_factor"),
-        ("train", {"train": {"improvement_epsilon": -1.0}}, "improvement_epsilon"),
+        ("train", {"train": {"plateau_patience": 3, "val_dt_years": [1.0]}},
+         "plateau_patience, val_dt_years"),
         ("train", {"model": {"embed_dim": 0}}, "embed_dim"),
         ("train", {"model": {"conv_widths": [0, 4, 4]}}, "conv_widths"),
         ("train", {"model": {"n_layers": -1}, "train": {"max_epochs": 1}}, "n_layers"),
         ("train", {"model": {"dropout": 1.0}, "train": {"max_epochs": 1}}, "dropout"),
         ("train", {"model": {"conv_widths": [2, 4, 4, 4, 4, 4]}}, "conv width"),
     ], ids=["non_object_file", "non_object_section", "float_in_tuple",
-            "plateau_patience_zero", "plateau_factor_negative",
-            "improvement_epsilon_negative", "embed_dim_zero", "conv_width_zero",
+            "removed_train_key", "embed_dim_zero", "conv_width_zero",
             "n_layers_negative", "dropout_one", "too_deep"])
     def test_misfit_config_file_is_config_error(self, workspace, tmp_path, capsys,
                                                 command, payload, named):
@@ -712,6 +709,20 @@ class TestPlot:
                      "--out", out]) == 0
         svg = open(out).read()
         assert svg.count("<polyline") == 4      # two eyes x two models
+
+    @pytest.mark.parametrize("token", ["random", "anti-oracle"])
+    def test_curves_refuse_a_source_without_curves(self, workspace, tmp_path, capsys,
+                                                   token):
+        # the anti-oracle is 1 - r on window risks; it has no curve of its own
+        eyes, _ = load_dataset(workspace["dataset"])
+        eye = next(e.eye_id for e in eyes if e.visit_months[-1] >= 24)
+        out = tmp_path / "curves.svg"
+        code = main(["plot", "--curves", "--ckpt", "oracle", "--ckpt", token,
+                     "--dataset", workspace["dataset"], "--eyes", eye,
+                     "--at-years", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and f"{token} source has no survival curves" in err
+        assert not out.exists()
 
     def test_empty_report_is_config_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"

@@ -29,8 +29,7 @@ CONSTRAINED = {
                    "max_gap_steps": st.integers(3, 6),
                    "min_admin_steps": st.integers(1, 27),
                    "j_max": st.integers(27, 40)},
-    TrainConfig: {"lr": st.floats(1e-6, 1.0), "plateau_factor": st.floats(0.01, 1.0),
-                  "improvement_epsilon": st.floats(0.0, 1.0)},
+    TrainConfig: {"lr": st.floats(1e-6, 1.0)},
     LossConfig: {"beta": st.floats(0.0, 1.0)},
 }
 

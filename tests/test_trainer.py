@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from longisurv import trainer as tr
-from longisurv.errors import ConfigError, NumericalError
+from longisurv.metrics import ModelScorer, build_risk_cells
+from longisurv.errors import NumericalError
 from longisurv.model import ModelConfig
 from longisurv.synthcohort import CohortConfig, generate_cohort, split_patients
 from longisurv.trainer import (TrainConfig, TrainingSchedule, AdamState,
@@ -57,7 +58,7 @@ class TestAdam:
 
 class TestSchedule:
     def test_spec_scenario_stop_and_restore(self):
-        cfg = TrainConfig(patience=10, plateau_patience=3)
+        cfg = TrainConfig(patience=10)
         sched = TrainingSchedule(cfg)
         metrics = [0.5, 0.6] + [0.55] * 15
         stopped_at = None
@@ -70,7 +71,7 @@ class TestSchedule:
         assert sched.best_epoch == 2
 
     def test_plateau_halving_epochs(self):
-        cfg = TrainConfig(patience=10, plateau_patience=3, lr=1e-4)
+        cfg = TrainConfig(patience=10, lr=1e-4)
         sched = TrainingSchedule(cfg)
         lrs = []
         for epoch, m in enumerate([0.5, 0.6] + [0.55] * 10, start=1):
@@ -140,10 +141,26 @@ class TestTrainLoop:
             assert h["surv"] + h["pred"] == pytest.approx(h["train_loss"], rel=1e-5)
             assert (h["pred"] > 0) == (kind == "longitudinal")
 
-    def test_lr_sequence_nonincreasing(self, splits):
+    @pytest.mark.parametrize("kind", ["longitudinal", "baseline"])
+    def test_best_val_metric_is_the_kept_params_score(self, splits, caplog, kind):
+        (train_eyes, val_eyes, _), cfg = splits
+        with caplog.at_level("INFO", logger=tr.log.name):
+            res = train(train_eyes, val_eyes, smoke_model(kind=kind),
+                        TrainConfig(max_epochs=3, seed=1))
+        cells = build_risk_cells(ModelScorer(res.params, res.record), val_eyes, cfg.grid)
+        with_pair = [c.concordance() for c in cells.values() if c.n_pairs]
+        assert res.history[res.best_epoch - 1]["val_metric"] == float(np.mean(with_pair))
+        # the cells without a pair are counted once per run, not once per epoch
+        n_empty = len(cells) - len(with_pair)
+        skips = [r.getMessage() for r in caplog.records if "comparable pair" in r.getMessage()]
+        assert skips == ([f"validation metric skips {n_empty} grid cells without a "
+                          "comparable pair"] if n_empty else [])
+
+    def test_lr_sequence_nonincreasing(self, splits, monkeypatch):
         (train_eyes, val_eyes, _), _ = splits
+        monkeypatch.setattr(tr, "PLATEAU_PATIENCE", 1)
         res = train(train_eyes, val_eyes, smoke_model(),
-                    TrainConfig(max_epochs=6, seed=3, plateau_patience=1))
+                    TrainConfig(max_epochs=6, seed=3))
         lrs = [h["lr"] for h in res.history]
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
 
@@ -179,17 +196,6 @@ class TestTrainLoop:
                           for e in train_eyes)
         assert sorted(seen) == expected
         assert all(v < tau for tau, v in seen)
-
-    @pytest.mark.parametrize("grid", [dict(val_dt_years=(0.1,)),
-                                      dict(val_t_years=(-1.0,))])
-    def test_bad_validation_grid_fails_before_any_step(self, splits, monkeypatch, grid):
-        (train_eyes, val_eyes, _), _ = splits
-        steps = []
-        monkeypatch.setattr(tr, "adam_step", lambda *args: steps.append(args))
-        with pytest.raises(ConfigError, match="dt 0.1 years|negative"):
-            train(train_eyes, val_eyes, smoke_model(),
-                  TrainConfig(max_epochs=3, seed=1, **grid))
-        assert steps == []
 
     @pytest.mark.parametrize("kind, forward", [("longitudinal", "forward_sequences"),
                                                ("baseline", "forward_single_images")])
@@ -248,7 +254,7 @@ def test_history_writer_deterministic(tmp_path):
     assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
     lines = (tmp_path / "a.tsv").read_text().splitlines()
     assert lines[0] == "epoch\ttrain_loss\tval_metric\tlr\tsurv\tpred"
-    # an empty validation grid is nan; an int lr from a --config stays an int
+    # the writer formats a NaN as nan; an int lr from a --config stays an int
     assert (tmp_path / "a.tsv").read_text() == (
         "epoch\ttrain_loss\tval_metric\tlr\tsurv\tpred\n1\t0.5\t0.71\t0.0001\t0.3\t0.2\n"
         "2\t0.41\t0.74\t0.0001\t0.25\t0.16\n3\t0.4\tnan\t1\t0.4\t0.0\n")
