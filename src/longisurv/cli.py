@@ -382,6 +382,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        if (args.seed or 0) < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args) or 0
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)

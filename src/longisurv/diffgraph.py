@@ -2,8 +2,9 @@
 
 Exactly the primitive set the sequence model needs: matmul, broadcast
 add/mul, relu, sigmoid, clamped log, masked row-softmax, layer norm, L2
-normalization, dropout, 2-D convolution, 2x2 average pooling, row
-gather/scatter, reshape/transpose and scalar reductions. Values are numpy arrays (float64
+normalization, dropout, 2-D convolution, rectify-and-pool (relu, then 2x2
+average pooling; its vjp builds the mask), row gather/scatter,
+reshape/transpose and scalar reductions. Values are numpy arrays (float64
 by default; float32 permitted for training). A Node records its forward
 value plus vector-Jacobian closures into its parents; ``backward`` walks
 nodes in reverse creation order, which is always a valid reverse
@@ -355,7 +356,9 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
         raise ShapeError(f"conv2d: bias shape {b.value.shape} vs {f} filters")
     cols, oh, ow = _im2col(x.value, kh, kw, pad)
     wmat = w.value.reshape(f, -1)
-    out = (cols @ wmat.T + b.value).reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
+    out = cols @ wmat.T
+    out += b.value
+    out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
     def vjp_x(g):
         # full correlation with spatially flipped, channel-swapped weights
@@ -385,17 +388,27 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
 
 
 def avg_pool2(x: Node) -> Node:
-    """2x2 average pooling, stride 2, even spatial dims: ((x00 + x01) + (x10 +
-    x11)) / 4 in x's layout; the input adjoint is channels-last, in g's dtype."""
+    """Relu, then 2x2 average pooling, stride 2, even spatial dims: ((max(x00, 0)
+    + max(x01, 0)) + (max(x10, 0) + max(x11, 0))) / 4 in x's layout. No rectified
+    copy or mask is kept: the vjp builds the mask from x when it runs and writes
+    the input adjoint channels-last, in g's dtype."""
     n, c, h, w = x.value.shape
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2: spatial dims must be even, got {(h, w)}")
-    out = ((x.value[:, :, ::2, ::2] + x.value[:, :, ::2, 1::2])
-           + (x.value[:, :, 1::2, ::2] + x.value[:, :, 1::2, 1::2])) * 0.25
+    out = np.maximum(x.value[:, :, ::2, ::2], 0)
+    part = np.maximum(x.value[:, :, ::2, 1::2], 0)
+    out += part
+    np.maximum(x.value[:, :, 1::2, ::2], 0, out=part)
+    part += np.maximum(x.value[:, :, 1::2, 1::2], 0)
+    out += part
+    out *= 0.25
 
     def vjp(g):
+        blocks = (n, h // 2, 2, w // 2, 2, c)
         q = (g * 0.25).transpose(0, 2, 3, 1)[:, :, None, :, None]
-        dx = np.broadcast_to(q, (n, h // 2, 2, w // 2, 2, c)).reshape(n, h, w, c)
+        mask = (x.value > 0).transpose(0, 2, 3, 1).reshape(blocks)
+        dx = np.empty((n, h, w, c), g.dtype)
+        np.multiply(np.broadcast_to(q, blocks), mask, out=dx.reshape(blocks))
         return dx.transpose(0, 3, 1, 2)
 
     return Node(out, "avg_pool2", x.needs_grad, [(x, vjp)])

@@ -59,12 +59,12 @@ def conv_encoder_param_shapes(channels: int, image_size: int, d: int,
 
 def encode_images(images: dg.Node, leaves: dict) -> dg.Node:
     """Map a batch of images (N, C, H, W) to embeddings (N, d), one conv block
-    per ``enc.conv{i}.w`` leaf."""
+    per ``enc.conv{i}.w`` leaf: a convolution, then ``avg_pool2``, which
+    rectifies and pools in one graph node."""
     x = images
     n_blocks = sum(name.startswith("enc.conv") and name.endswith(".w") for name in leaves)
     for i in range(n_blocks):
         x = dg.conv2d(x, leaves[f"enc.conv{i}.w"], leaves[f"enc.conv{i}.b"], pad=1)
-        x = dg.relu(x)
         x = dg.avg_pool2(x)
     n = x.value.shape[0]
     x = dg.reshape(x, (n, -1))

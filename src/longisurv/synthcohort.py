@@ -97,6 +97,8 @@ class CohortConfig(JsonConfig):
             raise ConfigError("target_censoring must be in (0, 1] or None")
         if not 1 <= self.min_admin_steps <= self.j_max:
             raise ConfigError("min_admin_steps outside grid")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def grid(self) -> TimeGrid:

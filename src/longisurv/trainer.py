@@ -49,6 +49,8 @@ class TrainConfig(JsonConfig):
             raise ConfigError("max_epochs, patience and batch_size_sequences must be positive")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"learning rate must be finite and positive, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -324,7 +324,8 @@ class TestExitCodes:
         lambda cfg: cfg.update(n_patients=str(cfg["n_patients"])),  # wrong type
         lambda cfg: cfg.update(j_max=float(cfg["j_max"])),          # float for an int
         lambda cfg: cfg.update(gain_range=[True, 1.4]),             # bool in a tuple
-    ], ids=["unknown_key", "wrong_type", "float_j_max", "bool_in_tuple"])
+        lambda cfg: cfg.update(seed=-4),
+    ], ids=["unknown_key", "wrong_type", "float_j_max", "bool_in_tuple", "negative_seed"])
     def test_misfit_cohort_config_is_data_error(self, workspace, tmp_path, capsys, edit):
         dataset = tmp_path / "dataset"
         shutil.copytree(workspace["dataset"], dataset)
@@ -464,6 +465,26 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert "S(t) = 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, seed", [
+        ("simulate", "-1"), ("train", "-1"), ("evaluate", "-1"), ("compare", "-2"),
+        ("attention", "-1"), ("plot", "-1"),
+    ])
+    def test_negative_seed_is_config_error(self, workspace, tmp_path, capsys, command, seed):
+        out = str(tmp_path / "out")
+        extra = {"simulate": ["--patients", "4"],
+                 "train": ["--dataset", workspace["dataset"], "--max-epochs", "1"],
+                 "evaluate": ["--dataset", workspace["dataset"], "--ckpt", "oracle",
+                              "--bootstrap", "2"],
+                 "compare": ["--dataset", workspace["dataset"], "--ckpt-a", "oracle",
+                             "--ckpt-b", "random", "--bootstrap", "2"],
+                 "attention": ["--dataset", workspace["dataset"], "--ckpt", workspace["ckpt"]],
+                 "plot": ["--curves", "--dataset", workspace["dataset"], "--ckpt", "oracle",
+                          "--eyes", "p0000_e0"]}[command]
+        code = main([command, f"--seed={seed}", "--out", out] + extra)
+        err = capsys.readouterr().err
+        assert code == 2 and "--seed" in err and "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_unsatisfiable_target_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path / "c.json",

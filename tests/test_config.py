@@ -52,6 +52,11 @@ class TestJsonForm:
         cfg = ModelConfig.from_dict({"conv_widths": [2, 4]})
         assert cfg.conv_widths == (2, 4) and cfg.to_dict()["conv_widths"] == [2, 4]
 
+    @pytest.mark.parametrize("cls", [CohortConfig, TrainConfig])
+    def test_negative_seed_rejected(self, cls):
+        with pytest.raises(ConfigError, match="seed"):
+            cls.from_dict({"seed": -1})
+
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
             CohortConfig.from_dict([1, 2], "cohort")

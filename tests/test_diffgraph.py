@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from longisurv import diffgraph as dg
+from longisurv.encoders import encode_images
 from longisurv.errors import ShapeError
 
 RNG = np.random.default_rng(20240817)
@@ -202,7 +203,9 @@ class TestGradChecks:
             params, n_coords=40)
 
     def test_avg_pool_grad(self):
-        params = {"x": RNG.normal(size=(2, 3, 6, 6))}
+        # rectify-and-pool: inputs of both signs, away from relu's kink
+        params = {"x": RNG.uniform(0.2, 1.0, size=(2, 3, 6, 6))
+                  * RNG.choice([-1, 1], (2, 3, 6, 6))}
         m = RNG.normal(size=(2, 3, 3, 3))
         check_grads(lambda lv: dg.sum_all(
             dg.mul(dg.avg_pool2(lv["x"]), dg.constant(m))), params)
@@ -399,17 +402,23 @@ class TestChannelsLastIsByteIdentical:
     @pytest.mark.parametrize("x_layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("g_layout", sorted(LAYOUTS))
     def test_avg_pool2(self, dtype, c, x_layout, g_layout):
+        # avg_pool2 rectifies, then pools: the relu-then-pool reference's bytes
         rng = np.random.default_rng(c)
-        # magnitudes over six decades, so any other summation order shows
+        # magnitudes over six decades, so any other summation order shows,
+        # and exact zeros of both signs, where the mask is False
         xv = (rng.normal(size=(7, c, 16, 12))
               * 10.0 ** rng.uniform(-3, 3, size=(7, c, 16, 12))).astype(dtype)
+        xv[rng.random(xv.shape) < 0.1] = 0.0
+        xv[rng.random(xv.shape) < 0.1] = -0.0
         gv = rng.normal(size=(7, c, 8, 6))
-        want_out, want_dx = _ref_avg_pool2(xv, gv)
+        want_out, want_dx = _ref_avg_pool2(np.maximum(xv, 0), gv)
+        want_dx = want_dx * (xv > 0)
         x = dg.param(LAYOUTS[x_layout](xv), "x")
         out = dg.avg_pool2(x)
         _same_bytes(out.value, want_out)
         dg.backward(dg.sum_all(dg.mul(out, dg.constant(LAYOUTS[g_layout](gv)))))
         _same_bytes(x.adjoint, want_dx)
+        assert x.adjoint.transpose(0, 2, 3, 1).flags.c_contiguous
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_layout", sorted(LAYOUTS))
@@ -423,7 +432,7 @@ class TestChannelsLastIsByteIdentical:
         x = dg.constant(rng.normal(size=(3, 1, 8, 8)).astype(np.float32))
         w = dg.param(rng.normal(size=(8, 1, 3, 3)).astype(np.float32), "w")
         b = dg.param(np.zeros(8, np.float32), "b")
-        pooled = dg.avg_pool2(dg.relu(dg.conv2d(x, w, b)))
+        pooled = dg.avg_pool2(dg.conv2d(x, w, b))
         assert pooled.value.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
@@ -442,6 +451,56 @@ def test_conv2d_keeps_no_gemm_rows_past_its_forward():
     finally:
         tracemalloc.stop()
     assert out.value.nbytes <= retained < rows_nbytes
+
+
+def test_conv2d_adds_its_bias_in_place():
+    rng = np.random.default_rng(1)
+    x = dg.constant(rng.normal(size=(64, 4, 16, 16)).astype(np.float32))
+    w = dg.param(rng.normal(size=(16, 4, 3, 3)).astype(np.float32), "w")
+    b = dg.param(rng.normal(size=16).astype(np.float32), "b")
+    dg.conv2d(x, w, b)      # the first conv of a process may grow the shared rows buffer
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = dg.conv2d(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # a separate bias sum would hold the GEMM output and the sum at once
+    assert out.value.nbytes <= peak < 2 * out.value.nbytes
+
+
+def test_encoder_block_keeps_no_mask_or_rectified_copy():
+    # a forward-only encoder block keeps its conv output and its pooled
+    # output: one rectify-and-pool node, no relu copy and no mask
+    rng = np.random.default_rng(0)
+    x = dg.constant(rng.normal(size=(64, 8, 16, 16)).astype(np.float32))
+    leaves = {name: dg.param(rng.normal(size=shape).astype(np.float32), name)
+              for name, shape in {"enc.conv0.w": (8, 8, 3, 3), "enc.conv0.b": (8,),
+                                  "enc.fc.w": (8 * 8 * 8, 2), "enc.fc.b": (2,)}.items()}
+    encode_images(x, leaves)                # grows the shared rows buffer first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        emb = encode_images(x, leaves)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nodes, stack = {}, [emb]
+    while stack:
+        node = stack.pop()
+        nodes[id(node)] = node
+        stack.extend(p for p, _ in node._vjps if id(p) not in nodes)
+    interior = [n for n in nodes.values() if n._vjps]
+    assert sorted(n.op for n in interior) == ["add", "avg_pool2", "conv2d", "matmul", "reshape"]
+    owners = {}
+    for n in interior:
+        a = n.value
+        while a.base is not None:
+            a = a.base
+        owners[id(a)] = a.nbytes
+    kept = sum(owners.values())
+    assert kept <= retained < kept + 64 * 8 * 16 * 16        # one bool per conv output
 
 
 @pytest.mark.parametrize("x_dtype, g_dtype", [(np.float32, np.float32),
