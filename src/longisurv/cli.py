@@ -13,13 +13,11 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .errors import (ConfigError, DataError, LongisurvError, NumericalError, read_table,
                      reading)
 from .losses import LossConfig
-from .metrics import (REPORT_HEADER, SAMPLES_HEADER, visits_seen, write_report,
-                      write_samples)
+from .metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, REPORT_HEADER, SAMPLES_HEADER,
+                      visits_seen, write_report, write_samples)
 from .model import RECORD_NAME, ModelConfig, load_checkpoint, save_checkpoint
 from .reports import (SPECIAL_SOURCES, RiskSource, attention_analysis, compare_sources,
                       evaluate_source, source_from_token, write_attention,
@@ -238,14 +236,14 @@ def cmd_plot(args) -> int:
                 raise ConfigError(f"report {path} has no data rows; run "
                                   f"`longisurv evaluate` or `longisurv compare` first")
         rows, sample_rows = tables
-        by_fields: dict = {}                  # sample values by the rest of their row, as written
-        for model, metric, t, dt, _, value in sample_rows:
-            by_fields.setdefault((model, metric, t, dt), []).append(value)
+        groups: dict = {}                     # the plotted metric's samples by (model, cell)
         with reading(args.samples):           # every metric's numbers, not just the plotted one
-            parsed = [(model, metric, (float(t), float(dt)), np.array([float(v) for v in values]))
-                      for (model, metric, t, dt), values in by_fields.items()]
-        groups = {(model, cell): values for model, metric, cell, values in parsed
-                  if metric == args.metric}
+            for line_no, (model, metric, t, dt, _, value) in enumerate(sample_rows, start=2):
+                cell, sample = (float(t), float(dt)), float(value)
+                if not 0.0 <= sample <= 1.0:
+                    raise ValueError(f"line {line_no}: sample {value} is outside [0, 1]")
+                if metric == args.metric:
+                    groups.setdefault((model, cell), []).append(sample)
         if not groups:
             raise ConfigError(f"no {args.metric} samples in {args.samples}")
         models = sorted({m for m, _ in groups})
@@ -328,13 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-from", help="checkpoint directory to warm-start from")
     p.set_defaults(func=cmd_train)
 
-    def add_eval_args(p):
+    def add_eval_args(p, grid=True):
         p.add_argument("--dataset", required=True)
         p.add_argument("--split", choices=["train", "val", "test", "all"],
                        default="test")
-        p.add_argument("--t-years", default="1,2,3,5,8")
-        p.add_argument("--dt-years", default="1,2,5,8")
-        p.add_argument("--bootstrap", type=int, default=1000)
+        if grid:             # strings: a ConfigError from a type= would escape main
+            p.add_argument("--t-years", default=",".join(f"{t:g}" for t in DEFAULT_T_YEARS))
+            p.add_argument("--dt-years", default=",".join(f"{dt:g}" for dt in DEFAULT_DT_YEARS))
+            p.add_argument("--bootstrap", type=int, default=1000)
 
     p = sub.add_parser("evaluate", help="grid metrics with bootstrap CIs")
     add_common(p)
@@ -353,9 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attention", help="temporal attention analysis")
     add_common(p, seed_required=False)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", choices=["train", "val", "test", "all"],
-                   default="test")
+    add_eval_args(p, grid=False)
     p.set_defaults(func=cmd_attention)
 
     p = sub.add_parser("plot", help="emit a standalone SVG figure")

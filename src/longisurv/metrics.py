@@ -220,17 +220,10 @@ def stars(p_adjusted: float) -> str:
 # risk scoring over a cohort
 # ---------------------------------------------------------------------------
 
-def risk_set(eyes: list[EyeRecord], grid: TimeGrid, t_step: int) -> list[int]:
-    """Eyes still event- and censor-free past t with at least one visit by t."""
-    t_months = t_step * grid.step_months
-    return [i for i, e in enumerate(eyes)
-            if e.outcome.event_step > t_step and e.visit_months[0] <= t_months]
-
-
 def visits_seen(eyes: list[EyeRecord], grid: TimeGrid, t_step: int) -> np.ndarray:
-    """Each eye's count of visits at or before step t_step."""
+    """Each eye's count of visits at or before step t_step (visit months increase)."""
     t_months = t_step * grid.step_months
-    return np.array([np.sum(e.visit_months <= t_months) for e in eyes], dtype=int)
+    return np.array([np.searchsorted(e.visit_months, t_months, "right") for e in eyes], dtype=int)
 
 
 def window_risks(curves: np.ndarray, grid: TimeGrid, t_step: int,
@@ -329,17 +322,6 @@ class RiskCell:
                         self.horizon_step)
 
 
-def grid_steps(grid: TimeGrid, t_years, dt_years) -> tuple[list[int], list[int]]:
-    """A (t, dt) grid's prediction times and windows in grid steps; a
-    window that rounds to 0 steps is a ``ConfigError``."""
-    t_steps = [grid.time_to_step(t) for t in t_years]
-    dt_steps = [grid.time_to_step(dt) for dt in dt_years]
-    if 0 in dt_steps:
-        raise ConfigError(f"dt {dt_years[dt_steps.index(0)]} years rounds to 0 steps "
-                          f"of the {grid.step_months}-month grid")
-    return t_steps, dt_steps
-
-
 def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
                      t_years=DEFAULT_T_YEARS, dt_years=DEFAULT_DT_YEARS,
                      rng_anti: bool = False,
@@ -347,23 +329,26 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
     """A ``RiskCell`` of window risks for every grid cell, from one scorer call
     for the whole grid; a cell with no eye at risk has empty arrays.
 
-    Each prediction time's risk set and each eye's visits seen by then go to
-    the scorer together, so a model scores every time from one causal pass
-    per eye. ``rng_anti`` takes 1 - r for each risk r (an anti-oracle: the
-    ranking reversed, each risk still a probability); ``random_seed``
-    replaces risks with seeded uniform noise.
+    An eye is at risk at t when it has a visit by t and no event or censoring
+    by t. Each time's visits seen (0 off its risk set) go to the scorer
+    together, so a model scores every time from one causal pass per eye.
+    ``rng_anti`` takes 1 - r for each risk r (an anti-oracle: the ranking
+    reversed, each risk still a probability); ``random_seed`` replaces risks
+    with seeded uniform noise.
     """
-    t_steps, dt_steps = grid_steps(grid, t_years, dt_years)
-    seen = np.zeros((len(t_steps), len(eyes)), dtype=int)
-    for k, t_step in enumerate(t_steps):
-        idx = risk_set(eyes, grid, t_step)
-        seen[k, idx] = visits_seen([eyes[i] for i in idx], grid, t_step)
+    t_steps = [grid.time_to_step(t) for t in t_years]
+    dt_steps = [grid.time_to_step(dt) for dt in dt_years]
+    if 0 in dt_steps:
+        raise ConfigError(f"dt {dt_years[dt_steps.index(0)]} years rounds to 0 steps "
+                          f"of the {grid.step_months}-month grid")
+    steps = np.array([e.outcome.event_step for e in eyes], dtype=int)
+    cens = np.array([e.outcome.censored for e in eyes], dtype=bool)
+    seen = np.array([visits_seen(eyes, grid, t_step) * (steps > t_step)
+                     for t_step in t_steps], dtype=int).reshape(len(t_steps), len(eyes))
     curves = scorer.curves(eyes, seen) if random_seed is None and eyes else None
     cells = {}
     for k, (t, t_step) in enumerate(zip(t_years, t_steps)):
         idx = np.flatnonzero(seen[k])
-        steps = np.array([eyes[i].outcome.event_step for i in idx], dtype=int)
-        cens = np.array([eyes[i].outcome.censored for i in idx], dtype=bool)
         for dt, n_steps in zip(dt_years, dt_steps):
             if random_seed is not None:
                 risks = stream(random_seed, int(t * 12), int(dt * 12)).random(len(idx))
@@ -374,8 +359,8 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
                 if rng_anti:
                     risks = 1.0 - risks
             cells[(t, dt)] = RiskCell(
-                t_years=t, dt_years=dt, risks=risks, event_steps=steps,
-                censored=cens, horizon_step=t_step + n_steps)
+                t_years=t, dt_years=dt, risks=risks, event_steps=steps[idx],
+                censored=cens[idx], horizon_step=t_step + n_steps)
     return cells
 
 

@@ -292,8 +292,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
         for key in ("pixel_mean", "pixel_std"):
             values = record.get(key)
             if not (isinstance(values, list) and len(values) == cfg.image_channels
-                    and all(type(v) in (int, float) for v in values)):
-                raise ValueError(f"{key} needs one number per image channel, got {values!r}")
+                    and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
+                raise ValueError(f"{key} needs one finite number per channel, got {values!r}")
         layout = param_shapes(cfg)
     sizes = [math.prod(shape) for shape in layout.values()]
     with reading(blob_path), open(blob_path, "rb") as fh:
@@ -304,6 +304,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
         if len(values) != sum(sizes):
             raise ValueError(f"{len(values)} {cfg.dtype} values, the {cfg.kind} "
                              f"model has {sum(sizes)}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("holds NaN or infinite parameter values")
     chunks = np.split(values, np.cumsum(sizes)[:-1])
     params = {name: chunk.astype(cfg.np_dtype).reshape(shape)
               for (name, shape), chunk in zip(layout.items(), chunks)}

@@ -180,14 +180,11 @@ def attention_analysis(scorer: ModelScorer, eyes: list[EyeRecord]) -> AttentionR
         labels.append(f"{b}+" if b == OFFSET_BIN_START else str(b))
         medians.append(float(np.median(by_bin[b])))
         counts.append(len(by_bin[b]))
-    unbinned = [(b, np.median(by_bin[b])) for b in sorted(by_bin)
-                if b < OFFSET_BIN_START]
+    xs = np.array([b for b in sorted(by_bin) if b < OFFSET_BIN_START], dtype=float)
+    ys = np.array(medians[:len(xs)])          # the pooled bin sorts last
     pearson = None
-    if len(unbinned) >= 3:
-        xs = np.array([b for b, _ in unbinned], dtype=float)
-        ys = np.array([m for _, m in unbinned], dtype=float)
-        if ys.std() > 0:
-            pearson = float(np.corrcoef(xs, ys)[0, 1])
+    if len(xs) >= 3 and ys.std() > 0:
+        pearson = float(np.corrcoef(xs, ys)[0, 1])
     return AttentionReport(rows=rows,
                            fraction_last_max=n_last_max / n_multi if n_multi else None,
                            offset_labels=labels, offset_medians=medians,

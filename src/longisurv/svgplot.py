@@ -105,7 +105,7 @@ def grid_box_figure(groups: dict, cell_keys: list, model_names: list,
 
     canvas.line(margin_l, margin_t, margin_l, margin_t + plot_h)
     canvas.line(margin_l, margin_t + plot_h, width - margin_r, margin_t + plot_h)
-    for tick in np.arange(np.ceil(y_min * 10) / 10, y_max + 1e-9, 0.1):
+    for tick in np.arange(np.ceil(y_min * 10) / 10 + 0.0, y_max + 1e-9, 0.1):   # no "-0.0"
         canvas.line(margin_l - 4, y_of(tick), margin_l, y_of(tick))
         canvas.text(margin_l - 8, y_of(tick) + 4, f"{tick:.1f}", anchor="end")
     canvas.text(14, margin_t + plot_h / 2, ylabel, anchor="middle")

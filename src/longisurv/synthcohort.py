@@ -399,6 +399,8 @@ def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
                 if (len(eye.severities), len(eye.true_hazard)) != (len(visits), cfg.j_max):
                     raise ValueError(f"{len(eye.severities)} severities for {len(visits)} visits"
                                      f" and {len(eye.true_hazard)} hazards for j_max {cfg.j_max}")
+                if not 0.0 <= eye.true_hazard.min() <= eye.true_hazard.max() <= 1.0:
+                    raise ValueError("a true hazard is NaN or outside [0, 1]")
             except (ValueError, DataError) as ex:
                 raise ValueError(f"row {k}: {ex}")
     with reading(img_path):
@@ -410,6 +412,8 @@ def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
         if images.dtype != np.float32 or images.shape != want:
             raise ValueError(f"holds {images.dtype} {images.shape}, not float32 {want}, "
                              f"one image per visit in {eyes_path}")
+        if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
+            raise ValueError("holds a pixel that is NaN or outside [0, 1], the images' range")
     start = 0                                 # each eye's images, in row order
     for e in eyes:
         e.images, start = images[start:start + e.n_visits], start + e.n_visits

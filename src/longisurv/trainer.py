@@ -198,7 +198,6 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
     best_params = copy.deepcopy(params)
     history = []
     diverged = False
-    stopped_epoch = 0
 
     for epoch in range(1, train_cfg.max_epochs + 1):
         t_start = time.time()
@@ -233,7 +232,6 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
             del fp, loss_node   # the step's graph dies here, not at the next forward
             epoch_losses.append((loss_value, parts["surv"], parts["pred"]))
         if diverged:
-            stopped_epoch = epoch
             break
 
         scorer = ModelScorer(params, record)
@@ -247,7 +245,6 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
                         "lr": lr_used, "surv": surv, "pred": pred})
         log.info("epoch %d: loss %.4f val %.4f lr %.2e (%.1fs)",
                  epoch, train_loss, val_metric, lr_used, time.time() - t_start)
-        stopped_epoch = epoch
         if schedule.should_stop:
             log.info("early stop at epoch %d; best epoch %d (%.4f)",
                      epoch, schedule.best_epoch, schedule.best_metric)
@@ -259,7 +256,7 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
     return TrainResult(params=best_params, record=record, history=history,
                        best_epoch=schedule.best_epoch,
                        best_metric=float(schedule.best_metric),
-                       stopped_epoch=stopped_epoch, diverged=diverged)
+                       stopped_epoch=epoch, diverged=diverged)
 
 
 HISTORY_HEADER = ("epoch", "train_loss", "val_metric", "lr", "surv", "pred")

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from longisurv import cli
 from longisurv.cli import main
+from longisurv.metrics import DEFAULT_DT_YEARS, DEFAULT_T_YEARS
 from longisurv.model import load_checkpoint, save_checkpoint
 from longisurv.synthcohort import (CONFIG_NAME, EYES_NAME, IMAGES_NAME, load_dataset,
                                    save_dataset)
@@ -60,6 +61,14 @@ class TestHelp:
             main([cmd, "--help"])
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd, ckpts", [("evaluate", ["--ckpt", "oracle"]),
+                                            ("compare", ["--ckpt-a", "a", "--ckpt-b", "b"])])
+    def test_grid_defaults_are_the_metrics_grid(self, cmd, ckpts):
+        args = cli.build_parser().parse_args(
+            [cmd, "--seed", "1", "--out", "o", "--dataset", "d"] + ckpts)
+        assert cli._years_list(args.t_years) == DEFAULT_T_YEARS
+        assert cli._years_list(args.dt_years) == DEFAULT_DT_YEARS
 
 
 class TestExitCodes:
@@ -176,6 +185,17 @@ class TestExitCodes:
             np.savez(fh, images=images)
 
     @staticmethod
+    def _set_pixel(path, value):
+        images = np.load(path)
+        images[-1, 0, 3, 5] = value
+        np.save(path, images)
+
+    @staticmethod
+    def _set_hazard(d, value):
+        TestExitCodes._edit_eye(d, lambda f: f[:7] + [";".join(
+            f[7].split(";")[:2] + [value] + f[7].split(";")[3:])])
+
+    @staticmethod
     def _edit_row(path, line_index, edit):
         lines = path.read_text().splitlines()
         if edit is None:
@@ -237,13 +257,20 @@ class TestExitCodes:
         (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:2] + [";".join(
             f[2].split(";")[:-1] + [str(int(f[3]) * 6)])] + f[3:]), EYES_NAME),
         (lambda d: TestExitCodes._swap_rows(d / EYES_NAME, 1, 2), EYES_NAME),
+        (lambda d: TestExitCodes._set_pixel(d / IMAGES_NAME, np.nan), IMAGES_NAME),
+        (lambda d: TestExitCodes._set_pixel(d / IMAGES_NAME, 1.5), IMAGES_NAME),
+        (lambda d: TestExitCodes._set_hazard(d, "1.5"), f"{EYES_NAME}: row 2"),
+        (lambda d: TestExitCodes._set_hazard(d, "nan"), f"{EYES_NAME}: row 2"),
+        (lambda d: TestExitCodes._set_hazard(d, "-0.1"), f"{EYES_NAME}: row 2"),
     ], ids=["missing_cohort_config", "old_layout_without_eyes_tsv", "visit_month",
             "no_visit_months", "short_row", "long_row", "missing_image", "empty_images",
             "truncated_images", "one_image_too_few", "one_eye_row_fewer_than_images",
             "npz_archive", "months_out_of_order", "event_step_outside_grid",
             "event_step_not_integer", "censored_flag", "short_hazard_list",
             "empty_hazard_list", "severity_per_visit", "duplicate_eye_row",
-            "visit_month_off_the_grid", "visit_at_the_outcome_step", "rows_out_of_eye_order"])
+            "visit_month_off_the_grid", "visit_at_the_outcome_step", "rows_out_of_eye_order",
+            "nan_pixel", "pixel_above_one", "hazard_above_one", "nan_hazard",
+            "negative_hazard"])
     def test_malformed_dataset_is_data_error(self, workspace, tmp_path, capsys,
                                              damage, named):
         dataset = tmp_path / "dataset"
@@ -254,6 +281,18 @@ class TestExitCodes:
                      "--bootstrap", "2"])
         err = capsys.readouterr().err
         assert code == 3 and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["longitudinal", "baseline"])
+    def test_nan_pixel_is_data_error_before_training(self, workspace, tmp_path, capsys,
+                                                     kind):
+        dataset, out = tmp_path / "dataset", tmp_path / "ckpt"
+        shutil.copytree(workspace["dataset"], dataset)
+        self._set_pixel(dataset / IMAGES_NAME, np.nan)
+        code = main(["train", "--seed", "1", "--kind", kind, "--dataset", str(dataset),
+                     "--out", str(out), "--max-epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 3 and IMAGES_NAME in err and "Traceback" not in err
+        assert not out.exists()
 
     # (directory, file, damage): "cut" truncates inside the content, "rows"
     # drops trailing table rows
@@ -301,6 +340,20 @@ class TestExitCodes:
                      "--samples", str(samples), "--out", str(tmp_path / "x.svg")])
         err = capsys.readouterr().err
         assert code == 3 and "samples.tsv" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.25", "1.5"])
+    def test_sample_outside_unit_interval_is_data_error(self, report_dir, tmp_path, capsys,
+                                                        value):
+        """C and Brier both lie in [0, 1]; a sample outside it is no draw of either."""
+        samples = tmp_path / "samples.tsv"
+        shutil.copy(os.path.join(report_dir, "samples.tsv"), samples)
+        self._edit_row(samples, 3, lambda f: f[:-1] + [value])
+        out = tmp_path / "x.svg"
+        code = main(["plot", "--report", os.path.join(report_dir, "compare.tsv"),
+                     "--samples", str(samples), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3 and str(samples) in err and "line 4" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("table", ["compare.tsv", "samples.tsv"],
                              ids=["report_as_samples", "samples_as_report"])
@@ -436,7 +489,9 @@ class TestExitCodes:
         lambda record: record.pop("pixel_mean"),
         lambda record: record.update(pixel_mean="x"),
         lambda record: record.update(pixel_mean=[0.2, 0.3]),   # a 1-channel model
-    ], ids=["missing", "not_a_list", "two_channels"])
+        lambda record: record.update(pixel_mean=[float("nan")]),
+        lambda record: record.update(pixel_mean=[float("inf")]),
+    ], ids=["missing", "not_a_list", "two_channels", "nan", "inf"])
     def test_misfit_pixel_stats_are_data_error(self, workspace, tmp_path, capsys,
                                                command, edit):
         ckpt = tmp_path / "ckpt"
@@ -452,6 +507,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3 and str(ckpt) in err and "pixel_mean" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_params_are_data_error(self, workspace, tmp_path, capsys, value):
+        def damage(ckpt):
+            params, record = load_checkpoint(str(ckpt))
+            params["head.surv.b"][0] = value
+            save_checkpoint(str(ckpt), params, record)
+
+        code, err = self._evaluate_broken_checkpoint(workspace, tmp_path, capsys, damage)
+        assert code == 3 and "params.bin" in err
 
     def test_saturated_hazard_is_numerical_failure(self, workspace, tmp_path, capsys):
         # a float32 hazard of exactly 1.0 gives S(t) = 0 inside every window

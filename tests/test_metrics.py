@@ -11,12 +11,12 @@ from longisurv.encoders import standardize
 from longisurv.errors import DataError, EmptyCellError
 from longisurv.metrics import (DEFAULT_T_YEARS, concordance_td, brier_td,
                                bootstrap_ci, welch_one_sided, bonferroni, stars,
-                               risk_set, visits_seen, window_risks,
+                               visits_seen, window_risks,
                                build_risk_cells, OracleScorer, ModelScorer,
                                ReportRow, write_report, write_samples)
 from longisurv.model import (ModelConfig, forward_sequences,
                              forward_single_images, init_params)
-from longisurv.survival import hazard_to_survival
+from longisurv.survival import EventOutcome, TimeGrid, hazard_to_survival
 from longisurv.synthcohort import (CohortConfig, EyeRecord, generate_cohort,
                                    pad_and_batch)
 
@@ -355,15 +355,55 @@ def cohort():
     return generate_cohort(cfg), cfg
 
 
+class RecordingOracle(OracleScorer):
+    """The oracle, keeping the visits-seen table ``build_risk_cells`` passes it."""
+
+    def curves(self, eyes, seen):
+        self.seen = seen
+        return super().curves(eyes, seen)
+
+
 class TestRiskCells:
     def test_risk_set_excludes_resolved_eyes(self, cohort):
         eyes, cfg = cohort
         t_step = cfg.grid.time_to_step(3.0)
-        sel = risk_set(eyes, cfg.grid, t_step)
+        scorer = RecordingOracle()
+        build_risk_cells(scorer, eyes, cfg.grid, t_years=(3.0,), dt_years=(1.0,))
+        sel = np.flatnonzero(scorer.seen[0])
         for i in sel:
             assert eyes[i].outcome.event_step > t_step
         for i in set(range(len(eyes))) - set(sel):
             assert eyes[i].outcome.event_step <= t_step
+
+    def test_eye_first_seen_after_t_is_outside_risk_set(self):
+        """A late first visit keeps an eye out of each earlier time's risk set."""
+        grid = TimeGrid(step_months=6, j_max=27)
+        hz = np.full(27, 0.05)
+        eyes = [EyeRecord("p0", "p0_e0", np.array([0, 12]), None, EventOutcome(20, True),
+                          true_hazard=hz),
+                EyeRecord("p1", "p1_e0", np.array([48, 54]), None, EventOutcome(18, False),
+                          true_hazard=hz),                  # first seen at year 4
+                EyeRecord("p2", "p2_e0", np.array([0]), None, EventOutcome(4, False),
+                          true_hazard=hz)]                  # resolved at year 2
+        scorer = RecordingOracle()
+        cells = build_risk_cells(scorer, eyes, grid, t_years=(3.0, 4.0, 5.0),
+                                 dt_years=(1.0,))
+        np.testing.assert_array_equal(scorer.seen, [[2, 0, 0], [2, 1, 0], [2, 2, 0]])
+        assert cells[(3.0, 1.0)].n_risk_set == 1
+        np.testing.assert_array_equal(cells[(4.0, 1.0)].event_steps, [20, 18])
+        np.testing.assert_array_equal(cells[(5.0, 1.0)].censored, [True, False])
+
+    def test_cell_outcomes_are_its_members_outcomes(self, cohort):
+        eyes, cfg = cohort
+        scorer = RecordingOracle()
+        cells = build_risk_cells(scorer, eyes, cfg.grid)
+        for (t, dt), cell in cells.items():
+            members = np.flatnonzero(scorer.seen[DEFAULT_T_YEARS.index(t)])
+            assert cell.n_risk_set == len(members) > 0
+            np.testing.assert_array_equal(
+                cell.event_steps, [eyes[i].outcome.event_step for i in members])
+            np.testing.assert_array_equal(
+                cell.censored, [eyes[i].outcome.censored for i in members])
 
     def test_oracle_cells_cover_grid(self, cohort):
         eyes, cfg = cohort
@@ -458,7 +498,7 @@ class TestRiskCells:
         t_steps = [grid.time_to_step(t) for t in DEFAULT_T_YEARS]
         seen = np.zeros((len(t_steps), len(eyes)), dtype=int)
         for k, t_step in enumerate(t_steps):
-            idx = risk_set(eyes, grid, t_step)
+            idx = [i for i, e in enumerate(eyes) if e.outcome.event_step > t_step]
             seen[k, idx] = visits_seen([eyes[i] for i in idx], grid, t_step)
         n_at_risk = int(seen.any(axis=0).sum())
         assert n_at_risk > metrics.CHUNK_EYES

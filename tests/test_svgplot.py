@@ -49,6 +49,14 @@ class TestFigures:
         assert "****" in a
         assert "t=1,dt=2" in a
 
+    def test_lowest_tick_is_never_negative_zero(self):
+        # a Brier sample below 0.02 puts the axis floor in (-0.1, 0)
+        cells, models = [(1.0, 1.0)], ["oracle"]
+        svg = grid_box_figure({("oracle", (1.0, 1.0)): np.array([0.004, 0.01, 0.03])},
+                              cells, models, ylabel="time-dependent brier")
+        assert ">-0.0<" not in svg
+        assert ">0.0<" in svg
+
     def test_grid_box_empty_rejected(self):
         with pytest.raises(ConfigError):
             grid_box_figure({}, [], [])

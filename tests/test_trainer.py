@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from longisurv import trainer as tr
-from longisurv.metrics import ModelScorer, build_risk_cells
+from longisurv.metrics import ModelScorer, OracleScorer, build_risk_cells
 from longisurv.errors import NumericalError
 from longisurv.model import ModelConfig
 from longisurv.synthcohort import CohortConfig, generate_cohort, split_patients
@@ -240,6 +240,35 @@ class TestTrainLoop:
                     TrainConfig(max_epochs=3, seed=5))
         assert res.diverged
         assert res.params is not None
+
+    @pytest.mark.parametrize("exit_path, stopped", [("last_epoch", 4), ("early_stop", 3),
+                                                    ("divergence", 3)])
+    def test_stopped_epoch_on_each_exit_path(self, splits, monkeypatch, exit_path, stopped):
+        # the oracle scores validation, so the metric never improves after epoch 1
+        (train_eyes, val_eyes, _), _ = splits
+        from longisurv import diffgraph as dg
+
+        validations = []
+        real = tr.sequence_loss
+
+        def scorer(params, record):
+            validations.append(params)
+            return OracleScorer()
+
+        def loss(*args, **kwargs):
+            if exit_path == "divergence" and len(validations) == 2:
+                return dg.constant(np.array(np.nan)), {"surv": np.nan, "pred": 0.0}
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "ModelScorer", scorer)
+        monkeypatch.setattr(tr, "sequence_loss", loss)
+        patience = 2 if exit_path == "early_stop" else 10
+        res = train(train_eyes, val_eyes, smoke_model(),
+                    TrainConfig(max_epochs=4, patience=patience, seed=5))
+        assert res.stopped_epoch == stopped
+        assert res.diverged == (exit_path == "divergence")
+        assert len(res.history) == len(validations) == stopped - res.diverged
+        assert res.best_epoch == 1
 
 
 def test_history_writer_deterministic(tmp_path):
