@@ -9,17 +9,18 @@ and Welch/Bonferroni comparison protocol. See the `longisurv` CLI for the
 end-to-end workflow.
 """
 
-from .survival import TimeGrid, EventOutcome, hazard_to_survival, risk_window
+from .survival import TimeGrid, EventOutcome, hazard_to_survival
 from .model import ModelConfig, save_checkpoint, load_checkpoint
 from .losses import LossConfig
 from .synthcohort import CohortConfig, generate_cohort, split_patients
 from .trainer import TrainConfig, train
-from .metrics import concordance_td, brier_td, bootstrap_ci, welch_one_sided, bonferroni
+from .metrics import (window_risks, concordance_td, brier_td, bootstrap_ci, welch_one_sided,
+                      bonferroni)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TimeGrid", "EventOutcome", "hazard_to_survival", "risk_window",
+    "TimeGrid", "EventOutcome", "hazard_to_survival", "window_risks",
     "ModelConfig", "save_checkpoint", "load_checkpoint", "LossConfig",
     "CohortConfig", "generate_cohort", "split_patients", "TrainConfig",
     "train", "concordance_td", "brier_td", "bootstrap_ci", "welch_one_sided",

@@ -57,9 +57,12 @@ def _read_json(path: str) -> dict:
 
 def _years_list(text: str) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(","))
+        years = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"expected comma-separated years, got {text!r}")
+    if len(set(years)) < len(years):
+        raise ConfigError(f"a year repeats in {text!r}")
+    return years
 
 
 def _agreeing(path: str, section: dict, fixed: dict, where: str) -> dict:

@@ -19,11 +19,12 @@ import numpy as np
 from scipy.special import betainc
 
 from . import diffgraph as dg
-from .errors import ConfigError, DataError, EmptyCellError, write_table
+from .errors import (ConfigError, DataError, DegenerateConditioningError, EmptyCellError,
+                     write_table)
 from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images)
 from .encoders import model_images, prepare_batch
-from .survival import TimeGrid, hazard_to_survival, risk_window
+from .survival import TimeGrid, hazard_to_survival
 from .synthcohort import EyeRecord, stream
 
 log = logging.getLogger(__name__)
@@ -228,8 +229,14 @@ def visits_seen(eyes: list[EyeRecord], grid: TimeGrid, t_step: int) -> np.ndarra
 
 def window_risks(curves: np.ndarray, grid: TimeGrid, t_step: int,
                  dt_steps: int) -> np.ndarray:
-    """Window risks from stacked survival curves, clamping the window end to the grid."""
-    return risk_window(curves, t_step, min(t_step + dt_steps, grid.j_max) - t_step)
+    """Risk of the event in (t, t + dt] given survival to t, (S(t) - S(t + dt)) / S(t),
+    per stacked survival curve with S(0) = 1 and the window end clamped to the grid.
+    S(t) = 0 is degenerate conditioning: the eye should have left the risk set."""
+    s_t = curves[..., t_step - 1] if t_step else np.ones(curves.shape[:-1])
+    if np.any(s_t <= 0.0):
+        raise DegenerateConditioningError(
+            f"S(t) = 0 at step {t_step}: risk window is conditioned on a null event")
+    return (s_t - curves[..., min(t_step + dt_steps, grid.j_max) - 1]) / s_t
 
 
 class OracleScorer:

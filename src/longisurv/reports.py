@@ -154,7 +154,6 @@ def attention_analysis(scorer: ModelScorer, eyes: list[EyeRecord]) -> AttentionR
     if not isinstance(scorer, ModelScorer) or scorer.cfg.kind != KIND_LONGITUDINAL:
         raise ConfigError("attention analysis needs a longitudinal checkpoint")
     rows = []
-    n_multi = n_last_max = 0
     for start in range(0, len(eyes), CHUNK_EYES):
         part = eyes[start:start + CHUNK_EYES]
         batch = prepare_batch(part, max(e.n_visits for e in part), scorer.pixel_mean,
@@ -164,9 +163,6 @@ def attention_analysis(scorer: ModelScorer, eyes: list[EyeRecord]) -> AttentionR
         del fp                            # the chunk's graph dies before the next forward
         for eye, scores in zip(part, per_eye):
             j_i = len(scores)
-            if j_i > 1:
-                n_multi += 1
-                n_last_max += int(scores[-1] == scores.max())
             for k, s in enumerate(scores):
                 rows.append((eye.eye_id, j_i, j_i - 1 - k, float(s)))
 
@@ -185,8 +181,10 @@ def attention_analysis(scorer: ModelScorer, eyes: list[EyeRecord]) -> AttentionR
     pearson = None
     if len(xs) >= 3 and ys.std() > 0:
         pearson = float(np.corrcoef(xs, ys)[0, 1])
+    # bin 0: one score per multi-visit eye, exactly 1.0 where the last visit tops
     return AttentionReport(rows=rows,
-                           fraction_last_max=n_last_max / n_multi if n_multi else None,
+                           fraction_last_max=(float(np.mean(np.array(by_bin[0]) == 1.0))
+                                              if 0 in by_bin else None),
                            offset_labels=labels, offset_medians=medians,
                            offset_counts=counts, pearson_r=pearson)
 

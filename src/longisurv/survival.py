@@ -1,10 +1,10 @@
 """Discrete-time survival mathematics.
 
-Hazard-to-survival conversion, conditional time-window risk, and the
-time-grid bookkeeping the rest of the package builds on. Everything here
-is a pure function over numpy arrays; a curve is a float array of length
-``j_max`` on its last axis, leading axes stacking curves, indexed by
-discrete step (index 0 holds step 1).
+Hazard-to-survival conversion and the time-grid bookkeeping the rest of
+the package builds on (``metrics.window_risks`` turns curves into window
+risks). A curve is a float array of length ``j_max`` on its last axis,
+leading axes stacking curves, indexed by discrete step (index 0 holds
+step 1).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateConditioningError
+from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +64,12 @@ class EventOutcome:
             )
 
 
-def _check_hazard(h: np.ndarray) -> np.ndarray:
+def hazard_to_survival(h: np.ndarray) -> np.ndarray:
+    """Cumulative-product survival curve S[j] = prod_{s<=j} (1 - h[s]).
+
+    The returned curve is nonincreasing with values in [0, 1]; S before the
+    first step is defined as 1.
+    """
     h = np.asarray(h, dtype=float)
     if h.ndim < 1:
         raise DataError(f"hazard curve must be at least 1-D, got shape {h.shape}")
@@ -72,42 +77,4 @@ def _check_hazard(h: np.ndarray) -> np.ndarray:
         raise DataError("hazard curve is empty")
     if np.any((h < 0.0) | (h > 1.0)) or not np.all(np.isfinite(h)):
         raise DataError("hazard entries must lie in [0, 1]")
-    return h
-
-
-def hazard_to_survival(h: np.ndarray) -> np.ndarray:
-    """Cumulative-product survival curve S[j] = prod_{s<=j} (1 - h[s]).
-
-    The returned curve is nonincreasing with values in [0, 1]; S before the
-    first step is defined as 1.
-    """
-    h = _check_hazard(h)
     return np.cumprod(1.0 - h, axis=-1)
-
-
-def survival_at(s: np.ndarray, t_step: int):
-    """S evaluated at a step, with the S(0) = 1 boundary convention."""
-    if t_step < 0 or t_step > s.shape[-1]:
-        raise DataError(f"step {t_step} outside curve of length {s.shape[-1]}")
-    return 1.0 if t_step == 0 else s[..., t_step - 1]
-
-
-def risk_window(s: np.ndarray, t_step: int, dt_steps: int):
-    """Conditional probability of the event in (t, t + dt] given survival to t.
-
-    Returns (S(t) - S(t + dt)) / S(t). S(t) = 0 means the eye should already
-    have left the risk set and is reported as degenerate conditioning.
-    """
-    s = np.asarray(s, dtype=float)
-    if dt_steps <= 0:
-        raise DataError(f"dt_steps must be positive, got {dt_steps}")
-    if t_step < 0 or t_step + dt_steps > s.shape[-1]:
-        raise DataError(
-            f"window ({t_step}, {t_step + dt_steps}] outside grid of {s.shape[-1]} steps"
-        )
-    s_t = survival_at(s, t_step)
-    if np.any(s_t <= 0.0):
-        raise DegenerateConditioningError(
-            f"S(t) = 0 at step {t_step}: risk window is conditioned on a null event"
-        )
-    return (s_t - survival_at(s, t_step + dt_steps)) / s_t

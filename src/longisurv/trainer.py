@@ -100,9 +100,9 @@ class TrainingSchedule:
 
     An epoch improves when its metric exceeds the best by at least
     ``IMPROVEMENT_EPSILON`` (ties are non-improvements). The learning rate is
-    multiplied by ``PLATEAU_FACTOR`` once ``PLATEAU_PATIENCE`` consecutive
-    stagnant epochs accumulate (the counter then resets); training stops
-    after ``cfg.patience`` epochs without a new best.
+    multiplied by ``PLATEAU_FACTOR`` after every ``PLATEAU_PATIENCE``-th
+    consecutive stagnant epoch; training stops after ``cfg.patience`` epochs
+    without a new best.
     """
 
     def __init__(self, cfg: TrainConfig):
@@ -111,7 +111,6 @@ class TrainingSchedule:
         self.best_metric = -np.inf
         self.best_epoch = 0
         self.epochs_since_best = 0
-        self._plateau_count = 0
         self.should_stop = False
 
     def update(self, epoch: int, metric: float) -> bool:
@@ -122,13 +121,10 @@ class TrainingSchedule:
             self.best_metric = metric
             self.best_epoch = epoch
             self.epochs_since_best = 0
-            self._plateau_count = 0
         else:
             self.epochs_since_best += 1
-            self._plateau_count += 1
-            if self._plateau_count >= PLATEAU_PATIENCE:
+            if self.epochs_since_best % PLATEAU_PATIENCE == 0:
                 self.lr *= PLATEAU_FACTOR
-                self._plateau_count = 0
                 log.info("plateau: halving learning rate to %.2e", self.lr)
         if self.epochs_since_best >= self.cfg.patience:
             self.should_stop = True

@@ -102,14 +102,19 @@ class TestExitCodes:
         ("evaluate", ["--t-years=-1"]),
         ("plot", ["--curves", "--at-years=-1"]),
         ("evaluate", ["--dt-years", "0.1"]),                # 0.2 of a 6-month step
+        ("evaluate", ["--t-years", "2,2", "--dt-years", "1"]),
+        ("compare", ["--t-years", "2", "--dt-years", "1,2,1.0"]),
     ], ids=["t_years_nan", "dt_years_inf", "at_years_nan", "lr_nan", "t_years_negative",
-            "at_years_negative", "dt_years_rounds_to_zero"])
+            "at_years_negative", "dt_years_rounds_to_zero", "t_years_repeated",
+            "dt_years_repeated"])
     def test_non_finite_number_is_config_error(self, workspace, tmp_path, capsys,
                                                command, flags):
         args = [command, "--seed", "1", "--dataset", workspace["dataset"],
                 "--out", str(tmp_path / "out")] + flags
         if command == "evaluate":
             args += ["--ckpt", "oracle", "--bootstrap", "2"]
+        elif command == "compare":
+            args += ["--ckpt-a", "oracle", "--ckpt-b", "random", "--bootstrap", "2"]
         elif command == "plot":
             with open(os.path.join(workspace["dataset"], EYES_NAME)) as fh:
                 eye = fh.read().splitlines()[1].split("\t")[1]
@@ -117,6 +122,8 @@ class TestExitCodes:
         code = main(args)
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err
+        if command in ("evaluate", "compare"):
+            assert not os.path.exists(tmp_path / "out")
 
     def test_unknown_config_section_is_config_error(self, workspace, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json",

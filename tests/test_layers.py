@@ -28,3 +28,9 @@ def test_imports_point_down_the_layers():
               for dep in relative_imports(PACKAGE / f"{name}.py")
               if dep not in ORDER[:i]]
     assert upward == []
+
+
+def test_every_export_resolves():
+    namespace = {}
+    exec("from longisurv import *", namespace)       # a stale name raises AttributeError
+    assert set(longisurv.__all__) <= set(namespace)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from longisurv import diffgraph, metrics
 from longisurv.encoders import standardize
-from longisurv.errors import DataError, EmptyCellError
+from longisurv.errors import DataError, DegenerateConditioningError, EmptyCellError
 from longisurv.metrics import (DEFAULT_T_YEARS, concordance_td, brier_td,
                                bootstrap_ci, welch_one_sided, bonferroni, stars,
                                visits_seen, window_risks,
@@ -347,6 +347,38 @@ class TestBonferroni:
     def test_raw_p_bounds(self):
         with pytest.raises(DataError):
             bonferroni(1.5)
+
+
+def grid_of(s):
+    return TimeGrid(step_months=6, j_max=len(s))
+
+
+class TestWindowRisks:
+    def test_unconditional(self):
+        s = np.array([1.0, 0.75])
+        assert window_risks(s, grid_of(s), 0, 2) == pytest.approx(0.25)
+
+    def test_flat_survival_zero_risk(self):
+        s = np.array([0.8, 0.8, 0.8])
+        assert window_risks(s, grid_of(s), 1, 1) == 0.0
+
+    def test_conditional_arithmetic(self):
+        s = np.array([0.5, 0.25])
+        assert window_risks(s, grid_of(s), 1, 1) == pytest.approx(0.5)
+
+    def test_degenerate_conditioning(self):
+        s = np.array([0.0, 0.0])
+        with pytest.raises(DegenerateConditioningError):
+            window_risks(s, grid_of(s), 1, 1)
+
+    @given(st.lists(st.floats(0.0, 0.6), min_size=4, max_size=20),
+           st.data())
+    def test_monotone_in_horizon(self, h, data):
+        s, grid = hazard_to_survival(h), grid_of(h)
+        t = data.draw(st.integers(0, len(h) - 2))
+        d1 = data.draw(st.integers(1, len(h) - t - 1))
+        d2 = data.draw(st.integers(d1, len(h) - t))
+        assert window_risks(s, grid, t, d1) <= window_risks(s, grid, t, d2) + 1e-15
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from longisurv.errors import ConfigError, DataError, DegenerateConditioningError
-from longisurv.survival import (TimeGrid, EventOutcome, hazard_to_survival,
-                                risk_window, survival_at)
+from longisurv.errors import ConfigError, DataError
+from longisurv.survival import TimeGrid, EventOutcome, hazard_to_survival
 
 
 class TestHazardToSurvival:
@@ -39,39 +38,6 @@ class TestHazardToSurvival:
         np.testing.assert_allclose(rec, h[ok], rtol=1e-12, atol=1e-12)
 
 
-class TestRiskWindow:
-    def test_unconditional(self):
-        s = np.array([1.0, 0.75])
-        assert risk_window(s, 0, 2) == pytest.approx(0.25)
-
-    def test_flat_survival_zero_risk(self):
-        s = np.array([0.8, 0.8, 0.8])
-        assert risk_window(s, 1, 1) == 0.0
-
-    def test_conditional_arithmetic(self):
-        s = np.array([0.5, 0.25])
-        assert risk_window(s, 1, 1) == pytest.approx(0.5)
-
-    def test_degenerate_conditioning(self):
-        s = np.array([0.0, 0.0])
-        with pytest.raises(DegenerateConditioningError):
-            risk_window(s, 1, 1)
-
-    def test_window_bounds(self):
-        s = np.array([0.9, 0.8])
-        with pytest.raises(DataError):
-            risk_window(s, 1, 2)
-
-    @given(st.lists(st.floats(0.0, 0.6), min_size=4, max_size=20),
-           st.data())
-    def test_monotone_in_horizon(self, h, data):
-        s = hazard_to_survival(h)
-        t = data.draw(st.integers(0, len(h) - 2))
-        d1 = data.draw(st.integers(1, len(h) - t - 1))
-        d2 = data.draw(st.integers(d1, len(h) - t))
-        assert risk_window(s, t, d1) <= risk_window(s, t, d2) + 1e-15
-
-
 class TestTimeGrid:
     def test_step_conversion_six_months(self):
         grid = TimeGrid(step_months=6, j_max=27)
@@ -96,12 +62,6 @@ class TestTimeGrid:
             EventOutcome(event_step=0, censored=False).validate(grid)
         with pytest.raises(DataError):
             EventOutcome(event_step=28, censored=False).validate(grid)
-
-
-def test_survival_at_boundary():
-    s = np.array([0.9, 0.5])
-    assert survival_at(s, 0) == 1.0
-    assert survival_at(s, 2) == 0.5
 
 
 def test_off_grid_time_logs_warning(caplog):

@@ -82,6 +82,16 @@ class TestSchedule:
         # stagnant from epoch 3; halvings land after epochs 5, 8 and 11
         assert lrs == [1e-4] * 5 + [5e-5] * 3 + [2.5e-5] * 3 + [1.25e-5]
 
+    def test_improvement_mid_plateau_restarts_halving_count(self):
+        sched = TrainingSchedule(TrainConfig(patience=10, lr=1e-4))
+        lrs = []
+        for epoch, m in enumerate([0.5, 0.4, 0.4, 0.6] + [0.5] * 4, start=1):
+            lrs.append(sched.lr)
+            sched.update(epoch, m)
+        # two stagnant epochs, a new best at epoch 4, then stagnant from epoch 5:
+        # the only halving lands after epoch 7
+        assert lrs == [1e-4] * 7 + [5e-5]
+
     def test_ties_are_not_improvements(self):
         sched = TrainingSchedule(TrainConfig(patience=2))
         assert sched.update(1, 0.7)
