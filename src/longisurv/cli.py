@@ -46,9 +46,9 @@ def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
             values = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as ex:
+    except OSError as ex:
+        raise ConfigError(f"cannot read config file {path}: {ex.strerror}")
+    except ValueError as ex:                # JSON or, before it, UTF-8 decoding
         raise ConfigError(f"config file {path} is not valid JSON: {ex}")
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold a JSON object, got {values!r}")
@@ -187,10 +187,9 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     subset, cohort_cfg = _load_split(args)
     source_a = _source(args.ckpt_a, args.seed, cohort_cfg)
-    # a second random source gets its own stream so random-vs-random is a
-    # genuine comparison, not an identity
-    seed_b = args.seed + 1 if args.ckpt_b == "random" else args.seed
-    source_b = _source(args.ckpt_b, seed_b, cohort_cfg)
+    # only a random source reads its seed: a second one gets its own stream, so
+    # random-vs-random is a genuine comparison, not an identity
+    source_b = _source(args.ckpt_b, args.seed + 1, cohort_cfg)
     if source_a.name == source_b.name:
         source_a.name += "_a"
         source_b.name += "_b"
@@ -249,16 +248,13 @@ def cmd_plot(args) -> int:
                     groups.setdefault((model, cell), []).append(sample)
         if not groups:
             raise ConfigError(f"no {args.metric} samples in {args.samples}")
-        models = sorted({m for m, _ in groups})
-        cells = sorted({c for _, c in groups})
         significance = {}
         with reading(args.report):
             for row in (dict(zip(REPORT_HEADER, fields)) for fields in rows):
                 stars = row["significance"]
                 if row["metric"] == args.metric and "NA" not in (row["p_adjusted"], stars):
                     significance[(float(row["t_years"]), float(row["dt_years"]))] = stars
-        svg = grid_box_figure(groups, cells, models, significance,
-                              ylabel=f"time-dependent {args.metric}")
+        svg = grid_box_figure(groups, significance, ylabel=f"time-dependent {args.metric}")
     elif args.curves:
         if not (args.ckpt and args.dataset and args.eyes):
             raise ConfigError("--curves needs --ckpt, --dataset and --eyes")
@@ -396,6 +392,9 @@ def main(argv=None) -> int:
         return 4
     except LongisurvError as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except OSError as ex:        # inputs are read through errors.reading, so this is an output
+        print(f"config error: cannot write {ex.filename}: {ex.strerror}", file=sys.stderr)
         return 2
 
 

@@ -6,7 +6,8 @@ normalization, dropout, 2-D convolution, rectify-and-pool (relu, then 2x2
 average pooling; its vjp builds the mask), row gather/scatter,
 reshape/transpose and scalar reductions. Values are numpy arrays (float64
 by default; float32 permitted for training). A Node records its forward
-value plus vector-Jacobian closures into its parents; ``backward`` walks
+value plus vector-Jacobian closures into its parents; it needs a gradient
+when it is a ``param`` or when any parent needs one. ``backward`` walks
 nodes in reverse creation order, which is always a valid reverse
 topological order because primitives only consume existing nodes. Image
 arrays are NCHW-shaped, channels-last in memory where ``conv2d`` and
@@ -18,7 +19,7 @@ into the same operand numpy's implicit mixed ``@`` makes, so no byte changes.
 ``conv2d``'s weight vjp rebuilds its rows from the input, in the adjoint's
 dtype. All GEMM rows live in one reused buffer (``_gemm_rows``), which is not
 re-entrant and lives until ``release_gemm_rows``. ``backward`` keeps adjoints
-only on leaves (params).
+only on leaves (params); ``gradients`` reads them out by name.
 
 No broadcasting beyond what the model needs, no higher-order derivatives.
 """
@@ -46,14 +47,15 @@ class Node:
 
     __slots__ = ("value", "adjoint", "op", "needs_grad", "order", "_vjps")
 
-    def __init__(self, value: np.ndarray, op: str, needs_grad: bool,
-                 vjps: Sequence[tuple["Node", Callable[[np.ndarray], np.ndarray]]] = ()):
+    def __init__(self, value: np.ndarray, op: str,
+                 vjps: Sequence[tuple["Node", Callable[[np.ndarray], np.ndarray]]] = (),
+                 needs_grad: bool = False):
         self.value = value
         self.adjoint = None
         self.op = op
-        self.needs_grad = needs_grad
-        self.order = next(_order_counter)
         self._vjps = tuple(vjps)
+        self.needs_grad = needs_grad or any(parent.needs_grad for parent, _ in self._vjps)
+        self.order = next(_order_counter)
 
     @property
     def shape(self):
@@ -77,7 +79,7 @@ class Node:
 
 
 def constant(value) -> Node:
-    return Node(np.asarray(value), "const", needs_grad=False)
+    return Node(np.asarray(value), "const")
 
 
 def param(value: np.ndarray, name: str = "param") -> Node:
@@ -120,7 +122,7 @@ def add(a: Node, b: Node) -> Node:
     if not _binary_shapes_ok(a.value, b.value):
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
     out = a.value + b.value
-    return Node(out, "add", a.needs_grad or b.needs_grad, [
+    return Node(out, "add", [
         (a, lambda g: _unbroadcast(g, a.value.shape)),
         (b, lambda g: _unbroadcast(g, b.value.shape)),
     ])
@@ -130,7 +132,7 @@ def mul(a: Node, b: Node) -> Node:
     if not _binary_shapes_ok(a.value, b.value):
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
     out = a.value * b.value
-    return Node(out, "mul", a.needs_grad or b.needs_grad, [
+    return Node(out, "mul", [
         (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
         (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
     ])
@@ -138,7 +140,7 @@ def mul(a: Node, b: Node) -> Node:
 
 def scale(x: Node, k: float) -> Node:
     k = float(k)
-    return Node(x.value * k, "scale", x.needs_grad, [(x, lambda g: g * k)])
+    return Node(x.value * k, "scale", [(x, lambda g: g * k)])
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -147,7 +149,7 @@ def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[-1] != b.value.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = a.value @ b.value
-    return Node(out, "matmul", a.needs_grad or b.needs_grad, [
+    return Node(out, "matmul", [
         (a, lambda g: _unbroadcast(g @ _cast(np.swapaxes(b.value, -1, -2), g), a.value.shape)),
         (b, lambda g: _unbroadcast(_cast(np.swapaxes(a.value, -1, -2), g) @ g, b.value.shape)),
     ])
@@ -155,43 +157,37 @@ def matmul(a: Node, b: Node) -> Node:
 
 def relu(x: Node) -> Node:
     pos = x.value > 0
-    return Node(np.maximum(x.value, 0), "relu", x.needs_grad,
-                [(x, lambda g: g * pos)])
+    return Node(np.maximum(x.value, 0), "relu", [(x, lambda g: g * pos)])
 
 
 def sigmoid(x: Node) -> Node:
     v = x.value
     out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
                    np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
-    return Node(out, "sigmoid", x.needs_grad,
-                [(x, lambda g: g * out * (1.0 - out))])
+    return Node(out, "sigmoid", [(x, lambda g: g * out * (1.0 - out))])
 
 
 def log(x: Node) -> Node:
     """Natural log with arguments clamped at LOG_CLAMP; zero gradient when clamped."""
     clamped = np.maximum(x.value, LOG_CLAMP)
     live = x.value > LOG_CLAMP
-    return Node(np.log(clamped), "log", x.needs_grad,
-                [(x, lambda g: np.where(live, g / clamped, 0.0))])
+    return Node(np.log(clamped), "log", [(x, lambda g: np.where(live, g / clamped, 0.0))])
 
 
 def sum_all(x: Node) -> Node:
     val = np.asarray(x.value.sum())
-    return Node(val, "sum", x.needs_grad,
-                [(x, lambda g: np.broadcast_to(g, x.value.shape).copy())])
+    return Node(val, "sum", [(x, lambda g: np.broadcast_to(g, x.value.shape).copy())])
 
 
 def reshape(x: Node, shape) -> Node:
     orig = x.value.shape
-    return Node(x.value.reshape(shape), "reshape", x.needs_grad,
-                [(x, lambda g: g.reshape(orig))])
+    return Node(x.value.reshape(shape), "reshape", [(x, lambda g: g.reshape(orig))])
 
 
 def transpose(x: Node, axes) -> Node:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return Node(x.value.transpose(axes), "transpose", x.needs_grad,
-                [(x, lambda g: g.transpose(inv))])
+    return Node(x.value.transpose(axes), "transpose", [(x, lambda g: g.transpose(inv))])
 
 
 def gather_rows(x: Node, idx: np.ndarray) -> Node:
@@ -203,7 +199,7 @@ def gather_rows(x: Node, idx: np.ndarray) -> Node:
         np.add.at(dx, idx, g)
         return dx
 
-    return Node(x.value[idx], "gather_rows", x.needs_grad, [(x, vjp)])
+    return Node(x.value[idx], "gather_rows", [(x, vjp)])
 
 
 def scatter_rows(x: Node, idx: np.ndarray, n_rows: int) -> Node:
@@ -213,7 +209,7 @@ def scatter_rows(x: Node, idx: np.ndarray, n_rows: int) -> Node:
         raise ShapeError(f"scatter_rows: {len(idx)} indices for {x.value.shape[0]} rows")
     out = np.zeros((n_rows,) + x.value.shape[1:], dtype=x.value.dtype)
     out[idx] = x.value
-    return Node(out, "scatter_rows", x.needs_grad, [(x, lambda g: g[idx])])
+    return Node(out, "scatter_rows", [(x, lambda g: g[idx])])
 
 
 def masked_softmax(scores: Node, additive_mask: np.ndarray) -> Node:
@@ -238,7 +234,7 @@ def masked_softmax(scores: Node, additive_mask: np.ndarray) -> Node:
         inner = (g * out).sum(axis=-1, keepdims=True)
         return out * (g - inner)
 
-    return Node(out, "masked_softmax", scores.needs_grad, [(scores, vjp)])
+    return Node(out, "masked_softmax", [(scores, vjp)])
 
 
 def layer_norm(x: Node, gamma: Node, beta: Node) -> Node:
@@ -259,7 +255,7 @@ def layer_norm(x: Node, gamma: Node, beta: Node) -> Node:
                       - y * (dy * y).mean(axis=-1, keepdims=True))
 
     lead = tuple(range(x.value.ndim - 1))
-    return Node(out, "layer_norm", x.needs_grad or gamma.needs_grad or beta.needs_grad, [
+    return Node(out, "layer_norm", [
         (x, vjp_x),
         (gamma, lambda g: (g * y).sum(axis=lead)),
         (beta, lambda g: g.sum(axis=lead)),
@@ -281,7 +277,7 @@ def l2_normalize(x: Node, floor: float) -> Node:
         radial = np.where(live, y * (g * y).sum(axis=-1, keepdims=True), 0.0)
         return (g - radial) / denom
 
-    return Node(y, "l2_normalize", x.needs_grad, [(x, vjp)])
+    return Node(y, "l2_normalize", [(x, vjp)])
 
 
 def dropout(x: Node, rate: float, rng: np.random.Generator, train: bool) -> Node:
@@ -289,8 +285,7 @@ def dropout(x: Node, rate: float, rng: np.random.Generator, train: bool) -> Node
     if not train or rate <= 0.0:
         return x
     keep = (rng.random(x.value.shape) >= rate).astype(x.value.dtype) / (1.0 - rate)
-    return Node(x.value * keep, "dropout", x.needs_grad,
-                [(x, lambda g: g * keep)])
+    return Node(x.value * keep, "dropout", [(x, lambda g: g * keep)])
 
 
 @functools.lru_cache(maxsize=64)
@@ -380,7 +375,7 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
             rows = rows.reshape(c * kh * kw, -1)
         return (rows @ gmat).T.reshape(f, c, kh, kw)
 
-    return Node(out, "conv2d", x.needs_grad or w.needs_grad or b.needs_grad, [
+    return Node(out, "conv2d", [
         (x, vjp_x),
         (w, vjp_w),
         (b, lambda g: g.sum(axis=(0, 2, 3))),
@@ -411,7 +406,7 @@ def avg_pool2(x: Node) -> Node:
         np.multiply(np.broadcast_to(q, blocks), mask, out=dx.reshape(blocks))
         return dx.transpose(0, 3, 1, 2)
 
-    return Node(out, "avg_pool2", x.needs_grad, [(x, vjp)])
+    return Node(out, "avg_pool2", [(x, vjp)])
 
 
 def backward(loss: Node) -> None:
@@ -430,9 +425,8 @@ def backward(loss: Node) -> None:
                 seen[id(parent)] = parent
                 stack.append(parent)
     loss.adjoint = np.ones_like(loss.value)
+    # a node joins through a later consumer in the walk, so its adjoint has arrived
     for node in sorted(seen.values(), key=lambda n: n.order, reverse=True):
-        if node.adjoint is None:
-            continue
         for parent, vjp in node._vjps:
             if not parent.needs_grad:
                 continue
@@ -440,6 +434,13 @@ def backward(loss: Node) -> None:
             parent.adjoint = contrib if parent.adjoint is None else parent.adjoint + contrib
         if node._vjps:
             node.adjoint = None
+
+
+def gradients(loss: Node, leaves: dict) -> dict:
+    """``backward`` from ``loss``, then each leaf's adjoint by name, zeros where none arrived."""
+    backward(loss)
+    return {name: leaf.adjoint if leaf.adjoint is not None else np.zeros_like(leaf.value)
+            for name, leaf in leaves.items()}
 
 
 def grad_check(f, params: dict, seed: int = 0, n_coords: int = 30,
@@ -454,10 +455,7 @@ def grad_check(f, params: dict, seed: int = 0, n_coords: int = 30,
     out = f(params)
     if not (isinstance(out, tuple) and len(out) == 2):
         raise ValueError("f must return (loss_node, leaf_nodes_by_name)")
-    loss, leaves = out
-    backward(loss)
-    analytic = {k: (leaves[k].adjoint if leaves[k].adjoint is not None
-                    else np.zeros_like(v)) for k, v in params.items()}
+    analytic = gradients(*out)
 
     names = sorted(params)
     sizes = np.array([params[k].size for k in names], dtype=float)

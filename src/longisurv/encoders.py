@@ -40,8 +40,7 @@ def temporal_encode(v_months, d: int) -> np.ndarray:
 # convolutional image encoder
 # ---------------------------------------------------------------------------
 
-def conv_encoder_param_shapes(channels: int, image_size: int, d: int,
-                              widths=(8, 16, 32)) -> dict:
+def conv_encoder_param_shapes(channels: int, image_size: int, d: int, widths) -> dict:
     """Parameter shapes: one conv block per width, each halving the image, then a linear map."""
     if image_size % 2 ** len(widths) != 0:
         raise ConfigError(f"{len(widths)} conv widths halve image size {image_size} too often")

@@ -227,22 +227,19 @@ def visits_seen(eyes: list[EyeRecord], grid: TimeGrid, t_step: int) -> np.ndarra
     return np.array([np.searchsorted(e.visit_months, t_months, "right") for e in eyes], dtype=int)
 
 
-def window_risks(curves: np.ndarray, grid: TimeGrid, t_step: int,
-                 dt_steps: int) -> np.ndarray:
+def window_risks(curves: np.ndarray, t_step: int, dt_steps: int) -> np.ndarray:
     """Risk of the event in (t, t + dt] given survival to t, (S(t) - S(t + dt)) / S(t),
-    per stacked survival curve with S(0) = 1 and the window end clamped to the grid.
+    per stacked survival curve with S(0) = 1 and the window end clamped to the curve's.
     S(t) = 0 is degenerate conditioning: the eye should have left the risk set."""
     s_t = curves[..., t_step - 1] if t_step else np.ones(curves.shape[:-1])
     if np.any(s_t <= 0.0):
         raise DegenerateConditioningError(
             f"S(t) = 0 at step {t_step}: risk window is conditioned on a null event")
-    return (s_t - curves[..., min(t_step + dt_steps, grid.j_max) - 1]) / s_t
+    return (s_t - curves[..., min(t_step + dt_steps, curves.shape[-1]) - 1]) / s_t
 
 
 class OracleScorer:
     """Ground-truth hazard curves from the simulator sidecar."""
-
-    name = "oracle"
 
     def curves(self, eyes, seen):
         s = hazard_to_survival(np.stack([e.true_hazard for e in eyes]))
@@ -298,8 +295,6 @@ class ModelScorer:
 class RiskCell:
     """Per-eye window risks and outcomes for one (t, dt) evaluation cell."""
 
-    t_years: float
-    dt_years: float
     risks: np.ndarray
     event_steps: np.ndarray
     censored: np.ndarray
@@ -330,18 +325,15 @@ class RiskCell:
 
 
 def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
-                     t_years=DEFAULT_T_YEARS, dt_years=DEFAULT_DT_YEARS,
-                     rng_anti: bool = False,
-                     random_seed: int | None = None) -> dict:
+                     t_years=DEFAULT_T_YEARS, dt_years=DEFAULT_DT_YEARS) -> dict:
     """A ``RiskCell`` of window risks for every grid cell, from one scorer call
     for the whole grid; a cell with no eye at risk has empty arrays.
 
     An eye is at risk at t when it has a visit by t and no event or censoring
     by t. Each time's visits seen (0 off its risk set) go to the scorer
     together, so a model scores every time from one causal pass per eye.
-    ``rng_anti`` takes 1 - r for each risk r (an anti-oracle: the ranking
-    reversed, each risk still a probability); ``random_seed`` replaces risks
-    with seeded uniform noise.
+    Without a scorer every risk is 0: outcomes, anchors and pairs do not
+    depend on risks. Source kinds (anti-oracle, random) are ``RiskSource``'s.
     """
     t_steps = [grid.time_to_step(t) for t in t_years]
     dt_steps = [grid.time_to_step(dt) for dt in dt_years]
@@ -352,22 +344,17 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
     cens = np.array([e.outcome.censored for e in eyes], dtype=bool)
     seen = np.array([visits_seen(eyes, grid, t_step) * (steps > t_step)
                      for t_step in t_steps], dtype=int).reshape(len(t_steps), len(eyes))
-    curves = scorer.curves(eyes, seen) if random_seed is None and eyes else None
+    curves = scorer.curves(eyes, seen) if scorer is not None and eyes else None
     cells = {}
     for k, (t, t_step) in enumerate(zip(t_years, t_steps)):
         idx = np.flatnonzero(seen[k])
         for dt, n_steps in zip(dt_years, dt_steps):
-            if random_seed is not None:
-                risks = stream(random_seed, int(t * 12), int(dt * 12)).random(len(idx))
-            elif len(idx) == 0:               # no eye at risk, as at a time past the grid
-                risks = np.zeros(0)
+            if curves is None or len(idx) == 0:   # no scorer, or no eye at risk (past the grid)
+                risks = np.zeros(len(idx))
             else:
-                risks = window_risks(curves[k, idx], grid, t_step, n_steps)
-                if rng_anti:
-                    risks = 1.0 - risks
-            cells[(t, dt)] = RiskCell(
-                t_years=t, dt_years=dt, risks=risks, event_steps=steps[idx],
-                censored=cens[idx], horizon_step=t_step + n_steps)
+                risks = window_risks(curves[k, idx], t_step, n_steps)
+            cells[(t, dt)] = RiskCell(risks=risks, event_steps=steps[idx], censored=cens[idx],
+                                      horizon_step=t_step + n_steps)
     return cells
 
 

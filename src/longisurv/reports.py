@@ -22,7 +22,7 @@ from .metrics import (CHUNK_EYES, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
                       build_risk_cells, pair_concordance, stars, welch_one_sided)
 from .model import KIND_LONGITUDINAL, extract_attention, forward_sequences, load_checkpoint
 from .survival import TimeGrid
-from .synthcohort import EyeRecord
+from .synthcohort import EyeRecord, stream
 
 log = logging.getLogger(__name__)
 
@@ -39,9 +39,14 @@ class RiskSource:
     random_seed: int | None = None
 
     def cells(self, eyes, grid, t_years, dt_years) -> dict:
-        return build_risk_cells(self.scorer, eyes, grid, t_years=t_years,
-                                dt_years=dt_years, rng_anti=self.anti,
-                                random_seed=self.random_seed)
+        """The scorer's cells, then 1 - r for the anti-oracle or seeded noise for ``random``."""
+        cells = build_risk_cells(self.scorer, eyes, grid, t_years=t_years, dt_years=dt_years)
+        for (t, dt), c in cells.items():
+            if self.anti:
+                c.risks = 1.0 - c.risks
+            elif self.random_seed is not None:
+                c.risks = stream(self.random_seed, int(t * 12), int(dt * 12)).random(len(c.risks))
+        return cells
 
 
 def source_from_token(token: str, seed: int = 0) -> RiskSource:

@@ -29,17 +29,17 @@ class Canvas:
             f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
             f'stroke="{color}" stroke-width="{_f(width)}"/>')
 
-    def rect(self, x, y, w, h, fill="none", stroke="#333333", width=1.0):
+    def rect(self, x, y, w, h, fill="none", stroke="#333333"):
         self.parts.append(
             f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{_f(width)}"/>')
+            f'fill="{fill}" stroke="{stroke}" stroke-width="1.00"/>')
 
-    def polyline(self, points, color="#1f77b4", width=1.5, dash=None):
+    def polyline(self, points, color="#1f77b4", dash=None):
         pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{_f(width)}"{extra}/>')
+            f'stroke-width="1.50"{extra}/>')
 
     def text(self, x, y, s, size=11, anchor="middle", color="#222222"):
         self.parts.append(
@@ -79,16 +79,17 @@ def _draw_box(canvas, cx, five, y_of, width, color):
 MODEL_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728")
 
 
-def grid_box_figure(groups: dict, cell_keys: list, model_names: list,
-                    significance: dict | None = None,
+def grid_box_figure(groups: dict, significance: dict | None = None,
                     ylabel: str = "time-dependent concordance") -> str:
-    """Grouped box plot over (t, dt) cells, one box per model per cell.
+    """Grouped box plot over sorted (t, dt) cells, one box per sorted model per cell.
 
-    ``groups`` maps (model, cell_key) to a 1-D sample array; ``significance``
+    ``groups`` maps (model, cell_key) to a 1-D sample array (none: no box); ``significance``
     optionally maps cell_key to a star label drawn above the cell.
     """
-    if not cell_keys or not model_names:
+    if not groups:
         raise ConfigError("nothing to plot: empty report")
+    model_names = sorted({m for m, _ in groups})
+    cell_keys = sorted({c for _, c in groups})
     margin_l, margin_r, margin_t, margin_b = 60, 20, 30, 70
     cell_w = 22 * len(model_names) + 18
     width = margin_l + margin_r + cell_w * len(cell_keys)

@@ -111,7 +111,6 @@ class TrainingSchedule:
         self.best_metric = -np.inf
         self.best_epoch = 0
         self.epochs_since_best = 0
-        self.should_stop = False
 
     def update(self, epoch: int, metric: float) -> bool:
         """Record one epoch's validation metric; True if it is a new best."""
@@ -126,9 +125,11 @@ class TrainingSchedule:
             if self.epochs_since_best % PLATEAU_PATIENCE == 0:
                 self.lr *= PLATEAU_FACTOR
                 log.info("plateau: halving learning rate to %.2e", self.lr)
-        if self.epochs_since_best >= self.cfg.patience:
-            self.should_stop = True
         return improved
+
+    @property
+    def should_stop(self) -> bool:
+        return self.epochs_since_best >= self.cfg.patience
 
 
 def _derive_seed(*key: int) -> int:
@@ -139,11 +140,6 @@ def _derive_seed(*key: int) -> int:
 def baseline_batch_size(train_cfg: TrainConfig, l_max: int) -> int:
     """Images per baseline minibatch: matches the sequence model's image slots."""
     return train_cfg.batch_size_sequences * l_max
-
-
-def _collect_grads(leaves: dict, params: dict) -> dict:
-    return {name: (leaves[name].adjoint if leaves[name].adjoint is not None
-                   else np.zeros_like(arr)) for name, arr in params.items()}
 
 
 def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
@@ -160,7 +156,7 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
     grid = TimeGrid(model_cfg.step_months, model_cfg.j_max)
     # fail before epoch 1: which cells have a comparable pair is decided by
     # the validation eyes' outcomes alone, not by the model's risks
-    val_cells = build_risk_cells(None, val_eyes, grid, random_seed=0).values()
+    val_cells = build_risk_cells(None, val_eyes, grid).values()
     n_empty = sum(not cell.n_pairs for cell in val_cells)
     if n_empty == len(val_cells):
         raise DataError(f"the validation split ({len(val_eyes)} eyes) has no comparable "
@@ -223,8 +219,7 @@ def train(train_eyes: list[EyeRecord], val_eyes: list[EyeRecord],
                           schedule.best_epoch)
                 diverged = True
                 break
-            dg.backward(loss_node)
-            adam_step(params, _collect_grads(fp.leaves, params), state, schedule.lr)
+            adam_step(params, dg.gradients(loss_node, fp.leaves), state, schedule.lr)
             del fp, loss_node   # the step's graph dies here, not at the next forward
             epoch_losses.append((loss_value, parts["surv"], parts["pred"]))
         if diverged:

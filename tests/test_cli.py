@@ -84,6 +84,36 @@ class TestExitCodes:
                      "--config", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
+                                      "plot_out_in_missing_dir", "evaluate_out_is_a_file",
+                                      "simulate_out_is_a_file"])
+    def test_unreadable_config_or_unwritable_out_is_config_error(self, workspace, report_dir,
+                                                                tmp_path, capsys, case):
+        existing = tmp_path / "existing"
+        existing.write_text("kept")
+        (tmp_path / "latin1.json").write_bytes(b'{"n_patients": 2, "name": "\xe9"}')
+        path, args = {
+            "config_is_a_directory": (str(tmp_path), [
+                "simulate", "--seed", "1", "--out", str(tmp_path / "d"),
+                "--config", str(tmp_path)]),
+            "config_not_utf8": (str(tmp_path / "latin1.json"), [
+                "simulate", "--seed", "1", "--out", str(tmp_path / "d"),
+                "--config", str(tmp_path / "latin1.json")]),
+            "plot_out_in_missing_dir": (str(tmp_path / "missing" / "x.svg"), [
+                "plot", "--report", os.path.join(report_dir, "compare.tsv"),
+                "--samples", os.path.join(report_dir, "samples.tsv"),
+                "--out", str(tmp_path / "missing" / "x.svg")]),
+            "evaluate_out_is_a_file": (str(existing), [
+                "evaluate", "--seed", "1", "--ckpt", "oracle", "--dataset",
+                workspace["dataset"], "--bootstrap", "2", "--out", str(existing)]),
+            "simulate_out_is_a_file": (str(existing), [
+                "simulate", "--seed", "1", "--patients", "2", "--out", str(existing)]),
+        }[case]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2 and path in err and "Traceback" not in err
+        assert existing.read_text() == "kept" and not (tmp_path / "d").exists()
+
     def test_unknown_config_key_is_config_error(self, workspace, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json",
                          {"loss": {"supervise_all_subsequences": True}})

@@ -96,7 +96,7 @@ class TestImageEncoder:
         shapes = conv_encoder_param_shapes(1, 32, 64, (8, 16, 32))
         assert shapes["enc.fc.w"] == (32 * 16, 64)
         with pytest.raises(ConfigError):
-            conv_encoder_param_shapes(1, 20, 64)
+            conv_encoder_param_shapes(1, 20, 64, (8, 16, 32))
 
 
 def augment_images_per_image(images, rng):

@@ -9,13 +9,14 @@ from scipy.integrate import quad
 from longisurv import diffgraph, metrics
 from longisurv.encoders import standardize
 from longisurv.errors import DataError, DegenerateConditioningError, EmptyCellError
-from longisurv.metrics import (DEFAULT_T_YEARS, concordance_td, brier_td,
+from longisurv.metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, concordance_td, brier_td,
                                bootstrap_ci, welch_one_sided, bonferroni, stars,
                                visits_seen, window_risks,
                                build_risk_cells, OracleScorer, ModelScorer,
                                ReportRow, write_report, write_samples)
 from longisurv.model import (ModelConfig, forward_sequences,
                              forward_single_images, init_params)
+from longisurv.reports import RiskSource
 from longisurv.survival import EventOutcome, TimeGrid, hazard_to_survival
 from longisurv.synthcohort import (CohortConfig, EyeRecord, generate_cohort,
                                    pad_and_batch)
@@ -349,36 +350,32 @@ class TestBonferroni:
             bonferroni(1.5)
 
 
-def grid_of(s):
-    return TimeGrid(step_months=6, j_max=len(s))
-
-
 class TestWindowRisks:
     def test_unconditional(self):
         s = np.array([1.0, 0.75])
-        assert window_risks(s, grid_of(s), 0, 2) == pytest.approx(0.25)
+        assert window_risks(s, 0, 2) == pytest.approx(0.25)
 
     def test_flat_survival_zero_risk(self):
         s = np.array([0.8, 0.8, 0.8])
-        assert window_risks(s, grid_of(s), 1, 1) == 0.0
+        assert window_risks(s, 1, 1) == 0.0
 
     def test_conditional_arithmetic(self):
         s = np.array([0.5, 0.25])
-        assert window_risks(s, grid_of(s), 1, 1) == pytest.approx(0.5)
+        assert window_risks(s, 1, 1) == pytest.approx(0.5)
 
     def test_degenerate_conditioning(self):
         s = np.array([0.0, 0.0])
         with pytest.raises(DegenerateConditioningError):
-            window_risks(s, grid_of(s), 1, 1)
+            window_risks(s, 1, 1)
 
     @given(st.lists(st.floats(0.0, 0.6), min_size=4, max_size=20),
            st.data())
     def test_monotone_in_horizon(self, h, data):
-        s, grid = hazard_to_survival(h), grid_of(h)
+        s = hazard_to_survival(h)
         t = data.draw(st.integers(0, len(h) - 2))
         d1 = data.draw(st.integers(1, len(h) - t - 1))
         d2 = data.draw(st.integers(d1, len(h) - t))
-        assert window_risks(s, grid, t, d1) <= window_risks(s, grid, t, d2) + 1e-15
+        assert window_risks(s, t, d1) <= window_risks(s, t, d2) + 1e-15
 
 
 @pytest.fixture(scope="module")
@@ -393,6 +390,9 @@ class RecordingOracle(OracleScorer):
     def curves(self, eyes, seen):
         self.seen = seen
         return super().curves(eyes, seen)
+
+
+ANTI_ORACLE = RiskSource(name="anti-oracle", scorer=OracleScorer(), anti=True)
 
 
 class TestRiskCells:
@@ -449,16 +449,15 @@ class TestRiskCells:
         curves = np.stack([hazard_to_survival(e.true_hazard) for e in eyes[:5]])
         t_step = cfg.grid.time_to_step(8.0)
         dt_steps = cfg.grid.time_to_step(8.0)
-        risks = window_risks(curves, cfg.grid, t_step, dt_steps)
-        end_clamped = window_risks(curves, cfg.grid, t_step, cfg.j_max - t_step)
+        risks = window_risks(curves, t_step, dt_steps)
+        end_clamped = window_risks(curves, t_step, cfg.j_max - t_step)
         np.testing.assert_allclose(risks, end_clamped)
 
     def test_n_pairs_counts_every_comparable_pair(self):
         rng = np.random.default_rng(8)
         for _ in range(60):
             risks, steps, cens, horizon = random_instance(rng, int(rng.integers(1, 40)))
-            cell = metrics.RiskCell(t_years=1.0, dt_years=1.0, risks=risks,
-                                    event_steps=steps, censored=cens,
+            cell = metrics.RiskCell(risks=risks, event_steps=steps, censored=cens,
                                     horizon_step=horizon)
             # ties in event step are common at this size; a tie is not a pair
             naive = sum(steps[j] > steps[i]
@@ -469,7 +468,7 @@ class TestRiskCells:
     def test_oracle_beats_anti_oracle(self, cohort):
         eyes, cfg = cohort
         cells = build_risk_cells(OracleScorer(), eyes, cfg.grid)
-        anti = build_risk_cells(OracleScorer(), eyes, cfg.grid, rng_anti=True)
+        anti = ANTI_ORACLE.cells(eyes, cfg.grid, DEFAULT_T_YEARS, DEFAULT_DT_YEARS)
         mean_o, mean_a = (np.mean([c.concordance() for c in cs.values() if c.n_pairs])
                           for cs in (cells, anti))
         assert mean_o > 0.65 > 0.5 > mean_a
@@ -479,7 +478,7 @@ class TestRiskCells:
         Brier score is worse than the oracle's, where -r would square to r^2."""
         eyes, cfg = cohort
         cells = build_risk_cells(OracleScorer(), eyes, cfg.grid)
-        anti = build_risk_cells(OracleScorer(), eyes, cfg.grid, rng_anti=True)
+        anti = ANTI_ORACLE.cells(eyes, cfg.grid, DEFAULT_T_YEARS, DEFAULT_DT_YEARS)
         quiet = [key for key, c in cells.items() if c.n_risk_set and not metrics.event_in_window(
             c.event_steps, c.censored, c.horizon_step).any()]
         assert quiet

@@ -154,6 +154,38 @@ class TestSources:
         est = [r for r in rows if r.metric == "concordance"][0].estimate
         assert est is not None and 0.2 < est < 0.8
 
+    def test_event_free_cohort_bootstraps_brier_alone(self, monkeypatch):
+        """No event, so no cell has an anchor: each time's draws score its
+        Brier rows alone, and every concordance row is NA."""
+        cfg = CohortConfig(n_patients=30, seed=4, hazard_intercept=-60.0,
+                           target_censoring=None)
+        eyes = generate_cohort(cfg)
+        assert all(e.outcome.censored for e in eyes)
+        tables = []
+        real = reports.pair_concordance
+        monkeypatch.setattr(reports, "pair_concordance", lambda t: tables.append(t) or real(t))
+        rows = evaluate_source(source_from_token("oracle"), eyes, cfg.grid,
+                               n_bootstrap=20, seed=1)
+        assert tables and all(t == [] for t in tables)
+        briers = [r for r in rows if r.metric == "brier" and r.n_risk_set]
+        assert briers
+        for r in rows:
+            if r.metric == "concordance":
+                assert r.estimate is None and r.samples is None and r.n_pairs == 0
+        for r in briers:
+            assert r.estimate is not None and r.ci_lo <= r.boot_mean <= r.ci_hi
+            assert len(r.samples) == 20
+
+    def test_time_past_the_grid_has_no_estimate(self, cohort):
+        """14 years is past the 6-month grid's 13.5: no eye is at risk."""
+        eyes, cfg = cohort
+        rows = evaluate_source(source_from_token("oracle"), eyes, cfg.grid,
+                               t_years=(14.0,), n_bootstrap=20, seed=1)
+        assert len(rows) == 2 * len(DEFAULT_DT_YEARS)
+        for r in rows:
+            assert r.n_risk_set == r.n_pairs == 0 and r.significance == "NA"
+            assert r.estimate is None and r.boot_mean is None and r.samples is None
+
 
 def test_one_pair_table_per_cell_and_source(cohort, monkeypatch):
     """Scoring a (cell, source) builds its pair table once, for the estimate,

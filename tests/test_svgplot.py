@@ -42,8 +42,8 @@ class TestFigures:
         groups = {(m, c): rng.uniform(0.6, 0.9, size=80)
                   for m in models for c in cells}
         sig = {(2.0, 2.0): "****"}
-        a = grid_box_figure(groups, cells, models, sig)
-        b = grid_box_figure(groups, cells, models, sig)
+        a = grid_box_figure(groups, sig)
+        b = grid_box_figure(groups, sig)
         assert a == b
         assert a.count("<rect") == 1 + 4 + 2       # background, boxes, legend
         assert "****" in a
@@ -51,15 +51,27 @@ class TestFigures:
 
     def test_lowest_tick_is_never_negative_zero(self):
         # a Brier sample below 0.02 puts the axis floor in (-0.1, 0)
-        cells, models = [(1.0, 1.0)], ["oracle"]
         svg = grid_box_figure({("oracle", (1.0, 1.0)): np.array([0.004, 0.01, 0.03])},
-                              cells, models, ylabel="time-dependent brier")
+                              ylabel="time-dependent brier")
         assert ">-0.0<" not in svg
         assert ">0.0<" in svg
 
     def test_grid_box_empty_rejected(self):
         with pytest.raises(ConfigError):
-            grid_box_figure({}, [], [])
+            grid_box_figure({})
+
+    def test_pair_without_samples_has_no_box(self):
+        """Cells and models come from ``groups``; a (model, cell) pair with no
+        samples, absent or empty, is skipped, and its cell keeps its place."""
+        rng = np.random.default_rng(1)
+        groups = {("a", (1.0, 2.0)): rng.uniform(0.6, 0.9, 40),
+                  ("b", (1.0, 2.0)): rng.uniform(0.6, 0.9, 40),
+                  ("b", (2.0, 2.0)): rng.uniform(0.6, 0.9, 40)}
+        svg = grid_box_figure(groups)
+        assert svg.count("<rect") == 1 + 3 + 2      # background, boxes, legend
+        assert "t=1,dt=2" in svg and "t=2,dt=2" in svg
+        groups[("a", (2.0, 2.0))] = np.array([])
+        assert grid_box_figure(groups) == svg
 
     def test_survival_curves_polylines(self):
         curves = {"modelA: eye1": np.linspace(1, 0.4, 27),
