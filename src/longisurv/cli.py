@@ -120,6 +120,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} exists and is not a directory")
     eyes, cohort_cfg = load_dataset(args.dataset)
     train_eyes, val_eyes, _ = split_patients(eyes, seed=cohort_cfg.seed)
     file_cfg = _read_json(args.config) if args.config else {}

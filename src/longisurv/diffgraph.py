@@ -7,8 +7,9 @@ average pooling; its vjp builds the mask), row gather/scatter,
 reshape/transpose and scalar reductions. Values are numpy arrays (float64
 by default; float32 permitted for training). A Node records its forward
 value plus vector-Jacobian closures into its parents; it needs a gradient
-when it is a ``param`` or when any parent needs one. ``backward`` walks
-nodes in reverse creation order, which is always a valid reverse
+when it is a ``param`` or when any parent needs one. ``backward`` pops
+nodes from a max-heap on creation order, pushing each when its first adjoint
+contribution arrives: reverse creation order is always a valid reverse
 topological order because primitives only consume existing nodes. Image
 arrays are NCHW-shaped, channels-last in memory where ``conv2d`` and
 ``avg_pool2`` made them; no value depends on layout. An adjoint keeps the
@@ -26,6 +27,7 @@ No broadcasting beyond what the model needs, no higher-order derivatives.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from typing import Callable, Sequence
 
@@ -415,23 +417,18 @@ def backward(loss: Node) -> None:
     only leaves (params) keep theirs."""
     if loss.value.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
-    # reachable subgraph along grad-requiring edges
-    seen = {id(loss): loss}
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        for parent, _ in node._vjps:
-            if parent.needs_grad and id(parent) not in seen:
-                seen[id(parent)] = parent
-                stack.append(parent)
     loss.adjoint = np.ones_like(loss.value)
-    # a node joins through a later consumer in the walk, so its adjoint has arrived
-    for node in sorted(seen.values(), key=lambda n: n.order, reverse=True):
+    # a node joins with its first contribution, from a later-created consumer, so
+    # the pops run in reverse creation order and every consumer has sent its share
+    heap = [(-loss.order, loss)]
+    while heap:
+        node = heapq.heappop(heap)[1]
         for parent, vjp in node._vjps:
-            if not parent.needs_grad:
-                continue
-            contrib = vjp(node.adjoint)
-            parent.adjoint = contrib if parent.adjoint is None else parent.adjoint + contrib
+            if parent.needs_grad and parent.adjoint is None:
+                parent.adjoint = vjp(node.adjoint)
+                heapq.heappush(heap, (-parent.order, parent))
+            elif parent.needs_grad:
+                parent.adjoint = parent.adjoint + vjp(node.adjoint)
         if node._vjps:
             node.adjoint = None
 

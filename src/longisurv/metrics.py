@@ -23,7 +23,7 @@ from .errors import (ConfigError, DataError, DegenerateConditioningError, EmptyC
                      write_table)
 from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images)
-from .encoders import model_images, prepare_batch
+from .encoders import prepare_batch
 from .survival import TimeGrid, hazard_to_survival
 from .synthcohort import EyeRecord, stream
 
@@ -253,41 +253,39 @@ class ModelScorer:
         self.params = params
         self.cfg = ModelConfig.from_dict(record["model"], "model")
         self.pixel_mean, self.pixel_std = record["pixel_mean"], record["pixel_std"]
-        self.name = self.cfg.kind
+
+    def batches(self, eyes, upto):
+        """A scoring pass: each chunk's start and ``prepare_batch`` batch, ``CHUNK_EYES``
+        eyes at a time, with eye i's visits after ``upto[i]`` cut (under the causal
+        mask they cannot change an earlier output). The pass ends by releasing the
+        conv GEMM rows, which would add to the bootstrap's peak."""
+        for start in range(0, len(eyes), CHUNK_EYES):
+            part, cut = eyes[start:start + CHUNK_EYES], upto[start:start + CHUNK_EYES]
+            batch = prepare_batch(part, max(e.n_visits for e in part), self.pixel_mean,
+                                  self.pixel_std, self.cfg.np_dtype)
+            batch.valid &= np.arange(batch.valid.shape[1]) < np.asarray(cut)[:, None]
+            yield start, batch
+        dg.release_gemm_rows()
 
     def curves(self, eyes, seen):
         """Survival curves (times, eyes, j_max) for a grid of prediction times.
 
         ``seen[k, i]`` counts eye i's visits by the k-th time, 0 outside that
         time's risk set (whose curves are NaN). The curve comes from position
-        seen[k, i] - 1 of one causal pass, or for the baseline from that visit.
-        The conv GEMM-row buffer is released when the pass ends.
+        seen[k, i] - 1 of one ``batches`` pass, or for the baseline from that visit.
         """
         out = np.full(seen.shape + (self.cfg.j_max,), np.nan)
         at_risk = np.flatnonzero(seen.any(axis=0))
-        for start in range(0, len(at_risk), CHUNK_EYES):
+        for start, batch in self.batches([eyes[i] for i in at_risk], seen[:, at_risk].max(0)):
             cols = at_risk[start:start + CHUNK_EYES]
-            part = [eyes[i] for i in cols]
-            counts = seen[:, cols]
-            k, j = np.nonzero(counts)
-            if self.cfg.kind == KIND_LONGITUDINAL:
-                batch = prepare_batch(part, max(e.n_visits for e in part),
-                                      self.pixel_mean, self.pixel_std,
-                                      self.cfg.np_dtype)
-                # later visits cannot change an earlier position's output
-                # under the causal mask, so they are left out of the pass
-                batch.valid &= (np.arange(batch.valid.shape[1])[None, :]
-                                < counts.max(axis=0)[:, None])
-                fp = forward_sequences(self.params, self.cfg, batch)
-                hazards = fp.hazards[j, counts[k, j] - 1]
-                del fp                    # the chunk's graph dies before the next forward
+            k, j = np.nonzero(seen[:, cols])
+            last = seen[k, cols[j]] - 1
+            if self.cfg.kind == KIND_LONGITUDINAL:   # a copy: the pass's graph dies here
+                hazards = forward_sequences(self.params, self.cfg, batch).hazards[j, last]
             else:
-                imgs = model_images(np.stack([part[jj].images[counts[kk, jj] - 1]
-                                              for kk, jj in zip(k, j)]),
-                                    self.pixel_mean, self.pixel_std, self.cfg.np_dtype)
-                hazards = forward_single_images(self.params, self.cfg, imgs).hazards
+                hazards = forward_single_images(self.params, self.cfg,
+                                                batch.images[j, last]).hazards
             out[k, cols[j]] = hazard_to_survival(hazards)
-        dg.release_gemm_rows()    # the pass's conv rows would add to the bootstrap's peak
         return out
 
 

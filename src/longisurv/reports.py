@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import prepare_batch
 from .errors import ConfigError, EmptyCellError, write_table
-from .metrics import (CHUNK_EYES, DEFAULT_DT_YEARS, DEFAULT_T_YEARS,
-                      ModelScorer, OracleScorer, ReportRow, bonferroni, bootstrap_ci,
-                      build_risk_cells, pair_concordance, stars, welch_one_sided)
+from .metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, ModelScorer, OracleScorer,
+                      ReportRow, bonferroni, bootstrap_ci, build_risk_cells,
+                      pair_concordance, stars, welch_one_sided)
 from .model import KIND_LONGITUDINAL, extract_attention, forward_sequences, load_checkpoint
 from .survival import TimeGrid
 from .synthcohort import EyeRecord, stream
@@ -58,7 +57,7 @@ def source_from_token(token: str, seed: int = 0) -> RiskSource:
     if token == "random":
         return RiskSource(name="random", random_seed=seed)
     scorer = ModelScorer(*load_checkpoint(token))
-    return RiskSource(name=scorer.name, scorer=scorer)
+    return RiskSource(name=scorer.cfg.kind, scorer=scorer)
 
 
 def _score_rows(sources: list[RiskSource], eyes, grid, t_years, dt_years,
@@ -149,33 +148,27 @@ class AttentionReport:
 def attention_analysis(scorer: ModelScorer, eyes: list[EyeRecord]) -> AttentionReport:
     """Normalized attention scores per visit plus the recency summary.
 
-    Scores come from the final layer at each eye's last visit, head-averaged
-    and normalized to a max of 1. Offsets count visits back from the last
-    one; offsets >= 10 are pooled into a single display bin. The share of
-    eyes whose last visit holds the top score, the offset medians and the
-    Pearson correlation between offsets 0..9 and their medians all use
-    multi-visit eyes only: a single visit trivially scores 1.
+    Scores come from one ``ModelScorer.batches`` pass, from the final layer at
+    each eye's last visit, head-averaged and normalized to a max of 1. Offsets
+    count visits back from the last one; offsets >= 10 are pooled into a single
+    display bin. The share of eyes whose last visit holds the top score, the
+    offset medians and the Pearson correlation between offsets 0..9 and their
+    medians all use multi-visit eyes only: a single visit trivially scores 1.
     """
     if not isinstance(scorer, ModelScorer) or scorer.cfg.kind != KIND_LONGITUDINAL:
         raise ConfigError("attention analysis needs a longitudinal checkpoint")
-    rows = []
-    for start in range(0, len(eyes), CHUNK_EYES):
-        part = eyes[start:start + CHUNK_EYES]
-        batch = prepare_batch(part, max(e.n_visits for e in part), scorer.pixel_mean,
-                              scorer.pixel_std, scorer.cfg.np_dtype)
+    rows, by_bin = [], {}
+    for start, batch in scorer.batches(eyes, [e.n_visits for e in eyes]):
         fp = forward_sequences(scorer.params, scorer.cfg, batch)
-        per_eye = [extract_attention(fp, i) for i in range(len(part))]
+        per_eye = [extract_attention(fp, i) for i in range(len(batch.valid))]
         del fp                            # the chunk's graph dies before the next forward
-        for eye, scores in zip(part, per_eye):
+        for eye, scores in zip(eyes[start:], per_eye):
             j_i = len(scores)
             for k, s in enumerate(scores):
-                rows.append((eye.eye_id, j_i, j_i - 1 - k, float(s)))
-
-    by_bin: dict[int, list] = {}
-    for eye_id, j_i, offset, score in rows:
-        if j_i < 2:
-            continue
-        by_bin.setdefault(min(offset, OFFSET_BIN_START), []).append(score)
+                offset, score = j_i - 1 - k, float(s)
+                rows.append((eye.eye_id, j_i, offset, score))
+                if j_i > 1:
+                    by_bin.setdefault(min(offset, OFFSET_BIN_START), []).append(score)
     labels, medians, counts = [], [], []
     for b in sorted(by_bin):
         labels.append(f"{b}+" if b == OFFSET_BIN_START else str(b))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from longisurv import cli
+from longisurv import cli, diffgraph as dg, trainer
 from longisurv.cli import main
 from longisurv.metrics import DEFAULT_DT_YEARS, DEFAULT_T_YEARS
 from longisurv.model import load_checkpoint, save_checkpoint
@@ -86,9 +86,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
                                       "plot_out_in_missing_dir", "evaluate_out_is_a_file",
-                                      "simulate_out_is_a_file"])
+                                      "simulate_out_is_a_file", "train_out_is_a_file"])
     def test_unreadable_config_or_unwritable_out_is_config_error(self, workspace, report_dir,
-                                                                tmp_path, capsys, case):
+                                                                tmp_path, capsys, monkeypatch,
+                                                                case):
+        # an --out that cannot be written is refused before any training
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("trained"))
         existing = tmp_path / "existing"
         existing.write_text("kept")
         (tmp_path / "latin1.json").write_bytes(b'{"n_patients": 2, "name": "\xe9"}')
@@ -108,6 +111,9 @@ class TestExitCodes:
                 workspace["dataset"], "--bootstrap", "2", "--out", str(existing)]),
             "simulate_out_is_a_file": (str(existing), [
                 "simulate", "--seed", "1", "--patients", "2", "--out", str(existing)]),
+            "train_out_is_a_file": (str(existing), [
+                "train", "--seed", "1", "--dataset", workspace["dataset"],
+                "--config", workspace["train_cfg"], "--out", str(existing)]),
         }[case]
         code = main(args)
         err = capsys.readouterr().err
@@ -134,9 +140,10 @@ class TestExitCodes:
         ("evaluate", ["--dt-years", "0.1"]),                # 0.2 of a 6-month step
         ("evaluate", ["--t-years", "2,2", "--dt-years", "1"]),
         ("compare", ["--t-years", "2", "--dt-years", "1,2,1.0"]),
+        ("evaluate", ["--t-years", "a"]),
     ], ids=["t_years_nan", "dt_years_inf", "at_years_nan", "lr_nan", "t_years_negative",
             "at_years_negative", "dt_years_rounds_to_zero", "t_years_repeated",
-            "dt_years_repeated"])
+            "dt_years_repeated", "t_years_not_a_number"])
     def test_non_finite_number_is_config_error(self, workspace, tmp_path, capsys,
                                                command, flags):
         args = [command, "--seed", "1", "--dataset", workspace["dataset"],
@@ -701,6 +708,33 @@ class TestTrain:
         assert code == 3 and "validation split" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_non_finite_loss_exits_4_with_the_best_checkpoint(self, workspace, tmp_path,
+                                                              capsys, monkeypatch):
+        # the loss turns NaN once epoch 1 has been validated
+        validations, real_scorer, real_loss = [], trainer.ModelScorer, trainer.sequence_loss
+
+        def scorer(*args):
+            validations.append(1)
+            return real_scorer(*args)
+
+        def loss(*args, **kwargs):
+            if validations:
+                return dg.constant(np.array(np.nan)), {"surv": np.nan, "pred": 0.0}
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "ModelScorer", scorer)
+        monkeypatch.setattr(trainer, "sequence_loss", loss)
+        out = tmp_path / "ckpt"
+        code = main(["train", "--seed", "13", "--out", str(out), "--dataset",
+                     workspace["dataset"], "--config", workspace["train_cfg"]])
+        err = capsys.readouterr().err
+        assert code == 4 and "diverged" in err and "Traceback" not in err
+        assert str(out) in err and len(validations) == 1
+        history = (out / "history.tsv").read_text().splitlines()
+        assert [row.split("\t")[0] for row in history[1:]] == ["1"]
+        params, record = load_checkpoint(str(out))
+        assert record["model"]["kind"] == "longitudinal" and params
+
 
 class TestSmokeTiming:
     def test_hundred_patient_train_under_five_minutes(self, tmp_path):
@@ -854,6 +888,29 @@ class TestPlot:
                      "--out", str(tmp_path / "x.svg")])
         assert code == 2
         assert "evaluate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, code, named", [
+        ("report_without_samples", 2, "--samples is required"),
+        ("brier_on_a_compare_report", 2, "no brier samples"),
+        ("curves_without_ckpt", 2, "--curves needs --ckpt"),
+        ("curves_of_an_unknown_eye", 3, "nosuch"),
+    ])
+    def test_incomplete_or_unknown_plot_input_exits_early(self, workspace, report_dir,
+                                                          tmp_path, capsys, case, code,
+                                                          named):
+        report = ["--report", os.path.join(report_dir, "compare.tsv")]
+        samples = ["--samples", os.path.join(report_dir, "samples.tsv")]
+        curves = ["--curves", "--dataset", workspace["dataset"], "--at-years", "2"]
+        out = tmp_path / "x.svg"
+        args = {"report_without_samples": report,
+                "brier_on_a_compare_report": report + samples + ["--metric", "brier"],
+                "curves_without_ckpt": curves + ["--eyes", "nosuch"],
+                "curves_of_an_unknown_eye": curves + ["--ckpt", "oracle", "--eyes", "nosuch"],
+                }[case]
+        assert main(["plot", "--out", str(out)] + args) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_mode_required(self, tmp_path):
         assert main(["plot", "--out", str(tmp_path / "x.svg")]) == 2

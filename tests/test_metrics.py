@@ -16,7 +16,7 @@ from longisurv.metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, concordance_td
                                ReportRow, write_report, write_samples)
 from longisurv.model import (ModelConfig, forward_sequences,
                              forward_single_images, init_params)
-from longisurv.reports import RiskSource
+from longisurv.reports import RiskSource, attention_analysis
 from longisurv.survival import EventOutcome, TimeGrid, hazard_to_survival
 from longisurv.synthcohort import (CohortConfig, EyeRecord, generate_cohort,
                                    pad_and_batch)
@@ -633,16 +633,21 @@ def test_no_chunk_graph_outlives_its_rows(monkeypatch):
     assert len(alive) > 2 and alive == [0] * len(alive)
 
 
-@pytest.mark.parametrize("kind", ["longitudinal", "baseline"])
+@pytest.mark.parametrize("kind", ["longitudinal", "baseline", "attention"])
 def test_scoring_pass_releases_the_gemm_rows(kind):
     """The conv GEMM-row buffer a scoring pass grows is freed when it ends,
-    so it adds nothing to the memory peak of the bootstrap that follows."""
+    so it adds nothing to the memory peak of the bootstrap that follows. The
+    attention analysis scores a longitudinal model through the same pass."""
     cohort_cfg = CohortConfig(n_patients=12, seed=5)
     eyes = generate_cohort(cohort_cfg)
-    cfg_model = ModelConfig(kind=kind, embed_dim=8, n_layers=1, n_heads=2,
-                            j_max=27, step_months=6, image_size=32, conv_widths=(2, 4, 4))
+    cfg_model = ModelConfig(kind="baseline" if kind == "baseline" else "longitudinal",
+                            embed_dim=8, n_layers=1, n_heads=2, j_max=27, step_months=6,
+                            image_size=32, conv_widths=(2, 4, 4))
     record = {"model": cfg_model.to_dict(), "pixel_mean": [0.2], "pixel_std": [0.2]}
-    cells = build_risk_cells(ModelScorer(init_params(cfg_model, seed=0), record), eyes,
-                             cohort_cfg.grid)
-    assert any(cell.n_risk_set for cell in cells.values())
+    scorer = ModelScorer(init_params(cfg_model, seed=0), record)
+    if kind == "attention":
+        assert len(attention_analysis(scorer, eyes).rows) == sum(e.n_visits for e in eyes)
+    else:
+        cells = build_risk_cells(scorer, eyes, cohort_cfg.grid)
+        assert any(cell.n_risk_set for cell in cells.values())
     assert diffgraph._rows_buffer.nbytes == 0

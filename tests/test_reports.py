@@ -282,7 +282,7 @@ class TestAttentionAnalysis:
             return fp
 
         monkeypatch.setattr(reports, "forward_sequences", recording_forward)
-        monkeypatch.setattr(reports, "CHUNK_EYES", 3)
+        monkeypatch.setattr(metrics, "CHUNK_EYES", 3)
         attention_analysis(ModelScorer(params, record), eyes)
         assert len(alive) > 2 and alive == [0] * len(alive)
 
