@@ -344,7 +344,10 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
     ``vjp_w`` rebuilds the rows from ``x``: the transposed gather when no cast
     is due, else one C-ordered copy of the windows of the cast, padded x, the
     operand a mixed ``cols.T @ gmat`` makes. All three GEMMs' rows go to the
-    reused, non-re-entrant ``_gemm_rows``; no output or adjoint shares it."""
+    reused, non-re-entrant ``_gemm_rows``; no output or adjoint shares it.
+    The bias adjoint ``einsum("nchw->c", g)`` has ``g.sum(axis=(0, 2, 3))``'s
+    bytes on a channels-last g, the layout ``avg_pool2``'s vjp writes, in a
+    fraction of its time; on a C-contiguous NCHW g it sums in another order."""
     n, c, h, ww = x.value.shape
     f, cw, kh, kw = w.value.shape
     if cw != c:
@@ -380,7 +383,7 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
     return Node(out, "conv2d", [
         (x, vjp_x),
         (w, vjp_w),
-        (b, lambda g: g.sum(axis=(0, 2, 3))),
+        (b, lambda g: np.einsum("nchw->c", g)),
     ])
 
 

@@ -8,6 +8,8 @@ error between window risks and uncensored event indicators over the risk
 set at t. Confidence intervals come from an eye-level bootstrap on
 counter-based streams, one set of draws per prediction time for all of its
 cells; comparisons from a one-sided Welch t-test, Bonferroni-corrected.
+The Welch P-value is the package's only use of scipy, which it imports when
+it runs, so only ``compare`` loads scipy.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betainc
 
 from . import diffgraph as dg
 from .errors import (ConfigError, DataError, DegenerateConditioningError, EmptyCellError,
@@ -177,6 +178,8 @@ def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000,
 
 def _student_t_sf(t: float, df: float) -> float:
     """P(T > t) for Student's t via the regularized incomplete beta function."""
+    # scipy's only use in the package: import it here, so only a Welch test loads it
+    from scipy.special import betainc
     x = df / (df + t * t)
     p = 0.5 * float(betainc(df / 2.0, 0.5, x))
     return p if t >= 0 else 1.0 - p

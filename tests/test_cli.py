@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -914,3 +916,57 @@ class TestPlot:
 
     def test_mode_required(self, tmp_path):
         assert main(["plot", "--out", str(tmp_path / "x.svg")]) == 2
+
+
+# Runs in a fresh interpreter, since this test process has imported scipy.
+# argv: a scratch directory. Prints the scipy modules loaded after the
+# scipy-free commands, then after compare, as one JSON object.
+_SCIPY_PROBE = r"""
+import json, os, sys
+import numpy as np
+import longisurv
+from longisurv import cli, encoders, model, synthcohort
+
+root = sys.argv[1]
+dataset, ckpt = os.path.join(root, "dataset"), os.path.join(root, "ckpt")
+def run(*argv):
+    code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited {code}")
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+run("simulate", "--seed", "13", "--patients", "20", "--out", dataset)
+eyes, cfg = synthcohort.load_dataset(dataset)
+train_eyes = synthcohort.split_patients(eyes, seed=13)[0]
+px_mean, px_std = encoders.pixel_stats(np.concatenate([e.images for e in train_eyes]))
+mcfg = model.ModelConfig(kind=model.KIND_LONGITUDINAL, dtype="float32", embed_dim=8,
+                         n_layers=1, n_heads=2, conv_widths=(2, 4, 4), j_max=cfg.j_max,
+                         step_months=cfg.step_months, image_size=cfg.image_size,
+                         image_channels=cfg.image_channels)
+model.save_checkpoint(ckpt, model.init_params(mcfg, seed=13),
+                      {"model": mcfg.to_dict(), "pixel_mean": px_mean, "pixel_std": px_std,
+                       "l_max": max(e.n_visits for e in eyes), "seed": 13})
+common = ["--dataset", dataset, "--split", "all", "--seed", "3"]
+run("evaluate", "--ckpt", "oracle", "--bootstrap", "20", "--out",
+    os.path.join(root, "ev"), *common)
+run("plot", "--report", os.path.join(root, "ev", "report.tsv"), "--samples",
+    os.path.join(root, "ev", "samples.tsv"), "--out", os.path.join(root, "fig.svg"))
+run("attention", "--ckpt", ckpt, "--out", os.path.join(root, "att"), *common)
+before = loaded()
+run("compare", "--ckpt-a", "oracle", "--ckpt-b", "random", "--bootstrap", "20",
+    "--out", os.path.join(root, "cmp"), *common)
+print(json.dumps({"before_compare": before, "after_compare": loaded()}))
+"""
+
+
+def test_only_the_welch_test_imports_scipy(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout.splitlines()[-1])
+    assert modules["before_compare"] == []
+    assert "scipy.special" in modules["after_compare"]
+    assert (tmp_path / "cmp" / "compare.tsv").is_file()

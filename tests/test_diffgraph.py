@@ -331,9 +331,11 @@ class TestChannelsLastIsByteIdentical:
     """conv2d, avg_pool2 and relu give the NCHW forms' bytes in any layout.
 
     Adjoints are float64 on float32 values, as in training. The bias
-    adjoint sums in memory order, so channels-last memory rounds it
-    differently; it is pinned at 1e-13 of the summed magnitudes, near
-    float64 resolution and far below float32's, which the optimizer keeps.
+    adjoint sums in memory order, not the reference's pairwise NCHW order,
+    so it rounds differently; it is pinned at 1e-13 of the summed
+    magnitudes, near float64 resolution and far below float32's, which the
+    optimizer keeps. ``test_bias_adjoint_sums_the_pooled_adjoint_in_reduction_order``
+    pins its bytes on the layout training hands it.
     """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -468,6 +470,25 @@ def test_conv2d_adds_its_bias_in_place():
         tracemalloc.stop()
     # a separate bias sum would hold the GEMM output and the sum at once
     assert out.value.nbytes <= peak < 2 * out.value.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [17, 190])
+@pytest.mark.parametrize("c, f, side", [(1, 8, 32), (8, 16, 16), (16, 32, 8)])
+def test_bias_adjoint_sums_the_pooled_adjoint_in_reduction_order(dtype, n, c, f, side):
+    # each encoder block's shape; the pooled values are weighted over six
+    # decades before the sum, so a sum in any other order rounds differently
+    rng = np.random.default_rng(n + f)
+    x = dg.constant(rng.normal(size=(n, c, side, side)).astype(dtype))
+    w = dg.param(rng.normal(size=(f, c, 3, 3)).astype(dtype), "w")
+    b = dg.param(rng.normal(size=f).astype(dtype), "b")
+    pooled = dg.avg_pool2(dg.conv2d(x, w, b))
+    weights = (rng.normal(size=pooled.shape)
+               * 10.0 ** rng.uniform(-3, 3, size=pooled.shape)).astype(dtype)
+    dg.backward(dg.sum_all(dg.mul(pooled, dg.constant(weights))))
+    g = pooled._vjps[0][1](weights)         # the adjoint avg_pool2 hands conv2d
+    assert g.transpose(0, 2, 3, 1).flags.c_contiguous
+    _same_bytes(b.adjoint, g.sum(axis=(0, 2, 3)))
 
 
 def test_encoder_block_keeps_no_mask_or_rectified_copy():
