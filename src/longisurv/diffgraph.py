@@ -164,8 +164,8 @@ def relu(x: Node) -> Node:
 
 def sigmoid(x: Node) -> Node:
     v = x.value
-    out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                   np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    e = np.exp(-np.abs(v))
+    out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return Node(out, "sigmoid", [(x, lambda g: g * out * (1.0 - out))])
 
 

@@ -66,6 +66,8 @@ def _score_rows(sources: list[RiskSource], eyes, grid, t_years, dt_years,
     its risk set, so one set of draws per time scores all of its rows. A
     value undefined on a draw is redrawn alone, so each row's samples are
     those of its own bootstrap; a row with no defined draw has no CI."""
+    if n_bootstrap < 2:              # refused even when no cell would reach the bootstrap
+        raise ConfigError("bootstrap needs at least 2 samples")
     per_source = [s.cells(eyes, grid, t_years, dt_years) for s in sources]
     rows = []
     for t in t_years:

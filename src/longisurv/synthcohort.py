@@ -112,7 +112,7 @@ class EyeRecord:
     visit_months: np.ndarray                  # strictly increasing, on the grid
     images: np.ndarray | None                 # (J, C, H, W) float32 in [0, 1]
     outcome: EventOutcome
-    # hidden ground truth, consumed only by oracles and summaries
+    # hidden truth: OracleScorer reads true_hazard; drift and severities are only stored
     drift: float = 0.0
     severities: np.ndarray = field(default_factory=lambda: np.zeros(0))
     true_hazard: np.ndarray = field(default_factory=lambda: np.zeros(0))

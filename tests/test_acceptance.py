@@ -3,7 +3,10 @@
 Run with `pytest tests/test_acceptance.py -v -s`. The directional-replication
 fixture trains both model kinds end-to-end on the default ~1,000-patient
 synthetic cohort and is shared by the criteria that need trained weights;
-the whole suite fits the stated runtime budget on a laptop CPU.
+the whole suite fits the stated runtime budget on a laptop CPU. The fixture
+and criterion 1's cell judgement are `replicate/protocol.py`'s `run` and
+`judge`, the same code that `python replicate/protocol.py --seed N` runs on
+any seed.
 """
 import json
 import math
@@ -20,23 +23,18 @@ from longisurv.encoders import standardize
 from longisurv.errors import EmptyCellError
 from longisurv.losses import (LossConfig, sequence_loss, shifted_targets,
                               survival_loss)
-from longisurv.metrics import (bonferroni, brier_td, concordance_td, stars,
-                               welch_one_sided)
+from longisurv.metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, ModelScorer,
+                               OracleScorer, bonferroni, brier_td, build_risk_cells,
+                               concordance_td, stars, welch_one_sided)
 from longisurv.model import (ModelConfig, SequenceBatch, forward_sequences,
                              init_params)
-from longisurv.reports import (RiskSource, attention_analysis, compare_sources,
-                               source_from_token)
-from longisurv.metrics import ModelScorer, OracleScorer, build_risk_cells
+from longisurv.reports import attention_analysis
 from longisurv.survival import EventOutcome
 from longisurv.synthcohort import (EYES_NAME, CohortConfig, EyeAnatomy, generate_cohort,
-                                   render_image, split_patients, summary_stats,
-                                   stream)
-from longisurv.trainer import TrainConfig, train
+                                   render_image, summary_stats, stream)
+from replicate import protocol
 
 ACCEPT_SEED = 2024
-DESK_COHORT = CohortConfig(n_patients=1000, seed=ACCEPT_SEED)
-T_GRID = (1.0, 2.0, 3.0, 5.0, 8.0)
-DT_GRID = (1.0, 2.0, 5.0, 8.0)
 
 
 def report(number: int, name: str) -> None:
@@ -46,56 +44,20 @@ def report(number: int, name: str) -> None:
 @pytest.fixture(scope="session")
 def pipeline():
     """Simulate, train both kinds, compare on the test split; timed end to end."""
-    t_start = time.time()
-    eyes = generate_cohort(DESK_COHORT)
-    train_eyes, val_eyes, test_eyes = split_patients(eyes, seed=ACCEPT_SEED)
-    ltsa = train(train_eyes, val_eyes,
-                 ModelConfig(kind="longitudinal", dtype="float32"),
-                 TrainConfig(seed=ACCEPT_SEED, lr=5e-4))
-    base = train(train_eyes, val_eyes,
-                 ModelConfig(kind="baseline", dtype="float32"),
-                 TrainConfig(seed=ACCEPT_SEED, lr=1e-3))
-    src_l = RiskSource(name="longitudinal",
-                       scorer=ModelScorer(ltsa.params, ltsa.record))
-    src_b = RiskSource(name="baseline",
-                       scorer=ModelScorer(base.params, base.record))
-    rows = compare_sources(src_l, src_b, test_eyes, DESK_COHORT.grid,
-                           t_years=T_GRID, dt_years=DT_GRID,
-                           n_bootstrap=1000, seed=ACCEPT_SEED)
-    elapsed = time.time() - t_start
-    return {"eyes": eyes, "test_eyes": test_eyes, "ltsa": ltsa, "base": base,
-            "rows": rows, "elapsed": elapsed, "src_l": src_l}
+    return protocol.run(ACCEPT_SEED)
 
 
 @pytest.mark.slow
 def test_01_directional_replication(pipeline):
-    rows = pipeline["rows"]
-    by_cell = {}
-    for r in rows:
-        by_cell.setdefault((r.t_years, r.dt_years), {})[r.model] = r
-    late_cells = [(t, dt) for t in T_GRID for dt in DT_GRID if t >= 2.0]
+    cells = protocol.judge(pipeline["rows"], pipeline["test_eyes"],
+                           pipeline["cohort"].grid)
+    late_cells = [(c["t"], c["dt"]) for c in cells]
     assert len(late_cells) == 16
-    # anchors: uncensored events inside the window, the pairs' left ends
-    truth = build_risk_cells(OracleScorer(), pipeline["test_eyes"],
-                             DESK_COHORT.grid, t_years=T_GRID, dt_years=DT_GRID)
     # judge the whole grid before failing, so a failure lists every bad cell
-    lines, empty, behind, n_significant = [], [], [], 0
-    for cell in late_cells:
-        lt, bs = by_cell[cell]["longitudinal"], by_cell[cell]["baseline"]
-        anchors = truth[cell].n_anchors
-        if lt.boot_mean is None or bs.boot_mean is None:
-            empty.append(cell)
-            lines.append(f"  {cell}: empty, {anchors} anchors")
-            continue
-        if lt.boot_mean <= bs.boot_mean:
-            behind.append(cell)
-        significant = lt.p_adjusted is not None and lt.p_adjusted <= 0.05
-        n_significant += significant
-        p_text = "NA" if lt.p_adjusted is None else f"{lt.p_adjusted:.2e}"
-        lines.append(f"  {cell}: longitudinal {lt.boot_mean:.4f} baseline "
-                     f"{bs.boot_mean:.4f} P_adj {p_text} anchors {anchors}"
-                     f"{'' if cell not in behind else '  <- not ahead'}")
-    grid_text = "\n".join(lines)
+    empty = [cell for cell, c in zip(late_cells, cells) if c["verdict"] == "empty"]
+    behind = [cell for cell, c in zip(late_cells, cells) if c["verdict"] == "behind"]
+    n_significant = sum(c["significant"] for c in cells)
+    grid_text = "\n".join(protocol.cell_line(c) for c in cells)
     print(f"\n{grid_text}")
     problems = []
     if empty:
@@ -114,10 +76,10 @@ def test_01_directional_replication(pipeline):
 @pytest.mark.slow
 def test_02_oracle_sandwich(pipeline):
     test_eyes = pipeline["test_eyes"]
-    grid = DESK_COHORT.grid
-    oracle_cells = build_risk_cells(OracleScorer(), test_eyes, grid,
-                                    t_years=T_GRID, dt_years=DT_GRID)
-    ltsa_cells = pipeline["src_l"].cells(test_eyes, grid, T_GRID, DT_GRID)
+    grid = pipeline["cohort"].grid
+    oracle_cells = build_risk_cells(OracleScorer(), test_eyes, grid)
+    ltsa_cells = pipeline["src_l"].cells(test_eyes, grid, DEFAULT_T_YEARS,
+                                         DEFAULT_DT_YEARS)
     checked = 0
     for key, oc in oracle_cells.items():
         lc = ltsa_cells[key]
@@ -349,8 +311,9 @@ def test_08_attention_analysis(pipeline):
 
     # trained encoder separates severities (embedding norms differ)
     cfg = ModelConfig.from_dict(ltsa.record["model"])
-    anatomy = EyeAnatomy(stream(1234, 3, 0, 0), DESK_COHORT)
-    imgs = np.stack([render_image(anatomy, s, DESK_COHORT)
+    cohort = pipeline["cohort"]
+    anatomy = EyeAnatomy(stream(1234, 3, 0, 0), cohort)
+    imgs = np.stack([render_image(anatomy, s, cohort)
                      for s in (1.0, 7.0)])
     imgs = standardize(imgs, ltsa.record["pixel_mean"],
                        ltsa.record["pixel_std"]).astype(np.float32)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from longisurv import cli, diffgraph as dg, trainer
+from longisurv import cli, diffgraph as dg, reports, trainer
 from longisurv.cli import main
 from longisurv.metrics import DEFAULT_DT_YEARS, DEFAULT_T_YEARS
 from longisurv.model import load_checkpoint, save_checkpoint
@@ -163,6 +163,23 @@ class TestExitCodes:
         assert code == 2 and "Traceback" not in err
         if command in ("evaluate", "compare"):
             assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("evaluate", ["--ckpt", "oracle", "--bootstrap", "-3", "--t-years", "14"]),
+        ("compare", ["--ckpt-a", "oracle", "--ckpt-b", "random", "--bootstrap", "1"]),
+    ], ids=["evaluate_negative_past_the_grid", "compare_one"])
+    def test_bootstrap_below_two_is_config_error(self, workspace, tmp_path, capsys,
+                                                 monkeypatch, command, flags):
+        # refused before any cell is scored, also where no cell would reach a draw
+        monkeypatch.setattr(reports, "build_risk_cells",
+                            lambda *a, **kw: pytest.fail("scored"))
+        out = tmp_path / "out"
+        code = main([command, "--seed", "1", "--dataset", workspace["dataset"],
+                     "--out", str(out)] + flags)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "bootstrap needs at least 2 samples" in err
+        assert not out.exists()
 
     def test_unknown_config_section_is_config_error(self, workspace, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json",

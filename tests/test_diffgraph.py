@@ -491,6 +491,19 @@ def test_bias_adjoint_sums_the_pooled_adjoint_in_reduction_order(dtype, n, c, f,
     _same_bytes(b.adjoint, g.sum(axis=(0, 2, 3)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_has_the_bytes_of_the_three_exp_expression(dtype):
+    # the stable branch's exp(-|v|) is evaluated once; the values span the
+    # range where exp(v) overflows, signed zeros and infinities
+    rng = np.random.default_rng(165)
+    v = np.concatenate([rng.normal(scale=10.0, size=50_000),
+                        rng.uniform(-1000.0, 1000.0, size=50_000),
+                        [0.0, -0.0, np.inf, -np.inf, 88.8, -88.8, 710.0, -710.0]]).astype(dtype)
+    want = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                    np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    _same_bytes(dg.sigmoid(dg.constant(v)).value, want)
+
+
 def test_encoder_block_keeps_no_mask_or_rectified_copy():
     # a forward-only encoder block keeps its conv output and its pooled
     # output: one rectify-and-pool node, no relu copy and no mask
