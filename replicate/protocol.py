@@ -19,7 +19,7 @@ import sys
 import time
 from collections import Counter
 
-from longisurv.metrics import ModelScorer, OracleScorer, build_risk_cells
+from longisurv.metrics import ModelScorer, build_risk_cells
 from longisurv.model import ModelConfig
 from longisurv.reports import RiskSource, compare_sources
 from longisurv.synthcohort import CohortConfig, generate_cohort, split_patients
@@ -54,8 +54,8 @@ def judge(rows, eyes, grid) -> list[dict]:
     """One record per t >= LATE_T cell of ``compare_sources``' rows (LTSA then
     baseline per cell). A cell is empty when either mean is undefined, else
     ahead or behind; a non-empty cell has its P_adj, since ``compare_sources``
-    tests every cell with samples. Anchors come from the oracle's cells on ``eyes``."""
-    truth = build_risk_cells(OracleScorer(), eyes, grid)
+    tests every cell with samples. Anchors come from the outcomes of ``eyes`` alone."""
+    truth = build_risk_cells(None, eyes, grid)
     cells = []
     for lt, bs in zip(rows[::2], rows[1::2]):
         if lt.t_years < LATE_T:

@@ -27,8 +27,6 @@ from .synthcohort import (CohortConfig, generate_cohort, load_dataset,
                           save_dataset, split_patients, summary_stats)
 from .trainer import TrainConfig, train, write_history
 
-log = logging.getLogger(__name__)
-
 # the model settings its dataset fixes: the time grid and the image shape
 DATASET_KEYS = ("step_months", "j_max", "image_size", "image_channels")
 COHORT_PRESETS = {
@@ -357,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attention)
 
     p = sub.add_parser("plot", help="emit a standalone SVG figure")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    add_common(p, seed_required=False)
     p.add_argument("--report", help="report.tsv from evaluate/compare")
     p.add_argument("--samples", help="samples.tsv matching --report")
     p.add_argument("--metric", default="concordance",

@@ -20,9 +20,9 @@ into the same operand numpy's implicit mixed ``@`` makes, so no byte changes.
 ``conv2d``'s weight vjp rebuilds its rows from the input, in the adjoint's
 dtype. All GEMM rows live in one reused buffer (``_gemm_rows``), which is not
 re-entrant and lives until ``release_gemm_rows``. ``backward`` keeps adjoints
-only on leaves (params); ``gradients`` reads them out by name.
-
-No broadcasting beyond what the model needs, no higher-order derivatives.
+only on leaves (params); ``gradients`` reads them out by name. A broadcasting
+primitive's ``ShapeError`` is numpy's own broadcast error, renamed for the op.
+No higher-order derivatives.
 """
 from __future__ import annotations
 
@@ -112,18 +112,11 @@ def _cast(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return a if a.dtype == dt else a.astype(dt, order="C")
 
 
-def _binary_shapes_ok(a: np.ndarray, b: np.ndarray) -> bool:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-        return True
-    except ValueError:
-        return False
-
-
 def add(a: Node, b: Node) -> Node:
-    if not _binary_shapes_ok(a.value, b.value):
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
-    out = a.value + b.value
+    try:
+        out = a.value + b.value
+    except ValueError:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
     return Node(out, "add", [
         (a, lambda g: _unbroadcast(g, a.value.shape)),
         (b, lambda g: _unbroadcast(g, b.value.shape)),
@@ -131,9 +124,10 @@ def add(a: Node, b: Node) -> Node:
 
 
 def mul(a: Node, b: Node) -> Node:
-    if not _binary_shapes_ok(a.value, b.value):
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-    out = a.value * b.value
+    try:
+        out = a.value * b.value
+    except ValueError:
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
     return Node(out, "mul", [
         (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
         (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
@@ -221,10 +215,11 @@ def masked_softmax(scores: Node, additive_mask: np.ndarray) -> Node:
     to the output and receive exactly 0 gradient; fully-masked rows yield
     all-zero rows.
     """
-    if not _binary_shapes_ok(scores.value, additive_mask):
-        raise ShapeError(
-            f"masked_softmax: mask {additive_mask.shape} does not broadcast to {scores.shape}")
-    z = scores.value + additive_mask
+    try:
+        z = scores.value + additive_mask
+    except ValueError:
+        raise ShapeError(f"masked_softmax: mask {additive_mask.shape} does not broadcast"
+                         f" to {scores.shape}") from None
     valid = np.broadcast_to(additive_mask > _MASKED_BELOW, z.shape)
     zmax = np.where(valid, z, -np.inf).max(axis=-1, keepdims=True)
     zmax = np.where(np.isfinite(zmax), zmax, 0.0)

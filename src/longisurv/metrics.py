@@ -52,7 +52,7 @@ def concordance_td(risks: np.ndarray, event_steps: np.ndarray,
     anchor. Ties in risk contribute 0.5. Raises EmptyCellError when no
     comparable pair exists (distinct from a concordance of 0).
     """
-    return table_concordance(*pair_table(risks, event_steps, censored, horizon_step))
+    return RiskCell(risks, event_steps, censored, horizon_step).concordance()
 
 
 def event_in_window(event_steps, censored, horizon_step: int) -> np.ndarray:
@@ -70,16 +70,6 @@ def pair_table(risks: np.ndarray, event_steps: np.ndarray, censored: np.ndarray,
     comparable = event_steps > event_steps[anchors][:, None]
     r_a = risks[anchors][:, None]
     return anchors, np.stack([comparable, comparable * ((r_a > risks) + 0.5 * (r_a == risks))])
-
-
-def table_concordance(anchors: np.ndarray, table: np.ndarray) -> float:
-    """The concordance of one ``pair_table``; EmptyCellError without a comparable pair."""
-    if len(anchors) == 0:
-        raise EmptyCellError("no uncensored event inside the horizon")
-    c = pair_concordance([(anchors, table)])(np.ones(table.shape[-1]))[0]
-    if np.isnan(c):
-        raise EmptyCellError("no comparable pairs")
-    return float(c)
 
 
 def pair_concordance(tables: list):
@@ -318,7 +308,14 @@ class RiskCell:
         return int(self.pairs[1][0].sum())
 
     def concordance(self) -> float:
-        return table_concordance(*self.pairs)
+        """The concordance of ``pairs``; EmptyCellError without a comparable pair."""
+        anchors, table = self.pairs
+        if len(anchors) == 0:
+            raise EmptyCellError("no uncensored event inside the horizon")
+        c = pair_concordance([self.pairs])(np.ones(table.shape[-1]))[0]
+        if np.isnan(c):
+            raise EmptyCellError("no comparable pairs")
+        return float(c)
 
     def brier(self, idx=slice(None)) -> float:
         return brier_td(self.risks[idx], self.event_steps[idx], self.censored[idx],

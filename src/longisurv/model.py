@@ -72,12 +72,13 @@ class ModelConfig(JsonConfig):
 
 @dataclass
 class ForwardPass:
-    """Forward results plus the graph nodes losses need; positions end at the longest sequence."""
+    """Forward results plus the graph nodes losses need; positions end at the longest
+    sequence. A baseline pass sets only the hazards, their node and the leaves."""
 
     hazards: np.ndarray                 # (B, l, J)
-    step_ahead: np.ndarray | None       # (B, l, d)
-    attention: list                     # per layer (B, heads, l, l)
-    valid: np.ndarray                   # (B, l)
+    step_ahead: np.ndarray = None       # (B, l, d)
+    attention: list = None              # per layer (B, heads, l, l)
+    valid: np.ndarray = None            # (B, l)
     node_hazards: dg.Node = None        # (B, l, J)
     node_step: dg.Node = None           # (B, l, d)
     node_eimg: dg.Node = None           # (B, l, d)
@@ -230,9 +231,7 @@ def forward_single_images(params: dict, cfg: ModelConfig, images: np.ndarray,
     e = encode_images(dg.constant(np.asarray(images, dtype=dt)), leaves)
     hz = dg.sigmoid(dg.matmul(dg.dropout(e, cfg.dropout, rng, train),
                               leaves["head.surv.w"]) + leaves["head.surv.b"])
-    return ForwardPass(hazards=hz.value, step_ahead=None, attention=[],
-                       valid=np.ones((images.shape[0], 1), dtype=bool),
-                       node_hazards=hz, leaves=leaves)
+    return ForwardPass(hazards=hz.value, node_hazards=hz, leaves=leaves)
 
 
 def extract_attention(fp: ForwardPass, eye_index: int) -> np.ndarray:

@@ -10,7 +10,6 @@ model checkpoints.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ from .metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, ModelScorer, OracleScor
 from .model import KIND_LONGITUDINAL, extract_attention, forward_sequences, load_checkpoint
 from .survival import TimeGrid
 from .synthcohort import EyeRecord, stream
-
-log = logging.getLogger(__name__)
 
 SPECIAL_SOURCES = ("oracle", "anti-oracle", "random")
 
@@ -68,6 +65,10 @@ def _score_rows(sources: list[RiskSource], eyes, grid, t_years, dt_years,
     those of its own bootstrap; a row with no defined draw has no CI."""
     if n_bootstrap < 2:              # refused even when no cell would reach the bootstrap
         raise ConfigError("bootstrap needs at least 2 samples")
+    past = [f"{t:g}" for t in t_years if grid.time_to_step(t) >= grid.j_max]
+    if past:
+        raise ConfigError(f"t-years {', '.join(past)} at or past the grid's last year, "
+                          f"{grid.step_to_years(grid.j_max):g}: no eye is at risk")
     per_source = [s.cells(eyes, grid, t_years, dt_years) for s in sources]
     rows = []
     for t in t_years:

@@ -41,10 +41,19 @@ class Canvas:
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.50"{extra}/>')
 
-    def text(self, x, y, s, size=11, anchor="middle", color="#222222"):
+    def text(self, x, y, s, size=11, anchor="middle", color="#222222", vertical=False):
+        turn = f'transform="rotate(-90 {x:g} {_f(y)})" ' if vertical else ""
         self.parts.append(
-            f'<text x="{_f(x)}" y="{_f(y)}" font-size="{size}" {_FONT} '
+            f'<text {turn}x="{_f(x)}" y="{_f(y)}" font-size="{size}" {_FONT} '
             f'text-anchor="{anchor}" fill="{color}">{s}</text>')
+
+    def axes(self, left, top, right, bottom, y_ticks, y_of):
+        """The y and x axis lines, then a tick mark and a one-decimal label per y tick."""
+        self.line(left, top, left, bottom)
+        self.line(left, bottom, right, bottom)
+        for tick in y_ticks:
+            self.line(left - 4, y_of(tick), left, y_of(tick))
+            self.text(left - 8, y_of(tick) + 4, f"{tick:.1f}", anchor="end")
 
     def render(self) -> str:
         body = "\n".join(self.parts)
@@ -104,14 +113,9 @@ def grid_box_figure(groups: dict, significance: dict | None = None,
     def y_of(v):
         return margin_t + plot_h * (1.0 - (v - y_min) / (y_max - y_min))
 
-    canvas.line(margin_l, margin_t, margin_l, margin_t + plot_h)
-    canvas.line(margin_l, margin_t + plot_h, width - margin_r, margin_t + plot_h)
-    for tick in np.arange(np.ceil(y_min * 10) / 10 + 0.0, y_max + 1e-9, 0.1):   # no "-0.0"
-        canvas.line(margin_l - 4, y_of(tick), margin_l, y_of(tick))
-        canvas.text(margin_l - 8, y_of(tick) + 4, f"{tick:.1f}", anchor="end")
-    canvas.text(14, margin_t + plot_h / 2, ylabel, anchor="middle")
-    canvas.parts[-1] = canvas.parts[-1].replace(
-        "<text ", f'<text transform="rotate(-90 14 {_f(margin_t + plot_h / 2)})" ', 1)
+    ticks = np.arange(np.ceil(y_min * 10) / 10 + 0.0, y_max + 1e-9, 0.1)   # no "-0.0"
+    canvas.axes(margin_l, margin_t, width - margin_r, margin_t + plot_h, ticks, y_of)
+    canvas.text(14, margin_t + plot_h / 2, ylabel, vertical=True)
 
     for ci, key in enumerate(cell_keys):
         x0 = margin_l + ci * cell_w + 9
@@ -153,18 +157,13 @@ def survival_curves_figure(curves: dict, step_years: float) -> str:
     def y_of(v):
         return margin_t + plot_h * (1.0 - v)
 
-    canvas.line(margin_l, margin_t, margin_l, margin_t + plot_h)
-    canvas.line(margin_l, margin_t + plot_h, margin_l + plot_w, margin_t + plot_h)
-    for tick in np.arange(0.0, 1.01, 0.2):
-        canvas.line(margin_l - 4, y_of(tick), margin_l, y_of(tick))
-        canvas.text(margin_l - 8, y_of(tick) + 4, f"{tick:.1f}", anchor="end")
+    canvas.axes(margin_l, margin_t, margin_l + plot_w, margin_t + plot_h,
+                np.arange(0.0, 1.01, 0.2), y_of)
     for tick in range(0, int(x_max) + 1, 2):
         canvas.line(x_of(tick), margin_t + plot_h, x_of(tick), margin_t + plot_h + 4)
         canvas.text(x_of(tick), margin_t + plot_h + 16, str(tick))
     canvas.text(margin_l + plot_w / 2, height - 28, "years since enrollment")
-    canvas.text(14, margin_t + plot_h / 2, "survival probability")
-    canvas.parts[-1] = canvas.parts[-1].replace(
-        "<text ", f'<text transform="rotate(-90 14 {_f(margin_t + plot_h / 2)})" ', 1)
+    canvas.text(14, margin_t + plot_h / 2, "survival probability", vertical=True)
 
     for i, (label, s) in enumerate(curves.items()):
         color = MODEL_COLORS[i % len(MODEL_COLORS)]

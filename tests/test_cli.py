@@ -181,6 +181,21 @@ class TestExitCodes:
         assert "bootstrap needs at least 2 samples" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags, code", [
+        ("evaluate", ["--ckpt", "oracle", "--t-years", "14,30"], 2),
+        ("compare", ["--ckpt-a", "oracle", "--ckpt-b", "random", "--t-years", "13.5"], 2),
+        ("evaluate", ["--ckpt", "oracle", "--t-years", "13"], 0),     # step 26 of 27
+    ], ids=["evaluate_past_the_grid", "compare_at_the_grid_end", "evaluate_last_step"])
+    def test_time_past_the_grid_is_config_error(self, workspace, tmp_path, capsys,
+                                                command, flags, code):
+        out = tmp_path / "out"
+        assert main([command, "--seed", "1", "--dataset", workspace["dataset"], "--split",
+                     "all", "--bootstrap", "4", "--out", str(out)] + flags) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and out.exists() == (code == 0)
+        if code:
+            assert "at or past the grid's last year, 13.5" in err
+
     def test_unknown_config_section_is_config_error(self, workspace, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json",
                          {"modle": {"embed_dim": 8}, "train": {"max_epochs": 1}})

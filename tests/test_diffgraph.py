@@ -82,6 +82,10 @@ class TestBackwardBasics:
             dg.matmul(a, b)
         with pytest.raises(ShapeError, match="add"):
             dg.add(dg.constant(np.ones((2, 3))), dg.constant(np.ones((4,))))
+        with pytest.raises(ShapeError, match="mul"):
+            dg.mul(dg.constant(np.ones((2, 3))), dg.constant(np.ones((4,))))
+        with pytest.raises(ShapeError, match="masked_softmax"):
+            dg.masked_softmax(dg.constant(np.ones((2, 3, 3))), np.zeros((4, 3)))
 
     def test_fanout_accumulates(self):
         x = dg.param(np.array(2.0), "x")

@@ -176,15 +176,14 @@ class TestSources:
             assert r.estimate is not None and r.ci_lo <= r.boot_mean <= r.ci_hi
             assert len(r.samples) == 20
 
-    def test_time_past_the_grid_has_no_estimate(self, cohort):
-        """14 years is past the 6-month grid's 13.5: no eye is at risk."""
+    def test_time_past_the_grid_has_no_estimate(self, cohort, monkeypatch):
+        """14 years is past the 6-month grid's 13.5: no eye is at risk, so the
+        time is refused before any cell is built."""
         eyes, cfg = cohort
-        rows = evaluate_source(source_from_token("oracle"), eyes, cfg.grid,
-                               t_years=(14.0,), n_bootstrap=20, seed=1)
-        assert len(rows) == 2 * len(DEFAULT_DT_YEARS)
-        for r in rows:
-            assert r.n_risk_set == r.n_pairs == 0 and r.significance == "NA"
-            assert r.estimate is None and r.boot_mean is None and r.samples is None
+        monkeypatch.setattr(reports, "build_risk_cells", lambda *a, **kw: pytest.fail("built"))
+        with pytest.raises(ConfigError, match=r"t-years 14 at or past .* 13\.5"):
+            evaluate_source(source_from_token("oracle"), eyes, cfg.grid,
+                            t_years=(1.0, 14.0), n_bootstrap=20, seed=1)
 
 
 def test_one_pair_table_per_cell_and_source(cohort, monkeypatch):

@@ -1,9 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from longisurv.errors import ConfigError
-from longisurv.svgplot import (Canvas, five_number, grid_box_figure,
+from longisurv.svgplot import (MODEL_COLORS, Canvas, five_number, grid_box_figure,
                                survival_curves_figure)
+
+
+def _spread(lo, hi, n, stride):
+    """n exactly representable samples in [lo, hi), shuffled by a stride."""
+    return lo + (hi - lo) * ((np.arange(n) * stride) % n) / n
 
 
 class TestFiveNumber:
@@ -84,3 +91,31 @@ class TestFigures:
     def test_survival_curves_empty_rejected(self):
         with pytest.raises(ConfigError):
             survival_curves_figure({}, step_years=0.5)
+
+
+class TestFigureBytes:
+    """sha256 pins of whole figures, so that a drawing refactor keeps every byte."""
+
+    @pytest.mark.parametrize("ylabel, lo, hi, digest", [
+        ("time-dependent concordance", 0.55, 0.95,
+         "f0d3ebad3278dd6d79798e92c1f27bd01090c13f1d59ab2aa44bdec24f5e22d7"),
+        # Brier samples near 0 put the axis floor below 0
+        ("time-dependent brier", 0.0, 0.2,
+         "1e4814ac12141a264ccc1ef761716a99c8f68de02592b01abb52e82361b5dd42"),
+    ], ids=["concordance", "brier"])
+    def test_grid_box_bytes(self, ylabel, lo, hi, digest):
+        groups = {(m, c): _spread(lo + 0.05 * k, hi - 0.02 * j, 40, 7 + 2 * k)
+                  for k, m in enumerate(["baseline", "longitudinal"])
+                  for j, c in enumerate([(1.0, 1.0), (1.0, 2.0), (3.0, 5.0)])}
+        svg = grid_box_figure(groups, {(1.0, 2.0): "***"}, ylabel=ylabel)
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    def test_survival_curves_bytes(self):
+        """One curve more than ``MODEL_COLORS``: the last one is dashed."""
+        n = len(MODEL_COLORS) + 1
+        curves = {f"m{i % 2}: eye{i}": np.linspace(1.0, 0.3 + 0.1 * i, 27)[1:]
+                  for i in range(n)}
+        svg = survival_curves_figure(curves, step_years=0.5)
+        assert svg.count('stroke-dasharray="6,4"') == 1
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "a4d457a07658c45f2114a4baf5d36dca944b45b2a3a0c4495f2d2c298518e4f9")
