@@ -7,7 +7,10 @@ not), and risk ties count half. The Brier score B(t, dt) is a mean squared
 error between window risks and uncensored event indicators over the risk
 set at t. Confidence intervals come from an eye-level bootstrap on
 counter-based streams, one set of draws per prediction time for all of its
-cells; comparisons from a one-sided Welch t-test, Bonferroni-corrected.
+cells. Draws are scored a block at a time (a matrix of unit multiplicities
+for every concordance, a row mean of per-eye Brier terms for every Brier),
+redraws one draw at a time; both give the bytes of scoring each draw alone.
+Comparisons come from a one-sided Welch t-test, Bonferroni-corrected.
 The Welch P-value is the package's only use of scipy, which it imports when
 it runs, so only ``compare`` loads scipy.
 """
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from .errors import (ConfigError, DataError, DegenerateConditioningError, EmptyCellError,
-                     write_table)
+                     _field, write_table)
 from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images)
 from .encoders import prepare_batch
@@ -35,6 +38,7 @@ DEFAULT_DT_YEARS = (1.0, 2.0, 5.0, 8.0)
 BONFERRONI_M = 40        # family size the correction assumes: two 20-cell grids
 CHUNK_EYES = 64          # eyes per forward pass when scoring
 MAX_REDRAWS = 100        # bootstrap attempts per sample before a value is undefined
+BOOT_BLOCK = 128         # bootstrap first attempts drawn and scored together
 
 STAR_LEVELS = ((1e-4, "****"), (1e-3, "***"), (1e-2, "**"), (5e-2, "*"))
 
@@ -118,7 +122,7 @@ class BootstrapResult:
 
 
 def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000,
-                 seed: int = 0) -> BootstrapResult:
+                 seed: int = 0, *, by_block: bool = False) -> BootstrapResult:
     """Percentile bootstrap of ``statistic`` over resampled unit indices.
 
     The statistic receives an index array of length ``n_units`` drawn with
@@ -131,28 +135,32 @@ def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000,
     ``MAX_REDRAWS``, as in a scalar run of it; a value with none gets NaN
     mean, bounds and samples, and EmptyCellError once all have none.
     ``n_redraws`` counts the extra draws, the tally logged.
+    First attempts go to the statistic ``BOOT_BLOCK`` draws at a time, one
+    draw per call unless ``by_block``: then it takes a (draws, n_units) index
+    block and returns a row of values per draw. Redraws go one at a time.
     """
     if n_samples < 2:
         raise ConfigError("bootstrap needs at least 2 samples")
     if n_units < 1:
         raise EmptyCellError("no units to resample")
+    score = statistic if by_block else _row_by_row(statistic)
     draws, dead, redraws = [], np.False_, 0
-    for k in range(n_samples):
-        row = np.nan
-        for attempt in range(MAX_REDRAWS):
-            redraws += attempt > 0
-            idx = stream(seed, k, attempt).integers(0, n_units, size=n_units)
-            try:
-                values = np.asarray(statistic(idx), dtype=float)
-            except EmptyCellError:
-                values = np.nan
-            row = np.where(np.isnan(row), values, row)
-            if not (np.isnan(row) & ~dead).any():
-                break
-        dead = dead | np.isnan(row)
-        if np.all(dead):
-            raise EmptyCellError(f"statistic undefined on {MAX_REDRAWS} consecutive redraws")
-        draws.append(row)
+    for start in range(0, n_samples, BOOT_BLOCK):
+        ks = range(start, min(start + BOOT_BLOCK, n_samples))
+        values = score(np.array([stream(seed, k, 0).integers(0, n_units, size=n_units)
+                                 for k in ks]))
+        block = list(values)
+        # a draw with every value defined or dead is kept as drawn; the rest, in order
+        for i in np.flatnonzero((np.isnan(values.reshape(len(ks), -1)) & ~dead).any(axis=1)):
+            row, attempt = block[i], 0
+            while (np.isnan(row) & ~dead).any() and (attempt := attempt + 1) < MAX_REDRAWS:
+                redraws += 1
+                idx = stream(seed, ks[i], attempt).integers(0, n_units, size=n_units)
+                row = np.where(np.isnan(row), score(idx[None])[0], row)
+            block[i], dead = row, dead | np.isnan(row)
+            if np.all(dead):
+                raise EmptyCellError(f"statistic undefined on {MAX_REDRAWS} consecutive redraws")
+        draws.extend(block)
     if redraws:
         log.info("bootstrap redrew %d resamples with undefined statistic", redraws)
     rows = np.ascontiguousarray(np.array(draws).T)
@@ -164,6 +172,16 @@ def bootstrap_ci(n_units: int, statistic, n_samples: int = 1000,
     if rows.ndim == 1:
         return BootstrapResult(*stats[0], samples=rows, n_redraws=redraws)
     return BootstrapResult(*zip(*stats), samples=rows.T, n_redraws=redraws)
+
+
+def _row_by_row(statistic):
+    """A per-draw statistic as a block one: each row scored alone, EmptyCellError a NaN row."""
+    def value(idx):
+        try:
+            return np.asarray(statistic(idx), dtype=float)
+        except EmptyCellError:
+            return np.float64(np.nan)
+    return lambda block: np.array(np.broadcast_arrays(*map(value, block)))
 
 
 def _student_t_sf(t: float, df: float) -> float:
@@ -317,9 +335,14 @@ class RiskCell:
             raise EmptyCellError("no comparable pairs")
         return float(c)
 
-    def brier(self, idx=slice(None)) -> float:
-        return brier_td(self.risks[idx], self.event_steps[idx], self.censored[idx],
-                        self.horizon_step)
+    def brier(self) -> float:
+        return brier_td(self.risks, self.event_steps, self.censored, self.horizon_step)
+
+    @cached_property
+    def squared_errors(self) -> np.ndarray:
+        """Each eye's Brier term; a draw's Brier is their mean over its rows."""
+        ind = event_in_window(self.event_steps, self.censored, self.horizon_step)
+        return (ind.astype(float) - self.risks) ** 2
 
 
 def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
@@ -332,9 +355,10 @@ def build_risk_cells(scorer, eyes: list[EyeRecord], grid: TimeGrid,
     together, so a model scores every time from one causal pass per eye.
     Without a scorer every risk is 0: outcomes, anchors and pairs do not
     depend on risks. Source kinds (anti-oracle, random) are ``RiskSource``'s.
+    Years round to steps silently; ``_score_rows`` warns once per off-grid year.
     """
-    t_steps = [grid.time_to_step(t) for t in t_years]
-    dt_steps = [grid.time_to_step(dt) for dt in dt_years]
+    t_steps = [grid.nearest_step(t) for t in t_years]
+    dt_steps = [grid.nearest_step(dt) for dt in dt_years]
     if 0 in dt_steps:
         raise ConfigError(f"dt {dt_years[dt_steps.index(0)]} years rounds to 0 steps "
                           f"of the {grid.step_months}-month grid")
@@ -387,7 +411,11 @@ def write_report(path: str, rows: list[ReportRow]) -> None:
 
 
 def write_samples(path: str, rows: list[ReportRow]) -> None:
-    write_table(path, SAMPLES_HEADER, (
-        (r.model, r.metric, r.t_years, r.dt_years, k, v)
-        for r in rows if r.samples is not None
-        for k, v in enumerate(r.samples.tolist())))
+    """``write_table``'s bytes, with a row's four constant fields formatted once."""
+    lines = ["\t".join(SAMPLES_HEADER)]
+    for r in rows:
+        if r.samples is not None:
+            cell = "\t".join(map(_field, (r.model, r.metric, r.t_years, r.dt_years)))
+            lines.extend(f"{cell}\t{k}\t{v!r}" for k, v in enumerate(r.samples.tolist()))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

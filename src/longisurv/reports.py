@@ -62,10 +62,12 @@ def _score_rows(sources: list[RiskSource], eyes, grid, t_years, dt_years,
     """Rows per (cell, metric, source). The cells of a prediction time share
     its risk set, so one set of draws per time scores all of its rows. A
     value undefined on a draw is redrawn alone, so each row's samples are
-    those of its own bootstrap; a row with no defined draw has no CI."""
+    those of its own bootstrap; a row with no defined draw has no CI. An
+    off-grid year warns once, here, however many sources score it."""
     if n_bootstrap < 2:              # refused even when no cell would reach the bootstrap
         raise ConfigError("bootstrap needs at least 2 samples")
-    past = [f"{t:g}" for t in t_years if grid.time_to_step(t) >= grid.j_max]
+    steps = {y: grid.time_to_step(y) for y in dict.fromkeys((*t_years, *dt_years))}
+    past = [f"{t:g}" for t in t_years if steps[t] >= grid.j_max]
     if past:
         raise ConfigError(f"t-years {', '.join(past)} at or past the grid's last year, "
                           f"{grid.step_to_years(grid.j_max):g}: no eye is at risk")
@@ -90,12 +92,18 @@ def _score_rows(sources: list[RiskSource], eyes, grid, t_years, dt_years,
         at = pair_concordance([c.pairs for r, c in scored if r.metric == "concordance"])
 
         def statistic(idx):
-            conc = iter(at(np.bincount(idx, minlength=len(idx))))
-            return [next(conc) if row.metric == "concordance" else cell.brier(idx)
-                    for row, cell in scored]
+            """Every scored value on each row of a (draws, eyes) index block."""
+            n_draws, n_eyes = idx.shape
+            # unit multiplicities, (eyes, draws): m[u, b] counts u in draw b
+            m = np.bincount((idx * n_draws + np.arange(n_draws)[:, None]).ravel(),
+                            minlength=idx.size).reshape(n_eyes, n_draws)
+            conc = iter(at(m))
+            return np.stack([next(conc) if row.metric == "concordance"
+                             else cell.squared_errors[idx].mean(axis=1)
+                             for row, cell in scored], axis=1)
         try:
             boot = bootstrap_ci(scored[0][1].n_risk_set, statistic,
-                                n_samples=n_bootstrap, seed=seed)
+                                n_samples=n_bootstrap, seed=seed, by_block=True)
         except EmptyCellError:
             continue
         for j, (row, _) in enumerate(scored):

@@ -32,19 +32,22 @@ class TimeGrid:
             )
 
     def time_to_step(self, t_years: float) -> int:
+        """``nearest_step``, with a warning when the time is off the grid."""
+        step = self.nearest_step(t_years)
+        off = abs(12.0 * t_years / self.step_months - step)
+        if off > 0.01:
+            log.warning("time %.4f years is %.3f steps off the %d-month grid",
+                        t_years, off, self.step_months)
+        return step
+
+    def nearest_step(self, t_years: float) -> int:
         """Convert years since enrollment to the nearest grid step (round half up)."""
         exact = 12.0 * t_years / self.step_months
         if not np.isfinite(exact):
             raise ConfigError(f"time {t_years} years is not a finite number")
         if exact < 0:
             raise ConfigError(f"time {t_years} years is negative")
-        step = int(np.floor(exact + 0.5))
-        if abs(exact - step) > 0.01:
-            log.warning(
-                "time %.4f years is %.3f steps off the %d-month grid",
-                t_years, abs(exact - step), self.step_months,
-            )
-        return step
+        return int(np.floor(exact + 0.5))
 
     def step_to_years(self, step: int) -> float:
         return step * self.step_months / 12.0

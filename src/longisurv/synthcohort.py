@@ -32,6 +32,8 @@ one row per eye in eye id order (patient, eye, ``;``-joined visit months, rising
 on the step grid before the outcome step, that step, censoring flag 0 or 1, and
 the hidden drift, per-visit severities and ``j_max`` hazards), and ``images.npy``,
 the eyes' (visits, C, H, W) float32 images in row order, viewed by loaded eyes.
+The loader parses ``eyes.tsv`` row by row and checks it by column, over the
+stacked values; a loaded eye's arrays are slices of those columns.
 
 This is the data layer: it imports nothing above ``survival``, and
 ``pad_and_batch`` builds the ``SequenceBatch`` the models read.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +102,7 @@ class CohortConfig(JsonConfig):
             raise ConfigError("min_admin_steps outside grid")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        TimeGrid(self.step_months, self.j_max)       # checks the grid's step and length
 
     @property
     def grid(self) -> TimeGrid:
@@ -352,8 +356,11 @@ def _fmt_list(values) -> str:
     return ";".join(repr(float(v)) for v in values)
 
 
-def _parse_list(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(";")]) if text else np.zeros(0)
+def _any_per_row(bad: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per row, whether any of its ``counts`` consecutive entries of ``bad`` is set."""
+    hit = np.zeros(len(counts), dtype=bool)
+    hit[np.repeat(np.arange(len(counts)), counts)[bad]] = True
+    return hit
 
 
 def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
@@ -372,49 +379,70 @@ def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
 
 
 def load_dataset(path: str) -> tuple[list[EyeRecord], CohortConfig]:
-    """Read a dataset directory; a missing or malformed file is a DataError naming it."""
+    """Read a dataset directory; a missing or malformed file is a DataError naming it.
+
+    ``eyes.tsv`` is parsed row by row, then checked by column, so a row that
+    will not parse or is out of eye id order is named before an earlier row
+    that fails a check."""
     eyes_path, cfg_path, img_path = (os.path.join(path, name)
                                      for name in (EYES_NAME, CONFIG_NAME, IMAGES_NAME))
     rows = read_table(eyes_path, EYES_HEADER)
     with reading(cfg_path), open(cfg_path) as fh:
         cfg = CohortConfig.from_dict(json.load(fh), "cohort")
-    eyes = []
+    # columns: months, then severities and hazards as raw doubles, not float objects
+    fields, columns, ends = [], ([], array("d"), array("d")), []
     with reading(eyes_path):
-        for k, (pid, eid, months, step, cens, drift, sev, hz) in enumerate(rows, start=2):
+        for k, (pid, eid, visits, step, cens, drift, sev, hz) in enumerate(rows, start=2):
             try:
-                if eyes and eid <= eyes[-1].eye_id:
-                    raise ValueError(f"eye id {eid} does not follow {eyes[-1].eye_id}")
-                visits = np.array([int(m) for m in months.split(";")])
-                outcome = EventOutcome(int(step), cens == "1")
-                eyes.append(eye := EyeRecord(pid, eid, visits, None, outcome, float(drift),
-                                             _parse_list(sev), _parse_list(hz)))
-                if (visits[0] < 0 or np.any(np.diff(visits) <= 0)
-                        or np.any(visits % cfg.step_months)
-                        or visits[-1] >= outcome.event_step * cfg.step_months):
-                    raise ValueError(f"visit months {months} are not increasing multiples of "
-                                     f"{cfg.step_months} before outcome step {step}")
-                if cens not in ("0", "1"):
-                    raise ValueError(f"censored flag {cens!r} is not 0 or 1")
-                outcome.validate(cfg.grid)
-                if (len(eye.severities), len(eye.true_hazard)) != (len(visits), cfg.j_max):
-                    raise ValueError(f"{len(eye.severities)} severities for {len(visits)} visits"
-                                     f" and {len(eye.true_hazard)} hazards for j_max {cfg.j_max}")
-                if not 0.0 <= eye.true_hazard.min() <= eye.true_hazard.max() <= 1.0:
-                    raise ValueError("a true hazard is NaN or outside [0, 1]")
-            except (ValueError, DataError) as ex:
+                if fields and eid <= fields[-1][1]:
+                    raise ValueError(f"eye id {eid} does not follow {fields[-1][1]}")
+                columns[0].extend(map(int, visits.split(";")))
+                columns[1].extend(map(float, sev.split(";") if sev else ()))
+                columns[2].extend(map(float, hz.split(";") if hz else ()))
+                ends.append(tuple(map(len, columns)))
+                fields.append((pid, eid, EventOutcome(int(step), cens == "1"), float(drift)))
+            except ValueError as ex:
                 raise ValueError(f"row {k}: {ex}")
+        months = np.array(columns[0])         # object where a month overflows int64
+        sevs, hazards = (np.array(c, dtype=float) for c in columns[1:])
+        ends = np.array(ends, dtype=int).reshape(-1, 3)
+        lens = np.diff(ends, axis=0, prepend=0)       # per row: visits, severities, hazards
+        n_visits = lens[:, 0]
+        steps = np.array([outcome.event_step for _, _, outcome, _ in fields])
+        prev = np.roll(months, 1)
+        prev[ends[:, 0] - n_visits] = -1      # a first visit is at month 0 or later
+        checks = (                            # (bad rows, message), in a row's check order
+            (_any_per_row((months % cfg.step_months != 0) | (months <= prev), n_visits)
+             | (months[ends[:, 0] - 1] // cfg.step_months >= steps),
+             lambda r: f"visit months {rows[r][2]} are not increasing multiples of "
+                       f"{cfg.step_months} before outcome step {rows[r][3]}"),
+            (np.array([row[4] not in ("0", "1") for row in rows], dtype=bool),
+             lambda r: f"censored flag {rows[r][4]!r} is not 0 or 1"),
+            ((steps < 1) | (steps > cfg.j_max),
+             lambda r: f"event_step {steps[r]} outside grid [1, {cfg.j_max}]"),
+            ((lens[:, 1] != n_visits) | (lens[:, 2] != cfg.j_max),
+             lambda r: f"{lens[r, 1]} severities for {n_visits[r]} visits and "
+                       f"{lens[r, 2]} hazards for j_max {cfg.j_max}"),
+            (_any_per_row(~((hazards >= 0.0) & (hazards <= 1.0)), lens[:, 2]),   # NaN too
+             lambda r: "a true hazard is NaN or outside [0, 1]"),
+        )
+        bad = np.array([rows_bad for rows_bad, _ in checks])
+        if bad.any():
+            r = int(np.argmax(bad.any(axis=0)))
+            raise ValueError(f"row {r + 2}: {checks[int(np.argmax(bad[:, r]))][1](r)}")
     with reading(img_path):
         images = np.load(img_path, allow_pickle=False)
         if not isinstance(images, np.ndarray):
             raise ValueError("holds an .npz archive, not one .npy array")
-        want = (sum(e.n_visits for e in eyes), cfg.image_channels, cfg.image_size,
-                cfg.image_size)
+        want = (len(months), cfg.image_channels, cfg.image_size, cfg.image_size)
         if images.dtype != np.float32 or images.shape != want:
             raise ValueError(f"holds {images.dtype} {images.shape}, not float32 {want}, "
                              f"one image per visit in {eyes_path}")
         if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
             raise ValueError("holds a pixel that is NaN or outside [0, 1], the images' range")
-    start = 0                                 # each eye's images, in row order
-    for e in eyes:
-        e.images, start = images[start:start + e.n_visits], start + e.n_visits
+    # an eye's arrays are slices of the columns; its images are its visits' rows
+    eyes = [EyeRecord(pid, eid, months[m0:m1], images[m0:m1], outcome, drift,
+                      sevs[s0:s1], hazards[h0:h1])
+            for (pid, eid, outcome, drift), (m0, s0, h0), (m1, s1, h1)
+            in zip(fields, (ends - lens).tolist(), ends.tolist())]
     return eyes, cfg

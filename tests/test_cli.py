@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from longisurv import cli, diffgraph as dg, reports, trainer
+from longisurv import cli, diffgraph as dg, metrics, reports, trainer
 from longisurv.cli import main
 from longisurv.metrics import DEFAULT_DT_YEARS, DEFAULT_T_YEARS
 from longisurv.model import load_checkpoint, save_checkpoint
@@ -196,6 +197,19 @@ class TestExitCodes:
         if code:
             assert "at or past the grid's last year, 13.5" in err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("evaluate", ["--ckpt", "oracle"]),
+        ("compare", ["--ckpt-a", "oracle", "--ckpt-b", "random"]),
+    ], ids=["evaluate", "compare"])
+    def test_off_grid_time_warns_once(self, workspace, tmp_path, caplog, command, flags):
+        """1.1 years is 2.2 steps of the 6-month grid, as a t and as a dt: one
+        warning, however many sources score the cells."""
+        with caplog.at_level("WARNING", logger="longisurv"):
+            assert main([command, "--seed", "1", "--dataset", workspace["dataset"],
+                         "--bootstrap", "4", "--t-years", "1.1,2", "--dt-years", "1.1",
+                         "--out", str(tmp_path / "out")] + flags) == 0
+        assert sum("off the" in r.getMessage() for r in caplog.records) == 1
+
     def test_unknown_config_section_is_config_error(self, workspace, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json",
                          {"modle": {"embed_dim": 8}, "train": {"max_epochs": 1}})
@@ -340,6 +354,21 @@ class TestExitCodes:
         (lambda d: TestExitCodes._set_hazard(d, "1.5"), f"{EYES_NAME}: row 2"),
         (lambda d: TestExitCodes._set_hazard(d, "nan"), f"{EYES_NAME}: row 2"),
         (lambda d: TestExitCodes._set_hazard(d, "-0.1"), f"{EYES_NAME}: row 2"),
+        (lambda d: TestExitCodes._edit_row(
+            d / EYES_NAME, 5, lambda f: f[:7] + ["abc;" + f[7].split(";", 1)[1]]),
+         f"{EYES_NAME}: row 6: could not convert"),
+        (lambda d: TestExitCodes._edit_row(
+            d / EYES_NAME, 7, lambda f: f[:6] + [f[6] + ";0.5", f[7]]),
+         f"{EYES_NAME}: row 8: "),
+        (lambda d: TestExitCodes._edit_row(
+            d / EYES_NAME, 9, lambda f: f[:2] + [";".join(["1"] + f[2].split(";")[1:])] + f[3:]),
+         f"{EYES_NAME}: row 10: visit months 1"),
+        (lambda d: TestExitCodes._edit_eye(d, lambda f: f[:3] + [str(
+            json.loads((d / CONFIG_NAME).read_text())["j_max"] + 1)] + f[4:]),
+         f"{EYES_NAME}: row 2: event_step"),
+        (lambda d: TestExitCodes._edit_eye(
+            d, lambda f: f[:2] + [";".join(["-6"] + f[2].split(";")[1:])] + f[3:]),
+         f"{EYES_NAME}: row 2: visit months -6"),
     ], ids=["missing_cohort_config", "old_layout_without_eyes_tsv", "visit_month",
             "no_visit_months", "short_row", "long_row", "missing_image", "empty_images",
             "truncated_images", "one_image_too_few", "one_eye_row_fewer_than_images",
@@ -348,7 +377,9 @@ class TestExitCodes:
             "empty_hazard_list", "severity_per_visit", "duplicate_eye_row",
             "visit_month_off_the_grid", "visit_at_the_outcome_step", "rows_out_of_eye_order",
             "nan_pixel", "pixel_above_one", "hazard_above_one", "nan_hazard",
-            "negative_hazard"])
+            "negative_hazard", "fifth_eye_hazard_not_a_number", "later_severity_too_many",
+            "later_visit_month_off_the_grid", "event_step_one_past_the_grid",
+            "negative_first_visit"])
     def test_malformed_dataset_is_data_error(self, workspace, tmp_path, capsys,
                                              damage, named):
         dataset = tmp_path / "dataset"
@@ -807,6 +838,39 @@ class TestEvaluate:
                (tmp_path / "b" / "report.tsv").read_bytes()
         assert (tmp_path / "a" / "samples.tsv").read_bytes() == \
                (tmp_path / "b" / "samples.tsv").read_bytes()
+
+
+# sha256 of the report and samples of ``evaluate``/``compare`` on the oracle at
+# --bootstrap 40 over the workspace's test split (16 eyes), where draws redraw;
+# with MAX_REDRAWS at 2, seven of its cells with an estimate get no defined draw
+REPORT_PINS = {
+    100: {"evaluate": ("785c18fd4decd24adbfe089d01eae9527823db558e16b968bf221893922521e4",
+                       "31695d2f059eb8d994b1344ed6169271b7ef0d372bb5b440b4b09d617138a066"),
+          "compare": ("790c094369603cb1110dde393560a3f37030300f484b2490f9050d3102232b35",
+                      "e418dd39d49076df412abcacc8c8df353f1b334bec145be4b701c8005bbf664f")},
+    2: {"evaluate": ("87dd77d1de596f245f2a03a3decd0998fd013928b970090033b7b91ae4cbf0d8",
+                     "75f19c9963ce003a79cb4c9f05d192715c90071b116700943d7f23335f9c184f"),
+        "compare": ("dee8c93ca3fd5dc5f0e31b96f60f2761bc73f06b8fc4017b29a5c1259adce299",
+                    "13684d2cd9b8e0cb6c8ee21be4cbd0639135f93816aa0e2d1ed01c97b0da6888")},
+}
+
+
+@pytest.mark.parametrize("max_redraws", [100, 2])
+@pytest.mark.parametrize("command, flags, report", [
+    ("evaluate", ["--ckpt", "oracle"], "report.tsv"),
+    ("compare", ["--ckpt-a", "oracle", "--ckpt-b", "anti-oracle"], "compare.tsv"),
+], ids=["evaluate", "compare"])
+def test_report_bytes_are_pinned(workspace, tmp_path, monkeypatch, caplog, command, flags,
+                                 report, max_redraws):
+    monkeypatch.setattr(metrics, "MAX_REDRAWS", max_redraws)
+    out = tmp_path / "out"
+    with caplog.at_level("INFO", logger="longisurv.metrics"):
+        assert main([command, "--seed", "3", "--dataset", workspace["dataset"],
+                     "--bootstrap", "40", "--out", str(out)] + flags) == 0
+    assert "redrew" in caplog.text
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in (report, "samples.tsv"))
+    assert digests == REPORT_PINS[max_redraws][command]
 
 
 class TestCompare:

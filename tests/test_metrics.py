@@ -275,6 +275,58 @@ class TestBootstrap:
         assert (joint.mean[1], joint.lo95[1], joint.hi95[1]) == \
                (alone.mean, alone.lo95, alone.hi95)
 
+    def test_blocks_equal_per_draw_and_alone_across_block_edges(self, monkeypatch):
+        """2.5 blocks of draws: the block statistic, the same statistic per draw
+        and each value alone give the same bytes. With two attempts per sample,
+        "unit 0 drawn" fails somewhere in both (that value is NaN) while "a unit
+        below 4 drawn" redraws but always finds one."""
+        data = np.random.default_rng(8).normal(size=40)
+        n_samples = 5 * metrics.BOOT_BLOCK // 2
+        monkeypatch.setattr(metrics, "MAX_REDRAWS", 2)
+        shapes = []
+
+        def block(idx):
+            shapes.append(idx.shape)
+            mean = data[idx].mean(axis=1)
+            return np.stack([np.where((idx == 0).any(axis=1), mean, np.nan),
+                             data[idx].max(axis=1),
+                             np.where((idx < 4).any(axis=1), mean, np.nan)], axis=1)
+
+        def needs_unit_0(idx):
+            if idx.min() > 0:
+                raise EmptyCellError("unit 0 not drawn")
+            return float(data[idx].mean())
+
+        def needs_a_low_unit(idx):
+            if idx.min() >= 4:
+                raise EmptyCellError("no unit below 4 drawn")
+            return float(data[idx].mean())
+
+        def per_draw(idx):
+            return block(idx[None])[0]
+
+        def largest(idx):
+            return float(data[idx].max())
+
+        joint = bootstrap_ci(40, block, n_samples=n_samples, seed=5, by_block=True)
+        b = metrics.BOOT_BLOCK                   # first attempts by block, redraws alone
+        assert [s for s in shapes if s != (1, 40)] == [(b, 40), (b, 40), (b // 2, 40)]
+        assert joint.n_redraws == shapes.count((1, 40)) > 0
+        row_by_row = bootstrap_ci(40, per_draw, n_samples=n_samples, seed=5)
+        assert joint.samples.tobytes() == row_by_row.samples.tobytes()
+        assert joint.n_redraws == row_by_row.n_redraws
+        assert np.array([joint.mean, joint.lo95, joint.hi95]).tobytes() == \
+               np.array([row_by_row.mean, row_by_row.lo95, row_by_row.hi95]).tobytes()
+        assert np.isnan(joint.samples[:, 0]).all() and np.isnan(joint.mean[0])
+        with pytest.raises(EmptyCellError):
+            bootstrap_ci(40, needs_unit_0, n_samples=n_samples, seed=5)
+        for j, stat in ((1, largest), (2, needs_a_low_unit)):
+            alone = bootstrap_ci(40, stat, n_samples=n_samples, seed=5)
+            assert joint.samples[:, j].tobytes() == alone.samples.tobytes()
+            assert (joint.mean[j], joint.lo95[j], joint.hi95[j]) == \
+                   (alone.mean, alone.lo95, alone.hi95)
+        assert bootstrap_ci(40, needs_a_low_unit, n_samples=n_samples, seed=5).n_redraws > 0
+
     def test_coverage_on_gaussian_mean(self):
         # percentile CI should cover the true mean ~95% of the time
         hits = 0

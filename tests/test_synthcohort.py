@@ -238,3 +238,16 @@ class TestDatasetIO:
         (tmp_path / EYES_NAME).write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=f"{EYES_NAME}: row 3: censored flag '2'"):
             load_dataset(str(tmp_path))
+
+    def test_first_bad_row_names_its_first_failed_check(self, tmp_path):
+        """Rows 3 and 4 both fail; row 3 fails on its visit months before its flag."""
+        cfg = small_cfg(n_patients=3)
+        save_dataset(str(tmp_path), generate_cohort(cfg), cfg)
+        lines = (tmp_path / EYES_NAME).read_text().splitlines()
+        fields = lines[3].split("\t")
+        lines[3] = "\t".join(fields[:7] + ["nan;" + fields[7].split(";", 1)[1]])
+        fields = lines[2].split("\t")
+        lines[2] = "\t".join(fields[:2] + ["3"] + fields[3:4] + ["2"] + fields[5:])
+        (tmp_path / EYES_NAME).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"{EYES_NAME}: row 3: visit months 3 are not"):
+            load_dataset(str(tmp_path))
