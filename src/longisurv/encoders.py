@@ -78,24 +78,31 @@ AUG_NOISE_SIGMA = 0.02
 AUG_MAX_SHIFT = 2
 
 
-def augment_images(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def augment_images(images: np.ndarray, rng: np.random.Generator,
+                   real: np.ndarray | None = None) -> np.ndarray:
     """Training-time augmentation: additive pixel noise and small translations.
 
     Each is applied independently with probability 0.5 per image; outputs
     are clipped back to [0, 1]. A shifted image is rolled by (dy, dx) before
     its noise is added, and the noise is one draw of shape (n_noise, C, H, W),
-    which equals per-image draws in image order.
+    which equals per-image draws in image order. With a boolean ``real`` over
+    a batch's slots, ``images`` holds the real slots' images: every slot is
+    drawn for, and each image gets its slot's draws.
     """
     n, c, h, w = images.shape
-    noise_on = rng.random(n) < 0.5
-    shift_on = rng.random(n) < 0.5
-    shifts = rng.integers(-AUG_MAX_SHIFT, AUG_MAX_SHIFT + 1, size=(n, 2)) * shift_on[:, None]
+    slots = n if real is None else len(real)
+    noise_on = rng.random(slots) < 0.5
+    shift_on = rng.random(slots) < 0.5
+    shifts = rng.integers(-AUG_MAX_SHIFT, AUG_MAX_SHIFT + 1, size=(slots, 2)) * shift_on[:, None]
+    noise = rng.normal(0.0, AUG_NOISE_SIGMA, size=(noise_on.sum(), c, h, w))
+    if real is not None:
+        noise, noise_on, shifts = noise[real[noise_on]], noise_on[real], shifts[real]
     # np.roll by (dy, dx) is the (h, w) window at (m - dy, m - dx) of a wrap-padded image
     m = AUG_MAX_SHIFT
     padded = np.pad(images, ((0, 0), (0, 0), (m, m), (m, m)), mode="wrap")
     windows = sliding_window_view(padded, (h, w), axis=(2, 3))
     out = windows[np.arange(n), :, m - shifts[:, 0], m - shifts[:, 1]]
-    out[noise_on] += rng.normal(0.0, AUG_NOISE_SIGMA, size=(noise_on.sum(), c, h, w))
+    out[noise_on] += noise
     return np.clip(out, 0.0, 1.0)
 
 
@@ -114,22 +121,28 @@ def standardize(images: np.ndarray, mean, std) -> np.ndarray:
 
 
 def model_images(images: np.ndarray, mean, std, dtype,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """Model input from raw images: augment when ``rng`` is given, standardize, cast."""
+                 rng: np.random.Generator | None = None,
+                 real: np.ndarray | None = None) -> np.ndarray:
+    """Model input from raw images: augment when ``rng`` is given (drawing for
+    the slots ``real`` marks, see ``augment_images``), standardize, cast."""
     if rng is not None:
-        images = augment_images(images, rng)
+        images = augment_images(images, rng, real)
     return standardize(images, mean, std).astype(dtype, copy=False)
 
 
 def prepare_batch(eyes: list[EyeRecord], l: int, pixel_mean, pixel_std, dtype,
                   rng: np.random.Generator | None = None) -> SequenceBatch:
-    """Model-ready batch: pad to length l, then ``model_images`` over every slot.
+    """Model-ready batch: pad to length l, then ``model_images`` over the real
+    visit slots; padded slots stay zero, and the model never reads them.
 
-    Padding comes first, so augmentation draws for every padded slot too and
-    a batch's draws depend only on its eye count and l.
+    Augmentation still draws for every slot, padded ones included, so a
+    batch's draws depend only on its eye count and l, and each real slot gets
+    the bytes it would get if every slot were augmented.
     """
     batch = pad_and_batch(eyes, l)
     flat = batch.images.reshape(-1, *batch.images.shape[2:])
-    batch.images = model_images(flat, pixel_mean, pixel_std, dtype,
-                                rng).reshape(batch.images.shape)
+    real = batch.valid.reshape(-1)
+    out = np.zeros(flat.shape, dtype)
+    out[real] = model_images(flat[real], pixel_mean, pixel_std, dtype, rng, real)
+    batch.images = out.reshape(batch.images.shape)
     return batch

@@ -442,6 +442,48 @@ class TestChannelsLastIsByteIdentical:
         assert pooled.value.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
+class TestBlockedInputAdjoint:
+    """conv2d's input adjoint, gathered and multiplied in image blocks of at
+    least ``_VJP_X_BLOCK_BYTES`` of columns, has the one GEMM's bytes:
+    channels-last float32 values under a float64 adjoint, as in training."""
+
+    @pytest.mark.parametrize("n, c, f, side, blocks", [
+        (121, 8, 16, 16, [61, 60]),              # the encoder's second layer (b1)
+        (241, 8, 16, 16, [61, 60, 60, 60]),
+        (241, 16, 32, 8, [121, 120]),            # its third layer (b2)
+        (2601, 3, 5, 6, [1301, 1300]),           # three input channels
+        (1, 2, 16, 192, [1]),                    # 42 MB of one image's columns
+        (5610, 1, 3, 6, [5610]),                 # one channel: a matrix-vector product
+    ])
+    def test_blocks_give_the_one_gemm_bytes(self, monkeypatch, n, c, f, side, blocks):
+        rng = np.random.default_rng(n + c)
+        xv = rng.normal(size=(n, c, side, side)).astype(np.float32)
+        wv = rng.normal(size=(f, c, 3, 3)).astype(np.float32)
+        gv = rng.normal(size=(n, f, side, side))
+        want = _ref_conv2d(xv, wv, np.zeros(f, np.float32), gv)
+        x = dg.param(_channels_last(xv), "x")
+        out = dg.conv2d(x, dg.constant(wv), dg.constant(np.zeros(f, np.float32)))
+        gathered, im2col = [], dg._im2col
+        monkeypatch.setattr(dg, "_im2col", lambda a, *rest: gathered.append(len(a)) or im2col(a, *rest))
+        dg.backward(dg.sum_all(dg.mul(out, dg.constant(_channels_last(gv)))))
+        assert gathered == blocks
+        assert min(blocks) * side * side * f * 3 * 3 * 8 >= dg._VJP_X_BLOCK_BYTES * (c > 1)
+        _same_bytes(x.adjoint, want[1])
+
+
+def test_input_adjoint_rows_stay_within_the_weight_adjoint_operand(monkeypatch):
+    # a b1-shaped layer at the baseline's 672 images, float32 under a float64
+    # adjoint: the whole batch's input-adjoint columns would take 198 MB
+    monkeypatch.setattr(dg, "_rows_buffer", np.empty(0, np.uint8))
+    rng = np.random.default_rng(672)
+    x = dg.param(_channels_last(rng.normal(size=(672, 8, 16, 16)).astype(np.float32)), "x")
+    w = dg.param(rng.normal(size=(16, 8, 3, 3)).astype(np.float32), "w")
+    out = dg.conv2d(x, w, dg.constant(np.zeros(16, np.float32)))
+    g = _channels_last(rng.normal(size=(672, 16, 16, 16)))
+    dg.backward(dg.sum_all(dg.mul(out, dg.constant(g))))
+    assert dg._rows_buffer.nbytes <= 8 * 3 * 3 * 672 * 16 * 16 * 8      # vjp_w's 99 MB
+
+
 def test_conv2d_keeps_no_gemm_rows_past_its_forward():
     rng = np.random.default_rng(0)
     x = dg.constant(rng.normal(size=(64, 8, 16, 16)).astype(np.float32))

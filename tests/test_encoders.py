@@ -5,9 +5,11 @@ from longisurv import diffgraph as dg
 from longisurv.encoders import (AUG_MAX_SHIFT, AUG_NOISE_SIGMA, temporal_encode,
                                 encode_images,
                                 conv_encoder_param_shapes, augment_images,
-                                pixel_stats, standardize)
+                                pixel_stats, prepare_batch, standardize)
 from longisurv.errors import ConfigError, DataError
 from longisurv.model import init_params
+from longisurv.survival import EventOutcome
+from longisurv.synthcohort import EyeRecord, pad_and_batch
 from tests.conftest import tiny_config
 
 
@@ -147,3 +149,36 @@ class TestPixelPipeline:
         z = standardize(imgs, mean, std)
         assert abs(z.mean()) < 1e-10
         assert abs(z.std() - 1.0) < 1e-6
+
+
+def pad_then_augment(eyes, l, mean, std, dtype, rng):
+    """Reference batch images: every slot, padded ones included, augmented
+    (when ``rng`` is given), standardized and cast."""
+    images = pad_and_batch(eyes, l).images
+    flat = images.reshape(-1, *images.shape[2:])
+    if rng is not None:
+        flat = augment_images(flat, rng)
+    return standardize(flat, mean, std).astype(dtype).reshape(images.shape)
+
+
+class TestPrepareBatch:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("augment", [True, False], ids=["train", "score"])
+    def test_real_slots_have_the_pad_then_augment_bytes(self, seed, dtype, augment):
+        gen = np.random.default_rng(300 + seed)
+        lengths = gen.integers(1, 7, size=9)
+        eyes = [EyeRecord("p", f"e{i}", 6.0 * np.arange(j),
+                          gen.uniform(0, 1, (j, 2, 12, 12)).astype(np.float32),
+                          EventOutcome(3, True)) for i, j in enumerate(lengths)]
+        l = int(lengths.max()) + seed % 2       # an all-padded column at odd seeds
+        mean, std = [0.45, 0.5], [0.2, 0.25]
+        rngs = [np.random.default_rng(seed) if augment else None for _ in range(2)]
+        got = prepare_batch(eyes, l, mean, std, dtype, rngs[0])
+        want = pad_then_augment(eyes, l, mean, std, dtype, rngs[1])
+        real = got.valid
+        assert got.images.dtype == dtype and got.images.shape == want.shape
+        assert got.images[real].tobytes() == want[real].tobytes()
+        assert not got.images[~real].any()
+        if augment:                             # the same draws, padded slots' included
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
