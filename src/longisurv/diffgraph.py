@@ -14,12 +14,12 @@ topological order because primitives only consume existing nodes. Image
 arrays are NCHW-shaped, channels-last in memory where ``conv2d`` and
 ``avg_pool2`` made them; no value depends on layout. An adjoint keeps the
 dtype its vjp yields and is never written in place, so it may be a view.
-``conv2d`` gathers GEMM rows through a cached tap index. Its weight vjp sums
-over images and is one GEMM. Its input vjp runs one GEMM per image block of at
-least 16 MiB of columns: BLAS picks its kernel by size, and blocks that large
-get the whole batch's kernel, so no byte changes (small blocks do change
-bytes). A vjp casts a float32 operand of a float64 adjoint first (``_cast``),
-into the same operand numpy's implicit mixed ``@`` makes, so no byte changes.
+``conv2d`` gathers GEMM rows through a cached tap index. Its input vjp runs
+one GEMM per image block of 16 MiB of columns or more, which BLAS gives the
+whole batch's kernel, so no byte changes (small blocks change bytes); its
+weight vjp sums over images and is one GEMM. A vjp casts a float32 operand of
+a float64 adjoint first (``_cast``), into the same operand numpy's implicit
+mixed ``@`` makes, so no byte changes.
 ``conv2d``'s weight vjp rebuilds its rows from the input, in the adjoint's
 dtype. All GEMM rows live in one reused buffer (``_gemm_rows``), which is not
 re-entrant and lives until ``release_gemm_rows``. ``backward`` keeps adjoints
@@ -302,9 +302,7 @@ def _taps(c: int, h: int, w: int, kh: int, kw: int, pad: int):
 
 
 _rows_buffer = np.empty(0, np.uint8)
-# conv2d's input adjoint gathers its columns in image blocks of at least this
-# many bytes: a GEMM that large gets the kernel the whole batch's GEMM gets
-_VJP_X_BLOCK_BYTES = 16 << 20
+_VJP_X_BLOCK_BYTES = 16 << 20     # columns per image block of conv2d's vjp_x, at least
 
 
 def _gemm_rows(shape: tuple, dtype) -> np.ndarray:
@@ -343,15 +341,14 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
     gathered by a cached tap index and vjps ``_cast`` first. BLAS picks its
     kernel by size, so small blocks of a GEMM change bytes. ``vjp_x`` splits
     the images into ``column bytes // _VJP_X_BLOCK_BYTES`` near-equal blocks
-    (1 to n of them; one for a single input channel) and writes each block's
-    GEMM into one channels-last dx: rounding down keeps every block at 16 MiB
-    of columns or more, far above OpenBLAS's small-matrix sizes, so dx has the
-    one GEMM's bytes. ``vjp_w``'s GEMM sums
-    over images, so it stays one. It rebuilds its rows from ``x``: the
-    transposed gather when no cast is due, else one C-ordered copy of the
-    windows of the cast, padded x, the operand a mixed ``cols.T @ gmat`` makes.
-    All GEMMs' rows go to the reused, non-re-entrant ``_gemm_rows``; no output
-    or adjoint shares it.
+    (1 to n; 1 for one input channel) and writes each block's GEMM into one
+    channels-last dx: rounding down keeps every block at 16 MiB of columns or
+    more, far above OpenBLAS's small-matrix sizes, so dx has the one GEMM's
+    bytes. ``vjp_w``'s GEMM sums over images, so it stays one. It rebuilds its
+    rows from ``x``: the transposed gather when no cast is due, else one
+    C-ordered copy of the windows of the cast, padded x, the operand a mixed
+    ``cols.T @ gmat`` makes. All GEMMs' rows go to the reused, non-re-entrant
+    ``_gemm_rows``; no output or adjoint shares it.
     The bias adjoint ``einsum("nchw->c", g)`` has ``g.sum(axis=(0, 2, 3))``'s
     bytes on a channels-last g, the layout ``avg_pool2``'s vjp writes, in a
     fraction of its time; on a C-contiguous NCHW g it sums in another order."""

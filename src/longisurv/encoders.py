@@ -7,8 +7,8 @@ always in months here; year-to-month conversion happens at the CLI
 boundary.
 
 Images are augmented, standardized and cast here only, by ``model_images``
-(over a padded sequence batch in ``prepare_batch``), so both model kinds see
-pixels prepared the same way in training and in scoring.
+(over a sequence batch's real visit slots in ``prepare_batch``), so both
+model kinds see pixels prepared the same way in training and in scoring.
 """
 from __future__ import annotations
 
