@@ -1,9 +1,9 @@
 """Minimal reverse-mode differentiation over numpy arrays.
 
 Exactly the primitive set the sequence model needs: matmul, broadcast
-add/mul, relu, sigmoid, clamped log, masked row-softmax, layer norm, L2
-normalization, dropout, 2-D convolution, rectify-and-pool (relu, then 2x2
-average pooling; its vjp builds the mask), row gather/scatter,
+add/mul, relu, sigmoid, clamped log, boolean-masked row-softmax, layer norm,
+L2 normalization, dropout, 2-D convolution, rectify-and-pool (relu, then
+2x2 average pooling; its vjp builds the mask), row gather/scatter,
 reshape/transpose and scalar reductions. Values are numpy arrays (float64
 by default; float32 permitted for training). A Node records its forward
 value plus vector-Jacobian closures into its parents; it needs a gradient
@@ -39,8 +39,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
-MASK_VALUE = -1e9          # additive attention mask for excluded positions
-_MASKED_BELOW = -1e8       # entries at or below this are treated as fully excluded
 LOG_CLAMP = 1e-12          # floor for log arguments
 LAYERNORM_EPS = 1e-5
 
@@ -211,22 +209,21 @@ def scatter_rows(x: Node, idx: np.ndarray, n_rows: int) -> Node:
     return Node(out, "scatter_rows", [(x, lambda g: g[idx])])
 
 
-def masked_softmax(scores: Node, additive_mask: np.ndarray) -> Node:
-    """Row softmax over the last axis of (scores + additive_mask).
-
-    Mask entries at or below the exclusion threshold contribute exactly 0
-    to the output and receive exactly 0 gradient; fully-masked rows yield
-    all-zero rows.
-    """
+def masked_softmax(scores: Node, mask: np.ndarray) -> Node:
+    """Row softmax over the last axis of scores, over the entries where the
+    boolean ``mask`` (broadcast to the scores) is True; excluded entries get
+    exactly 0 output and 0 gradient, and fully-excluded rows are all zero."""
+    if np.asarray(mask).dtype != bool:
+        raise TypeError(f"masked_softmax: mask dtype {np.asarray(mask).dtype} is not bool")
     try:
-        z = scores.value + additive_mask
+        valid = np.broadcast_to(mask, scores.shape)
     except ValueError:
-        raise ShapeError(f"masked_softmax: mask {additive_mask.shape} does not broadcast"
+        raise ShapeError(f"masked_softmax: mask {np.shape(mask)} does not broadcast"
                          f" to {scores.shape}") from None
-    valid = np.broadcast_to(additive_mask > _MASKED_BELOW, z.shape)
+    z = scores.value
     zmax = np.where(valid, z, -np.inf).max(axis=-1, keepdims=True)
     zmax = np.where(np.isfinite(zmax), zmax, 0.0)
-    e = np.where(valid, np.exp(z - zmax), 0.0)
+    e = np.exp(np.where(valid, z - zmax, -np.inf))
     denom = e.sum(axis=-1, keepdims=True)
     out = np.where(denom > 0.0, e / np.where(denom > 0.0, denom, 1.0), 0.0)
 

@@ -101,11 +101,7 @@ def brier_td(risks: np.ndarray, event_steps: np.ndarray, censored: np.ndarray,
     Computed over the risk set (the rows given); the mean keeps values
     comparable across risk-set sizes.
     """
-    risks = np.asarray(risks, dtype=float)
-    if risks.size == 0:
-        raise EmptyCellError("empty risk set")
-    ind = event_in_window(event_steps, censored, horizon_step).astype(float)
-    return float(((ind - risks) ** 2).mean())
+    return RiskCell(np.asarray(risks, dtype=float), event_steps, censored, horizon_step).brier()
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +332,10 @@ class RiskCell:
         return float(c)
 
     def brier(self) -> float:
-        return brier_td(self.risks, self.event_steps, self.censored, self.horizon_step)
+        """The mean of ``squared_errors``; EmptyCellError on an empty risk set."""
+        if self.n_risk_set == 0:
+            raise EmptyCellError("empty risk set")
+        return float(self.squared_errors.mean())
 
     @cached_property
     def squared_errors(self) -> np.ndarray:

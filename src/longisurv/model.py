@@ -138,7 +138,7 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
 
 
 def _transformer_layer(x: dg.Node, leaves: dict, prefix: str, cfg: ModelConfig,
-                       additive_mask: np.ndarray, rng, train: bool):
+                       mask: np.ndarray, rng, train: bool):
     b, l, d = x.value.shape
     h = cfg.n_heads
     hd = d // h
@@ -150,7 +150,7 @@ def _transformer_layer(x: dg.Node, leaves: dict, prefix: str, cfg: ModelConfig,
     k = heads(dg.matmul(x, leaves[f"{prefix}.attn.k.w"]))
     v = heads(dg.matmul(x, leaves[f"{prefix}.attn.v.w"]) + leaves[f"{prefix}.attn.v.b"])
     scores = dg.scale(dg.matmul(q, dg.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-    attn = dg.masked_softmax(scores, additive_mask)
+    attn = dg.masked_softmax(scores, mask)
     ctx = dg.reshape(dg.transpose(dg.matmul(attn, v), (0, 2, 1, 3)), (b, l, d))
     proj = dg.matmul(ctx, leaves[f"{prefix}.attn.o.w"]) + leaves[f"{prefix}.attn.o.b"]
     x = dg.layer_norm(x + dg.dropout(proj, cfg.dropout, rng, train),
@@ -195,12 +195,11 @@ def forward_sequences(params: dict, cfg: ModelConfig, batch: SequenceBatch,
     x = e_img + dg.constant(e_time)
 
     allowed = (np.tril(np.ones((lt, lt), dtype=bool))[None, :, :]
-               & valid[:, None, :] & valid[:, :, None])
-    additive = np.where(allowed, 0.0, dg.MASK_VALUE).astype(dt)[:, None, :, :]
+               & valid[:, None, :] & valid[:, :, None])[:, None]   # one mask for all heads
 
     attn_maps = []
     for layer in range(cfg.n_layers):
-        x, a = _transformer_layer(x, leaves, f"tr{layer}", cfg, additive, rng, train)
+        x, a = _transformer_layer(x, leaves, f"tr{layer}", cfg, allowed, rng, train)
         attn_maps.append(a)
 
     hz = dg.sigmoid(dg.matmul(dg.dropout(x, cfg.dropout, rng, train),

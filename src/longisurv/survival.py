@@ -60,12 +60,6 @@ class EventOutcome:
     event_step: int
     censored: bool
 
-    def validate(self, grid: TimeGrid) -> None:
-        if not 1 <= self.event_step <= grid.j_max:
-            raise DataError(
-                f"event_step {self.event_step} outside grid [1, {grid.j_max}]"
-            )
-
 
 def hazard_to_survival(h: np.ndarray) -> np.ndarray:
     """Cumulative-product survival curve S[j] = prod_{s<=j} (1 - h[s]).

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from longisurv.errors import ConfigError, DataError
-from longisurv.survival import TimeGrid, EventOutcome, hazard_to_survival
+from longisurv.survival import TimeGrid, hazard_to_survival
 
 
 class TestHazardToSurvival:
@@ -54,14 +54,6 @@ class TestTimeGrid:
             TimeGrid(step_months=0, j_max=5)
         with pytest.raises(ConfigError):
             TimeGrid(step_months=6, j_max=0)
-
-    def test_outcome_validation(self):
-        grid = TimeGrid(step_months=6, j_max=27)
-        EventOutcome(event_step=27, censored=True).validate(grid)
-        with pytest.raises(DataError):
-            EventOutcome(event_step=0, censored=False).validate(grid)
-        with pytest.raises(DataError):
-            EventOutcome(event_step=28, censored=False).validate(grid)
 
 
 def test_off_grid_time_logs_warning(caplog):
