@@ -17,15 +17,14 @@ dtype its vjp yields and is never written in place, so it may be a view.
 ``conv2d`` gathers GEMM rows through a cached tap index. Its input vjp runs
 one GEMM per image block of 16 MiB of columns or more, which BLAS gives the
 whole batch's kernel, so no byte changes (small blocks change bytes); its
-weight vjp sums over images and is one GEMM. A vjp casts a float32 operand of
-a float64 adjoint first (``_cast``), into the same operand numpy's implicit
-mixed ``@`` makes, so no byte changes.
-``conv2d``'s weight vjp rebuilds its rows from the input, in the adjoint's
-dtype. All GEMM rows live in one reused buffer (``_gemm_rows``), which is not
-re-entrant and lives until ``release_gemm_rows``. ``backward`` keeps adjoints
-only on leaves (params); ``gradients`` reads them out by name. A broadcasting
-primitive's ``ShapeError`` is numpy's own broadcast error, renamed for the op.
-No higher-order derivatives.
+weight vjp sums over images, is one GEMM and rebuilds its rows from the
+input, in the adjoint's dtype. All GEMM rows live in one reused buffer
+(``_gemm_rows``), which is not re-entrant and lives until
+``release_gemm_rows``. A float32 operand under a float64 adjoint is left to
+numpy's implicit mixed product. ``backward`` keeps adjoints only on leaves
+(params); ``gradients`` reads them out by name. A broadcasting primitive's
+``ShapeError`` is numpy's own broadcast error, renamed for the op. No
+higher-order derivatives.
 """
 from __future__ import annotations
 
@@ -106,13 +105,6 @@ def _unbroadcast(adj: np.ndarray, shape: tuple) -> np.ndarray:
     return adj.reshape(shape)
 
 
-def _cast(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``a`` as an implicit mixed ``a @ g`` hands it to BLAS: itself, or a
-    C-ordered promoted copy."""
-    dt = np.result_type(a, g)
-    return a if a.dtype == dt else a.astype(dt, order="C")
-
-
 def add(a: Node, b: Node) -> Node:
     try:
         out = a.value + b.value
@@ -147,8 +139,8 @@ def matmul(a: Node, b: Node) -> Node:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = a.value @ b.value
     return Node(out, "matmul", [
-        (a, lambda g: _unbroadcast(g @ _cast(np.swapaxes(b.value, -1, -2), g), a.value.shape)),
-        (b, lambda g: _unbroadcast(_cast(np.swapaxes(a.value, -1, -2), g) @ g, b.value.shape)),
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape)),
+        (b, lambda g: _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape)),
     ])
 
 
@@ -335,10 +327,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, pad: int):
 def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
     """Stride-1 2-D convolution, weight (F, C, kh, kw). The output is an NCHW
     view of channels-last GEMM rows; adjoints take the GEMMs' dtype. Rows are
-    gathered by a cached tap index and vjps ``_cast`` first. BLAS picks its
-    kernel by size, so small blocks of a GEMM change bytes. ``vjp_x`` splits
-    the images into ``column bytes // _VJP_X_BLOCK_BYTES`` near-equal blocks
-    (1 to n; 1 for one input channel) and writes each block's GEMM into one
+    gathered by a cached tap index. BLAS picks its kernel by size, so small
+    blocks of a GEMM change bytes. ``vjp_x`` splits the images into
+    ``column bytes // _VJP_X_BLOCK_BYTES`` near-equal blocks (1 to n; 1 for
+    one input channel) and writes each block's GEMM into one
     channels-last dx: rounding down keeps every block at 16 MiB of columns or
     more, far above OpenBLAS's small-matrix sizes, so dx has the one GEMM's
     bytes. ``vjp_w``'s GEMM sums over images, so it stays one. It rebuilds its
@@ -363,7 +355,7 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
 
     def vjp_x(g):
         # full correlation with spatially flipped, channel-swapped weights
-        wflip = _cast(w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1).T, g)
+        wflip = w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1).T
         dx = np.empty((n, h, ww, c), np.result_type(g, wflip))
         # one channel makes it a matrix-vector product, whose threaded BLAS
         # kernel rounds a row by its offset in the call: no blocks then

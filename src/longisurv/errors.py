@@ -53,7 +53,8 @@ def reading(path: str):
         raise DataError(f"cannot read {path}: {ex}")
 
 
-def _field(v) -> str:
+def tsv_field(v) -> str:
+    """One table field: a float as its shortest round-trip repr, None as NA."""
     if isinstance(v, float):
         return repr(float(v))                 # float(): numpy's float64 repr is np.float64(...)
     return "NA" if v is None else str(v)
@@ -61,7 +62,7 @@ def _field(v) -> str:
 
 def write_table(path: str, header: tuple, rows) -> None:
     lines = ["\t".join(header)]
-    lines.extend("\t".join(map(_field, row)) for row in rows)
+    lines.extend("\t".join(map(tsv_field, row)) for row in rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

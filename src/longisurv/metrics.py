@@ -24,7 +24,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from .errors import (ConfigError, DataError, DegenerateConditioningError, EmptyCellError,
-                     _field, write_table)
+                     tsv_field, write_table)
 from .model import (ModelConfig, KIND_LONGITUDINAL, forward_sequences,
                     forward_single_images)
 from .encoders import prepare_batch
@@ -414,7 +414,7 @@ def write_samples(path: str, rows: list[ReportRow]) -> None:
     lines = ["\t".join(SAMPLES_HEADER)]
     for r in rows:
         if r.samples is not None:
-            cell = "\t".join(map(_field, (r.model, r.metric, r.t_years, r.dt_years)))
+            cell = "\t".join(map(tsv_field, (r.model, r.metric, r.t_years, r.dt_years)))
             lines.extend(f"{cell}\t{k}\t{v!r}" for k, v in enumerate(r.samples.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import JsonConfig
-from .errors import ConfigError, DataError, read_table, reading, write_table
+from .errors import ConfigError, DataError, read_table, reading, tsv_field, write_table
 from .survival import EventOutcome, TimeGrid
 
 EYES_NAME = "eyes.tsv"
@@ -114,7 +114,7 @@ class EyeRecord:
     patient_id: str
     eye_id: str
     visit_months: np.ndarray                  # strictly increasing, on the grid
-    images: np.ndarray | None                 # (J, C, H, W) float32 in [0, 1]
+    images: np.ndarray                        # (J, C, H, W) float32 in [0, 1]
     outcome: EventOutcome
     # hidden truth: OracleScorer reads true_hazard; drift and severities are only stored
     drift: float = 0.0
@@ -352,10 +352,6 @@ def summary_stats(eyes: list[EyeRecord], grid: TimeGrid) -> dict:
 # on-disk dataset format
 # ---------------------------------------------------------------------------
 
-def _fmt_list(values) -> str:
-    return ";".join(repr(float(v)) for v in values)
-
-
 def _any_per_row(bad: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per row, whether any of its ``counts`` consecutive entries of ``bad`` is set."""
     hit = np.zeros(len(counts), dtype=bool)
@@ -371,8 +367,9 @@ def save_dataset(path: str, eyes: list[EyeRecord], cfg: CohortConfig) -> None:
             np.concatenate([e.images for e in eyes], dtype=np.float32))
     write_table(os.path.join(path, EYES_NAME), EYES_HEADER, (
         (e.patient_id, e.eye_id, ";".join(str(int(m)) for m in e.visit_months),
-         e.outcome.event_step, int(e.outcome.censored), e.drift, _fmt_list(e.severities),
-         _fmt_list(e.true_hazard)) for e in eyes))
+         e.outcome.event_step, int(e.outcome.censored), e.drift,
+         ";".join(map(tsv_field, e.severities.tolist())),
+         ";".join(map(tsv_field, e.true_hazard.tolist()))) for e in eyes))
     with open(os.path.join(path, CONFIG_NAME), "w") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -7,8 +7,6 @@ from longisurv import diffgraph as dg
 from longisurv.encoders import encode_images
 from longisurv.errors import ShapeError
 
-RNG = np.random.default_rng(20240817)
-
 
 def check_grads(build, params, tol=1e-6, seed=0, n_coords=25):
     """Gradient-check a scalar-valued builder over a dict of parameter arrays."""
@@ -32,7 +30,8 @@ class TestForwardValues:
         np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
     def test_masked_softmax_fully_masked_row_is_zero(self):
-        scores = dg.constant(RNG.normal(size=(2, 3)))
+        rng = np.random.default_rng(10)
+        scores = dg.constant(rng.normal(size=(2, 3)))
         mask = np.array([[True, True, False],
                          [False] * 3])
         out = dg.masked_softmax(scores, mask).value
@@ -47,7 +46,8 @@ class TestForwardValues:
         np.testing.assert_allclose(out, np.tile(np.arange(5.0), (3, 1)), atol=1e-10)
 
     def test_dropout_eval_is_identity(self):
-        x = dg.constant(RNG.normal(size=(4, 4)))
+        rng = np.random.default_rng(11)
+        x = dg.constant(rng.normal(size=(4, 4)))
         out = dg.dropout(x, 0.25, np.random.default_rng(0), train=False)
         assert out is x
 
@@ -135,19 +135,21 @@ class TestBackwardBasics:
         assert all(n.adjoint is None for n in interior)
 
     def test_masked_softmax_adjoint_exactly_zero_at_masked(self):
-        x = dg.param(RNG.normal(size=(2, 4)), "x")
+        rng = np.random.default_rng(12)
+        x = dg.param(rng.normal(size=(2, 4)), "x")
         mask = np.array([[True, True, False, True],
                          [False] * 4])
         out = dg.masked_softmax(x, mask)
-        dg.backward(dg.sum_all(dg.mul(out, dg.constant(RNG.normal(size=(2, 4))))))
+        dg.backward(dg.sum_all(dg.mul(out, dg.constant(rng.normal(size=(2, 4))))))
         assert x.adjoint[0, 2] == 0.0
         np.testing.assert_array_equal(x.adjoint[1], 0.0)
 
 
 class TestGradChecks:
     def test_linear_map_is_exact(self):
-        params = {"w": RNG.normal(size=(4, 3)), "b": RNG.normal(size=3)}
-        x = RNG.normal(size=(5, 4))
+        rng = np.random.default_rng(13)
+        params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+        x = rng.normal(size=(5, 4))
 
         def build(lv):
             return dg.sum_all(dg.matmul(dg.constant(x), lv["w"]) + lv["b"])
@@ -179,55 +181,63 @@ class TestGradChecks:
         check_grads(build, params, tol=1e-6)
 
     def test_mul_broadcast(self):
-        params = {"a": RNG.normal(size=(3, 1, 5)), "b": RNG.normal(size=(4, 5))}
+        rng = np.random.default_rng(14)
+        params = {"a": rng.normal(size=(3, 1, 5)), "b": rng.normal(size=(4, 5))}
         check_grads(lambda lv: dg.sum_all(dg.mul(lv["a"], lv["b"])), params)
 
     def test_batched_matmul(self):
-        params = {"a": RNG.normal(size=(2, 3, 4, 5)), "b": RNG.normal(size=(5, 6))}
+        rng = np.random.default_rng(15)
+        params = {"a": rng.normal(size=(2, 3, 4, 5)), "b": rng.normal(size=(5, 6))}
         check_grads(lambda lv: dg.sum_all(dg.matmul(lv["a"], lv["b"])), params)
 
     def test_log_clamped(self):
-        params = {"x": RNG.uniform(0.1, 2.0, size=(4, 4))}
+        rng = np.random.default_rng(16)
+        params = {"x": rng.uniform(0.1, 2.0, size=(4, 4))}
         check_grads(lambda lv: dg.sum_all(dg.log(lv["x"])), params)
 
     def test_masked_softmax_grad(self):
+        rng = np.random.default_rng(17)
         mask = np.tril(np.ones((5, 5), dtype=bool))
-        w = RNG.normal(size=(5, 5))
-        params = {"x": RNG.normal(size=(5, 5))}
+        w = rng.normal(size=(5, 5))
+        params = {"x": rng.normal(size=(5, 5))}
         check_grads(lambda lv: dg.sum_all(
             dg.mul(dg.masked_softmax(lv["x"], mask), dg.constant(w))), params)
 
     def test_layer_norm_grad(self):
-        params = {"x": RNG.normal(size=(6, 9)),
-                  "g": RNG.uniform(0.5, 1.5, size=9),
-                  "b": RNG.normal(size=9)}
-        w = RNG.normal(size=(6, 9))
+        rng = np.random.default_rng(18)
+        params = {"x": rng.normal(size=(6, 9)),
+                  "g": rng.uniform(0.5, 1.5, size=9),
+                  "b": rng.normal(size=9)}
+        w = rng.normal(size=(6, 9))
         check_grads(lambda lv: dg.sum_all(
             dg.mul(dg.layer_norm(lv["x"], lv["g"], lv["b"]), dg.constant(w))),
             params, tol=5e-6)
 
     def test_conv2d_grad(self):
-        params = {"x": RNG.normal(size=(2, 3, 8, 8)),
-                  "w": RNG.normal(size=(4, 3, 3, 3)),
-                  "b": RNG.normal(size=4)}
-        m = RNG.normal(size=(2, 4, 8, 8))
+        rng = np.random.default_rng(19)
+        params = {"x": rng.normal(size=(2, 3, 8, 8)),
+                  "w": rng.normal(size=(4, 3, 3, 3)),
+                  "b": rng.normal(size=4)}
+        m = rng.normal(size=(2, 4, 8, 8))
         check_grads(lambda lv: dg.sum_all(
             dg.mul(dg.conv2d(lv["x"], lv["w"], lv["b"]), dg.constant(m))),
             params, n_coords=40)
 
     def test_avg_pool_grad(self):
+        rng = np.random.default_rng(20)
         # rectify-and-pool: inputs of both signs, away from relu's kink
-        params = {"x": RNG.uniform(0.2, 1.0, size=(2, 3, 6, 6))
-                  * RNG.choice([-1, 1], (2, 3, 6, 6))}
-        m = RNG.normal(size=(2, 3, 3, 3))
+        params = {"x": rng.uniform(0.2, 1.0, size=(2, 3, 6, 6))
+                  * rng.choice([-1, 1], (2, 3, 6, 6))}
+        m = rng.normal(size=(2, 3, 3, 3))
         check_grads(lambda lv: dg.sum_all(
             dg.mul(dg.avg_pool2(lv["x"]), dg.constant(m))), params)
 
     def test_gather_scatter_grad(self):
-        params = {"x": RNG.normal(size=(6, 4))}
+        rng = np.random.default_rng(21)
+        params = {"x": rng.normal(size=(6, 4))}
         idx = np.array([0, 2, 5])
-        m = RNG.normal(size=(3, 4))
-        m2 = RNG.normal(size=(9, 4))
+        m = rng.normal(size=(3, 4))
+        m2 = rng.normal(size=(9, 4))
         check_grads(lambda lv: dg.sum_all(
             dg.mul(dg.gather_rows(lv["x"], idx), dg.constant(m))), params)
         check_grads(lambda lv: dg.sum_all(
@@ -235,7 +245,8 @@ class TestGradChecks:
             params)
 
     def test_dropout_grad_with_pinned_seed(self):
-        params = {"x": RNG.normal(size=(5, 5))}
+        rng = np.random.default_rng(22)
+        params = {"x": rng.normal(size=(5, 5))}
 
         def build(lv):
             rng = np.random.default_rng(11)
@@ -244,12 +255,14 @@ class TestGradChecks:
         check_grads(build, params)
 
     def test_relu_grad_away_from_kink(self):
-        params = {"x": RNG.uniform(0.2, 1.0, size=(4, 4)) * RNG.choice([-1, 1], (4, 4))}
+        rng = np.random.default_rng(23)
+        params = {"x": rng.uniform(0.2, 1.0, size=(4, 4)) * rng.choice([-1, 1], (4, 4))}
         check_grads(lambda lv: dg.sum_all(dg.relu(lv["x"])), params)
 
     def test_transpose_reshape_grad(self):
-        params = {"x": RNG.normal(size=(2, 3, 4))}
-        m = RNG.normal(size=(4, 6))
+        rng = np.random.default_rng(24)
+        params = {"x": rng.normal(size=(2, 3, 4))}
+        m = rng.normal(size=(4, 6))
         check_grads(lambda lv: dg.sum_all(
             dg.mul(dg.reshape(dg.transpose(lv["x"], (2, 0, 1)), (4, 6)),
                    dg.constant(m))), params)
@@ -257,8 +270,9 @@ class TestGradChecks:
 
 class TestDeterminism:
     def test_identical_seeds_bitwise_identical_adjoints(self):
-        params = {"w": RNG.normal(size=(10, 6)), "b": RNG.normal(size=6)}
-        x = RNG.normal(size=(8, 10))
+        rng = np.random.default_rng(25)
+        params = {"w": rng.normal(size=(10, 6)), "b": rng.normal(size=6)}
+        x = rng.normal(size=(8, 10))
 
         def run():
             leaves = {k: dg.param(v, k) for k, v in params.items()}
@@ -280,8 +294,9 @@ class TestL2Normalize:
         np.testing.assert_allclose(out, [[0.6, 0.8], [0.0, 0.0]], rtol=1e-15)
 
     def test_grad(self):
-        params = {"x": RNG.normal(size=(2, 4, 7))}
-        w = RNG.normal(size=(2, 4, 7))
+        rng = np.random.default_rng(26)
+        params = {"x": rng.normal(size=(2, 4, 7))}
+        w = rng.normal(size=(2, 4, 7))
         check_grads(lambda lv: dg.sum_all(
             dg.mul(dg.l2_normalize(lv["x"], 1e-12), dg.constant(w))), params)
 
@@ -683,9 +698,30 @@ class TestIm2col:
 
 
 class TestMixedMatmulIsImplicitProduct:
-    """With float32 operands and a float64 adjoint, both matmul vjps give the
-    bytes of numpy's implicit mixed product, and stay float64: the float32
-    model's backward pass runs in float64."""
+    """With float32 operands and a float64 adjoint, the vjps leave the
+    promotion to numpy's implicit mixed product. They are pinned to the
+    product with an explicit C-ordered float64 copy of the float32 operand,
+    on contiguous operands and on the non-contiguous ones training hands
+    them, so that a numpy whose implicit promotion rounds otherwise fails
+    here rather than moving trained bytes. The adjoints stay float64: the
+    float32 model's backward pass runs in float64."""
+
+    @staticmethod
+    def _c64(a):
+        return a.astype(np.float64, order="C")
+
+    def _check(self, av, bv, rng):
+        a, b = dg.param(av, "a"), dg.param(bv, "b")
+        out = dg.matmul(a, b)
+        gv = rng.normal(size=out.shape)
+        dg.backward(dg.sum_all(dg.mul(out, dg.constant(gv))))
+        da = gv @ self._c64(np.swapaxes(bv, -1, -2))
+        db = self._c64(np.swapaxes(av, -1, -2)) @ gv
+        if db.ndim > bv.ndim:
+            db = db.sum(axis=0)
+        assert da.dtype == db.dtype == np.float64
+        _same_bytes(a.adjoint, da)
+        _same_bytes(b.adjoint, db)
 
     @pytest.mark.parametrize("a_shape, b_shape", [
         ((1, 1, 8), (8, 8)),            # one row through a weight
@@ -696,16 +732,43 @@ class TestMixedMatmulIsImplicitProduct:
     ])
     def test_vjps(self, a_shape, b_shape):
         rng = np.random.default_rng(len(a_shape) + b_shape[-1])
-        av = rng.normal(size=a_shape).astype(np.float32)
-        bv = rng.normal(size=b_shape).astype(np.float32)
-        a, b = dg.param(av, "a"), dg.param(bv, "b")
-        out = dg.matmul(a, b)
-        gv = rng.normal(size=out.shape)
-        dg.backward(dg.sum_all(dg.mul(out, dg.constant(gv))))
-        da = gv @ np.swapaxes(bv, -1, -2)
-        db = np.swapaxes(av, -1, -2) @ gv
-        if db.ndim > bv.ndim:
-            db = db.sum(axis=0)
-        assert da.dtype == db.dtype == np.float64
-        _same_bytes(a.adjoint, da)
-        _same_bytes(b.adjoint, db)
+        self._check(rng.normal(size=a_shape).astype(np.float32),
+                    rng.normal(size=b_shape).astype(np.float32), rng)
+
+    @pytest.mark.parametrize("b, l, h, d", [(32, 21, 4, 64), (4, 7, 2, 16)])
+    def test_vjps_on_attention_head_views(self, b, l, h, d):
+        # the transformer's q, k and v: transpose(reshape(x @ W + b, (b, l, h, hd)),
+        # (0, 2, 1, 3)), float32 views that are not C-contiguous
+        rng = np.random.default_rng(b + d)
+        x = rng.normal(size=(b, l, d)).astype(np.float32)
+
+        def heads():
+            w = rng.normal(size=(d, d)).astype(np.float32)
+            bias = rng.normal(size=d).astype(np.float32)
+            return np.transpose(np.reshape(x @ w + bias, (b, l, h, d // h)), (0, 2, 1, 3))
+
+        q, k, v = heads(), heads(), heads()
+        attn = rng.uniform(size=(b, h, l, l)).astype(np.float32)
+        assert not (q.flags.c_contiguous or k.flags.c_contiguous or v.flags.c_contiguous)
+        self._check(q, np.transpose(k, (0, 1, 3, 2)), rng)      # q @ k^T
+        self._check(attn, v, rng)                               # attention @ v
+
+    @pytest.mark.parametrize("n, c, f, side", [
+        (64, 8, 16, 16),                # the encoder's second layer
+        (64, 16, 32, 8),                # its third layer
+    ])
+    def test_conv2d_input_adjoint_on_the_flipped_weight(self, n, c, f, side):
+        # vjp_x multiplies float64 adjoint rows by the float32 flipped-weight
+        # matrix, an F-ordered view
+        rng = np.random.default_rng(n + c)
+        xv = rng.normal(size=(n, c, side, side)).astype(np.float32)
+        wv = rng.normal(size=(f, c, 3, 3)).astype(np.float32)
+        gv = rng.normal(size=(n, f, side, side))
+        wflip = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1).T
+        assert not wflip.flags.c_contiguous
+        gcols = _ref_im2col(gv, 3, 3, 1)[0]
+        want = (gcols @ self._c64(wflip)).reshape(n, side, side, c).transpose(0, 3, 1, 2)
+        x = dg.param(_channels_last(xv), "x")
+        out = dg.conv2d(x, dg.param(wv, "w"), dg.param(np.zeros(f, np.float32), "b"))
+        dg.backward(dg.sum_all(dg.mul(out, dg.constant(_channels_last(gv)))))
+        _same_bytes(x.adjoint, want)

@@ -18,6 +18,24 @@ def relative_imports(path):
                 yield from (alias.name for alias in node.names)
 
 
+def private_names_used(path):
+    """Underscore names of other package modules that a module imports or reads
+    through a module it imported with ``from . import``."""
+    tree = ast.parse(path.read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield from (f"{node.module}.{a.name}" for a in node.names
+                            if a.name.startswith("_"))
+            else:
+                modules.update(a.asname or a.name for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            yield f"{node.value.id}.{node.attr}"
+
+
 def test_every_module_is_layered():
     modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     assert modules == sorted(ORDER)
@@ -34,3 +52,9 @@ def test_every_export_resolves():
     namespace = {}
     exec("from longisurv import *", namespace)       # a stale name raises AttributeError
     assert set(longisurv.__all__) <= set(namespace)
+
+
+def test_no_module_uses_another_modules_private_names():
+    used = [(name, private) for name in ORDER
+            for private in private_names_used(PACKAGE / f"{name}.py")]
+    assert used == []
