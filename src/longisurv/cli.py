@@ -3,7 +3,7 @@
 Every subcommand is reproducible from its inputs and --seed alone and
 writes deterministic bytes; times on the command line are years. Presets and
 `--config` sections are read by the config classes' ``from_dict``, as saved
-configs are. Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+configs are. Exit codes: 0 success, else the error class's ``exit_code`` (errors.py).
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ from .errors import (ConfigError, DataError, LongisurvError, NumericalError, rea
 from .losses import LossConfig
 from .metrics import (DEFAULT_DT_YEARS, DEFAULT_T_YEARS, REPORT_HEADER, SAMPLES_HEADER,
                       visits_seen, write_report, write_samples)
-from .model import RECORD_NAME, ModelConfig, load_checkpoint, save_checkpoint
+from .model import (KIND_BASELINE, KIND_LONGITUDINAL, RECORD_NAME, ModelConfig,
+                    load_checkpoint, save_checkpoint)
 from .reports import (SPECIAL_SOURCES, RiskSource, attention_analysis, compare_sources,
                       evaluate_source, source_from_token, write_attention,
                       write_attention_summary)
@@ -314,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a simulated dataset")
     add_common(p)
-    p.add_argument("--kind", choices=["longitudinal", "baseline"],
-                   default="longitudinal")
+    p.add_argument("--kind", choices=[KIND_LONGITUDINAL, KIND_BASELINE],
+                   default=KIND_LONGITUDINAL)
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", help="JSON with model/train/loss overrides")
     p.add_argument("--dtype", choices=["float32", "float64"], default="float32",
@@ -381,18 +382,9 @@ def main(argv=None) -> int:
         if (args.seed or 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args) or 0
-    except ConfigError as ex:
-        print(f"config error: {ex}", file=sys.stderr)
-        return 2
-    except DataError as ex:
-        print(f"data error: {ex}", file=sys.stderr)
-        return 3
-    except NumericalError as ex:
-        print(f"numerical failure: {ex}", file=sys.stderr)
-        return 4
     except LongisurvError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
+        print(f"{ex.label}: {ex}", file=sys.stderr)
+        return ex.exit_code
     except OSError as ex:        # inputs are read through errors.reading, so this is an output
         print(f"config error: cannot write {ex.filename}: {ex.strerror}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package, and the file reading that raises it.
 
-CLI exit codes map onto these: ConfigError -> 2, DataError -> 3,
-NumericalError -> 4. EmptyCellError is a flow-control signal for metric
-cells with no comparable pairs, not a failure.
+Each class carries the CLI's exit code and stderr label for it (``exit_code``,
+``label``): ConfigError 2, DataError 3, NumericalError 4. EmptyCellError is a
+flow-control signal for metric cells with no comparable pairs, not a failure.
 
 Every TSV table (a dataset's eyes table, the report, samples, history and
 attention tables) goes through ``write_table``/``read_table``: a
@@ -16,18 +16,22 @@ import contextlib
 
 class LongisurvError(Exception):
     """Base class for all package errors."""
+    exit_code, label = 2, "error"
 
 
 class ConfigError(LongisurvError):
     """Invalid or inconsistent configuration."""
+    label = "config error"
 
 
 class DataError(LongisurvError):
     """Malformed input data (bad masks, out-of-order visits, bad files)."""
+    exit_code, label = 3, "data error"
 
 
 class NumericalError(LongisurvError):
     """Numerical failure: divergence, non-finite values, degenerate conditioning."""
+    exit_code, label = 4, "numerical failure"
 
 
 class ShapeError(NumericalError):

@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from longisurv import cli, diffgraph as dg, metrics, reports, trainer
 from longisurv.cli import main
+from longisurv.errors import (ConfigError, DataError, DegenerateConditioningError,
+                              EmptyCellError, NumericalError, ShapeError)
 from longisurv.metrics import DEFAULT_DT_YEARS, DEFAULT_T_YEARS
 from longisurv.model import load_checkpoint, save_checkpoint
 from longisurv.synthcohort import (CONFIG_NAME, EYES_NAME, IMAGES_NAME, load_dataset,
@@ -667,6 +669,23 @@ class TestExitCodes:
         code = main(["simulate", "--seed", "1", "--out", str(tmp_path / "d"),
                      "--config", cfg])
         assert code == 2
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ConfigError, 2, "config error: "),
+        (DataError, 3, "data error: "),
+        (NumericalError, 4, "numerical failure: "),
+        (ShapeError, 4, "numerical failure: "),
+        (DegenerateConditioningError, 4, "numerical failure: "),
+        (EmptyCellError, 2, "error: "),
+    ])
+    def test_each_error_class_has_its_exit_code_and_label(self, tmp_path, capsys,
+                                                          monkeypatch, error, code, prefix):
+        def command(args):
+            raise error("what went wrong")
+        monkeypatch.setattr(cli, "cmd_simulate", command)
+        assert main(["simulate", "--seed", "1", "--out", str(tmp_path / "d")]) == code
+        err = capsys.readouterr().err
+        assert err == f"{prefix}what went wrong\n"       # all of stderr: no traceback
 
 
 class TestSimulate:
