@@ -14,12 +14,12 @@ topological order because primitives only consume existing nodes. Image
 arrays are NCHW-shaped, channels-last in memory where ``conv2d`` and
 ``avg_pool2`` made them; no value depends on layout. An adjoint keeps the
 dtype its vjp yields and is never written in place, so it may be a view.
-``conv2d`` gathers GEMM rows through a cached tap index. Its input vjp runs
-one GEMM per image block of 16 MiB of columns or more, which BLAS gives the
-whole batch's kernel, so no byte changes (small blocks change bytes); its
-weight vjp sums over images, is one GEMM and rebuilds its rows from the
-input, in the adjoint's dtype. All GEMM rows live in one reused buffer
-(``_gemm_rows``), which is not re-entrant and lives until
+``conv2d`` gathers GEMM rows through a cached tap index and runs each of its
+three GEMMs in blocks of about 16 MiB of rows or more (``_BLOCK_BYTES``):
+the forward and the input vjp over images, the weight vjp over groups of its
+output rows. No block changes a byte, and a GEMM with one output column stays
+one call. All GEMM rows live in one reused buffer (``_gemm_rows``), which is
+not re-entrant, grows to the largest block and lives until
 ``release_gemm_rows``. A float32 operand under a float64 adjoint is left to
 numpy's implicit mixed product. ``backward`` keeps adjoints only on leaves
 (params); ``gradients`` reads them out by name. A broadcasting primitive's
@@ -291,7 +291,16 @@ def _taps(c: int, h: int, w: int, kh: int, kw: int, pad: int):
 
 
 _rows_buffer = np.empty(0, np.uint8)
-_VJP_X_BLOCK_BYTES = 16 << 20     # columns per image block of conv2d's vjp_x, at least
+_BLOCK_BYTES = 16 << 20     # gathered operand per block of a conv2d GEMM, at least
+
+
+def _n_blocks(groups: int, nbytes: int, out_cols: int) -> int:
+    """How many near-equal blocks (``np.array_split``) of its ``groups`` a
+    conv2d GEMM with an ``nbytes`` gathered operand runs as: ``nbytes //
+    _BLOCK_BYTES``, at least 1 and at most ``groups``. An output with one
+    column makes it a matrix-vector product, whose threaded BLAS kernel
+    rounds a row by its offset in the call, so that stays one call."""
+    return 1 if out_cols == 1 else min(groups, max(1, nbytes // _BLOCK_BYTES))
 
 
 def _gemm_rows(shape: tuple, dtype) -> np.ndarray:
@@ -314,30 +323,58 @@ def release_gemm_rows() -> None:
     _rows_buffer = np.empty(0, np.uint8)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, pad: int):
-    """GEMM rows (n*oh*ow, c*kh*kw) of x's zero-padded windows, one gather."""
+def _flat(x: np.ndarray) -> np.ndarray:
+    """Each image's channels-last pixels and the zero its padding taps point at."""
+    return np.concatenate([x.transpose(0, 2, 3, 1).reshape(len(x), -1),
+                           np.zeros((len(x), 1), x.dtype)], 1)
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, taps: slice = slice(None), flat=None):
+    """GEMM rows (n*oh*ow, taps) of x's zero-padded windows, one gather from
+    ``flat`` (``_flat(x)``); ``taps`` picks columns of the (c, kh, kw)-ordered
+    c*kh*kw."""
     n, c, h, w = x.shape
     idx, oh, ow = _taps(c, h, w, kh, kw, pad)
-    flat = np.concatenate([x.transpose(0, 2, 3, 1).reshape(n, -1), np.zeros((n, 1), x.dtype)], 1)
+    idx = idx[:, taps]
+    flat = _flat(x) if flat is None else flat
     cols = _gemm_rows((n,) + idx.shape, x.dtype)
     np.take(flat, idx, axis=1, out=cols, mode="wrap")   # in range: skips the bounds check
-    return cols.reshape(n * oh * ow, c * kh * kw), oh, ow
+    return cols.reshape(n * oh * ow, -1), oh, ow
+
+
+def _conv_gemm(a: np.ndarray, wmat: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
+    """Channels-last (n, oh, ow, k) product of a's zero-padded windows and
+    ``wmat`` (c*kh*kw, k), one GEMM per image block."""
+    n, c, h, w = a.shape
+    oh, ow, k = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1, wmat.shape[1]
+    out = np.empty((n, oh, ow, k), np.result_type(a, wmat))
+    blocks = _n_blocks(n, n * oh * ow * c * kh * kw * a.itemsize, k)
+    for ab, ob in zip(np.array_split(a, blocks), np.array_split(out, blocks)):
+        np.matmul(_im2col(ab, kh, kw, pad)[0], wmat, out=ob.reshape(-1, k))
+    return out
 
 
 def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
     """Stride-1 2-D convolution, weight (F, C, kh, kw). The output is an NCHW
     view of channels-last GEMM rows; adjoints take the GEMMs' dtype. Rows are
-    gathered by a cached tap index. BLAS picks its kernel by size, so small
-    blocks of a GEMM change bytes. ``vjp_x`` splits the images into
-    ``column bytes // _VJP_X_BLOCK_BYTES`` near-equal blocks (1 to n; 1 for
-    one input channel) and writes each block's GEMM into one
-    channels-last dx: rounding down keeps every block at 16 MiB of columns or
-    more, far above OpenBLAS's small-matrix sizes, so dx has the one GEMM's
-    bytes. ``vjp_w``'s GEMM sums over images, so it stays one. It rebuilds its
-    rows from ``x``: the transposed gather when no cast is due, else one
-    C-ordered copy of the windows of the cast, padded x, the operand a mixed
-    ``cols.T @ gmat`` makes. All GEMMs' rows go to the reused, non-re-entrant
-    ``_gemm_rows``; no output or adjoint shares it.
+    gathered by a cached tap index into the reused, non-re-entrant
+    ``_gemm_rows``; no output or adjoint shares it. Each GEMM runs in
+    ``_n_blocks``: ``row bytes // _BLOCK_BYTES`` near-equal blocks, or one
+    call when its output has one column. The forward and ``vjp_x`` split
+    the images, each block writing its rows of one channels-last output.
+    Rounding down keeps every block at 16 MiB of rows or more, far above
+    OpenBLAS's small-matrix sizes, so BLAS runs the whole batch's kernel and
+    no byte changes (small blocks change bytes). ``vjp_w`` splits its
+    c*kh*kw output rows into blocks of (channel, kernel-row) groups, each its
+    own GEMM into its rows of dw, so every row's sum over the images stays
+    in one call. Whole groups can leave a block short of 16 MiB by less than
+    a group, which keeps bytes; far smaller blocks change them. A block of
+    few rows can also run serially where the whole ran threaded, and
+    OpenBLAS's two paths gave the same sums only when their length, n*oh*ow,
+    was a multiple of 32; at other lengths ``vjp_w`` stays one call. It
+    rebuilds a block's rows from ``x``: the transposed gather of its tap
+    columns when no cast is due, else a C-ordered copy of its windows of the
+    cast, padded x, the operand a mixed ``cols.T @ gmat`` makes.
     The bias adjoint ``einsum("nchw->c", g)`` has ``g.sum(axis=(0, 2, 3))``'s
     bytes on a channels-last g, the layout ``avg_pool2``'s vjp writes, in a
     fraction of its time; on a C-contiguous NCHW g it sums in another order."""
@@ -347,37 +384,41 @@ def conv2d(x: Node, w: Node, b: Node, pad: int = 1) -> Node:
         raise ShapeError(f"conv2d: input channels {c} vs weight channels {cw}")
     if b.value.shape != (f,):
         raise ShapeError(f"conv2d: bias shape {b.value.shape} vs {f} filters")
-    cols, oh, ow = _im2col(x.value, kh, kw, pad)
-    wmat = w.value.reshape(f, -1)
-    out = cols @ wmat.T
+    out = _conv_gemm(x.value, w.value.reshape(f, -1).T, kh, kw, pad)
     out += b.value
-    out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
+    out = out.transpose(0, 3, 1, 2)
 
     def vjp_x(g):
         # full correlation with spatially flipped, channel-swapped weights
         wflip = w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1).T
-        dx = np.empty((n, h, ww, c), np.result_type(g, wflip))
-        # one channel makes it a matrix-vector product, whose threaded BLAS
-        # kernel rounds a row by its offset in the call: no blocks then
-        k = 1 if c == 1 else min(n, max(1, n * h * ww * f * kh * kw * g.itemsize
-                                        // _VJP_X_BLOCK_BYTES))
-        for gb, dxb in zip(np.array_split(g, k), np.array_split(dx, k)):
-            np.matmul(_im2col(gb, kh, kw, kh - 1 - pad)[0], wflip, out=dxb.reshape(-1, c))
-        return dx.transpose(0, 3, 1, 2)
+        return _conv_gemm(g, wflip, kh, kw, kh - 1 - pad).transpose(0, 3, 1, 2)
 
     def vjp_w(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)
         dt = np.result_type(x.value, gmat)
         if dt == x.value.dtype:
-            rows = _im2col(x.value, kh, kw, pad)[0].T
+            flat = _flat(x.value)
         else:
             xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dt)
             xp[:, :, pad:pad + h, pad:pad + ww] = x.value
             windows = sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
-            rows = _gemm_rows(windows.shape, dt)
-            np.copyto(rows, windows)
-            rows = rows.reshape(c * kh * kw, -1)
-        return (rows @ gmat).T.reshape(f, c, kh, kw)
+        dw = np.empty((c * kh, kw, f), dt)          # rows in (channel, kernel-row) groups
+        # the sum's length must be a multiple of 32 (see above)
+        blocks = _n_blocks(c * kh, dw.nbytes // f * len(gmat), f) if len(gmat) % 32 == 0 else 1
+        g0 = 0
+        for dwb in np.array_split(dw, blocks):
+            g1 = g0 + len(dwb)
+            if dt == x.value.dtype:
+                rows = _im2col(x.value, kh, kw, pad, slice(g0 * kw, g1 * kw), flat)[0].T
+            else:
+                rows = _gemm_rows((g1 - g0,) + windows.shape[2:], dt)
+                for ch in range(g0 // kh, -(-g1 // kh)):
+                    lo, hi = max(g0, ch * kh), min(g1, ch * kh + kh)
+                    np.copyto(rows[lo - g0:hi - g0], windows[ch, lo - ch * kh:hi - ch * kh])
+                rows = rows.reshape(-1, len(gmat))
+            np.matmul(rows, gmat, out=dwb.reshape(-1, f))
+            g0 = g1
+        return dw.reshape(-1, f).T.reshape(f, c, kh, kw)
 
     return Node(out, "conv2d", [
         (x, vjp_x),

@@ -330,8 +330,13 @@ def _ref_conv2d(x, w, b, g, pad=1):
     wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     gcols, gh, gw = _ref_im2col(g, kh, kw, kh - 1 - pad)
     dx = (gcols @ wflip.reshape(c, -1).T).reshape(n, gh, gw, c).transpose(0, 3, 1, 2)
-    dw = (cols.T @ g.transpose(0, 2, 3, 1).reshape(-1, f)).T.reshape(f, c, kh, kw)
-    return out, dx, dw, g.sum(axis=(0, 2, 3))
+    return out, dx, _ref_weight_adjoint(cols, g, w.shape), g.sum(axis=(0, 2, 3))
+
+
+def _ref_weight_adjoint(cols, g, w_shape):
+    """The one-GEMM weight adjoint of ``_ref_im2col``'s rows and an NCHW g."""
+    g = np.ascontiguousarray(g)
+    return (cols.T @ g.transpose(0, 2, 3, 1).reshape(-1, w_shape[0])).T.reshape(w_shape)
 
 
 def _ref_avg_pool2(x, g):
@@ -468,7 +473,7 @@ class TestChannelsLastIsByteIdentical:
 
 class TestBlockedInputAdjoint:
     """conv2d's input adjoint, gathered and multiplied in image blocks of at
-    least ``_VJP_X_BLOCK_BYTES`` of columns, has the one GEMM's bytes:
+    least ``_BLOCK_BYTES`` of columns, has the one GEMM's bytes:
     channels-last float32 values under a float64 adjoint, as in training."""
 
     @pytest.mark.parametrize("n, c, f, side, blocks", [
@@ -491,21 +496,81 @@ class TestBlockedInputAdjoint:
         monkeypatch.setattr(dg, "_im2col", lambda a, *rest: gathered.append(len(a)) or im2col(a, *rest))
         dg.backward(dg.sum_all(dg.mul(out, dg.constant(_channels_last(gv)))))
         assert gathered == blocks
-        assert min(blocks) * side * side * f * 3 * 3 * 8 >= dg._VJP_X_BLOCK_BYTES * (c > 1)
+        assert min(blocks) * side * side * f * 3 * 3 * 8 >= dg._BLOCK_BYTES * (c > 1)
         _same_bytes(x.adjoint, want[1])
 
 
-def test_input_adjoint_rows_stay_within_the_weight_adjoint_operand(monkeypatch):
-    # a b1-shaped layer at the baseline's 672 images, float32 under a float64
-    # adjoint: the whole batch's input-adjoint columns would take 198 MB
+def _gemm_row_counts(monkeypatch):
+    """Record the output rows of each ``np.matmul(..., out=)`` call from now on."""
+    rows, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, out: rows.append(len(out)) or matmul(a, b, out=out))
+    return rows
+
+
+class TestBlockedWeightAdjoint:
+    """conv2d's weight adjoint, multiplied in blocks of (channel, kernel-row)
+    groups of about ``_BLOCK_BYTES`` of rows or more, has the one GEMM's
+    bytes: each output row's sum over the images stays in one call. A
+    one-filter adjoint is a matrix-vector product and stays one call, and so
+    does one whose sums' length is not a multiple of 32: at two BLAS threads
+    a 9-row block of the 302,940-long case ran serially, the 18-row whole
+    threaded, and they rounded differently."""
+
+    @pytest.mark.parametrize("n, c, f, side, x_dtype, g_dtype, rows", [
+        (672, 1, 8, 32, np.float32, np.float64, [6, 3]),        # the encoder's b0
+        (672, 8, 16, 16, np.float32, np.float64, [15] * 4 + [12]),  # b1
+        (672, 16, 32, 8, np.float32, np.float64, [72, 72]),     # b2
+        (672, 8, 16, 16, np.float64, np.float64, [15] * 4 + [12]),  # b1, float64 throughout
+        (672, 8, 16, 16, np.float32, np.float32, [36, 36]),     # b1, float32 throughout
+        (672, 8, 4, 16, np.float32, np.float64, [15] * 4 + [12]),   # four filters
+        (672, 8, 2, 16, np.float32, np.float32, [36, 36]),      # two filters, transposed gather
+        (500, 8, 1, 16, np.float32, np.float64, [72]),          # one filter: one call
+        (8416, 2, 2, 6, np.float32, np.float64, [9, 9]),        # sums of 302,976 = 32 * 9,468
+        (8415, 2, 2, 6, np.float32, np.float64, [18]),          # 302,940: one call
+    ])
+    def test_blocks_give_the_one_gemm_bytes(self, monkeypatch, n, c, f, side, x_dtype,
+                                            g_dtype, rows):
+        rng = np.random.default_rng(n + c + f)
+        xv = rng.normal(size=(n, c, side, side)).astype(x_dtype)
+        wv = rng.normal(size=(f, c, 3, 3)).astype(x_dtype)
+        gv = rng.normal(size=(n, f, side, side)).astype(g_dtype)
+        want = _ref_weight_adjoint(_ref_im2col(xv, 3, 3, 1)[0], gv, wv.shape)
+        w = dg.param(wv, "w")
+        out = dg.conv2d(dg.constant(_channels_last(xv)), w, dg.constant(np.zeros(f, x_dtype)))
+        gemms = _gemm_row_counts(monkeypatch)
+        dg.backward(dg.sum_all(dg.mul(out, dg.constant(_channels_last(gv)))))
+        assert gemms == rows
+        _same_bytes(w.adjoint, want)
+
+
+def test_blocked_forward_gives_the_one_gemm_bytes(monkeypatch):
+    # b1 at the baseline's 672 images: 49.5 MB of float32 rows, two image blocks
+    rng = np.random.default_rng(16)
+    xv = rng.normal(size=(672, 8, 16, 16)).astype(np.float32)
+    wv = rng.normal(size=(16, 8, 3, 3)).astype(np.float32)
+    bv = rng.normal(size=16).astype(np.float32)
+    cols = _ref_im2col(xv, 3, 3, 1)[0]
+    want = np.ascontiguousarray((cols @ wv.reshape(16, -1).T + bv)
+                                .reshape(672, 16, 16, 16).transpose(0, 3, 1, 2))
+    gemms = _gemm_row_counts(monkeypatch)
+    out = dg.conv2d(dg.constant(_channels_last(xv)), dg.constant(wv), dg.constant(bv))
+    assert gemms == [336 * 16 * 16] * 2
+    _same_bytes(out.value, want)
+
+
+def test_gemm_rows_of_a_672_image_encoder_pass_stay_within_one_block(monkeypatch):
+    # the baseline's 672-image batch through the encoder's three layers,
+    # float32 under a float64 adjoint. One GEMM per product would leave 99 MB
+    # of rows (b1's weight adjoint); a block of the rule is under
+    # 2 * _BLOCK_BYTES plus one row group, here b0's two-group block
     monkeypatch.setattr(dg, "_rows_buffer", np.empty(0, np.uint8))
     rng = np.random.default_rng(672)
-    x = dg.param(_channels_last(rng.normal(size=(672, 8, 16, 16)).astype(np.float32)), "x")
-    w = dg.param(rng.normal(size=(16, 8, 3, 3)).astype(np.float32), "w")
-    out = dg.conv2d(x, w, dg.constant(np.zeros(16, np.float32)))
-    g = _channels_last(rng.normal(size=(672, 16, 16, 16)))
-    dg.backward(dg.sum_all(dg.mul(out, dg.constant(g))))
-    assert dg._rows_buffer.nbytes <= 8 * 3 * 3 * 672 * 16 * 16 * 8      # vjp_w's 99 MB
+    x = dg.constant(_channels_last(rng.normal(size=(672, 1, 32, 32)).astype(np.float32)))
+    for c, f in [(1, 8), (8, 16), (16, 32)]:
+        w = dg.param(rng.normal(size=(f, c, 3, 3)).astype(np.float32), "w")
+        x = dg.avg_pool2(dg.conv2d(x, w, dg.constant(np.zeros(f, np.float32))))
+    dg.backward(dg.sum_all(dg.mul(x, dg.constant(_channels_last(rng.normal(size=x.shape))))))
+    assert dg._rows_buffer.nbytes <= 2 * 3 * 672 * 32 * 32 * 8 < 2 * dg._BLOCK_BYTES   # 33.0 MB
 
 
 def test_conv2d_keeps_no_gemm_rows_past_its_forward():
